@@ -220,11 +220,8 @@ def hybrid_distortion(rho: float, theta: float, delta1) -> float:
     Vectorized over delta1 so the optimizer can scan a grid in one call.
     """
     m, mix = _hybrid_mix(rho, theta, delta1)
-    if np.ndim(delta1) == 0:
-        d1 = float(delta1)
-        d2 = (m - d1) / (1.0 - 2.0 * d1)
-        return 2.0 * m * ((1.0 - d1 - d2) * theta + d1 * d2) / mix
-    d1 = np.asarray(delta1, dtype=float)
+    d1 = np.asarray(delta1, dtype=float) if np.ndim(delta1) else \
+        float(delta1)
     d2 = (m - d1) / (1.0 - 2.0 * d1)
     return 2.0 * m * ((1.0 - d1 - d2) * theta + d1 * d2) / mix
 
@@ -266,7 +263,11 @@ def delta1_prime(rho: float, theta: float,
 def d_hybrid_simple(rho: float, theta: float,
                     tol: Tolerance = Tolerance()) -> float:
     """Hybrid distortion with the split pinned to delta1_prime."""
-    d1 = delta1_prime(rho, theta, tol)
+    return _simple_distortion(theta, delta1_prime(rho, theta, tol))
+
+
+def _simple_distortion(theta: float, d1: float) -> float:
+    """Distortion of the simplified hybrid scheme at split d1."""
     if d1 == 0.0:
         return 0.0
     return 2.0 * (1.0 - d1) * d1 * theta / bconv(d1, theta)
@@ -328,15 +329,13 @@ def binary_curves(config: BinaryConfig) -> CurveTable:
         du, _ = d_uncoded(config.rho, theta)
         dh, arg = d_hybrid(config.rho, theta)
         d1p = delta1_prime(config.rho, theta)
-        simple = (0.0 if d1p == 0.0
-                  else 2.0 * (1.0 - d1p) * d1p * theta / bconv(d1p, theta))
         row = BinaryCurveRow(
             theta=theta,
             d_lower=d_lower(config.rho, theta),
             d_sep=d_sep(config.rho, theta),
             d_uncoded=du,
             d_hybrid=dh,
-            d_hybrid_simple=simple,
+            d_hybrid_simple=_simple_distortion(theta, d1p),
             delta1_opt=arg,
             delta1_prime=d1p,
         )

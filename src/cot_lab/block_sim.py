@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .binary_case import hybrid_params
-from .gaussian_case import linear_bound
+from .gaussian_case import _check_gamma, _check_lambdas, linear_bound
 from .infokit import DiscreteChannel, DiscreteDistribution, total_variation
 from .numkit import binary_entropy
 
@@ -172,6 +172,19 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------- single-letter sims
 
+def _binary_report(parts, rho: float, notes: Tuple[str, ...] = ()
+                   ) -> SimReport:
+    """Report of a binary single-letter scheme from per-chunk (count,
+    errors, errors, ones) tallies, with the output marginal against B(rho)."""
+    mean, se, n = _pooled_moments(parts)
+    ones = sum(p[3] for p in parts)
+    marginal = DiscreteDistribution(
+        ("0", "1"), np.array([1.0 - ones / n, ones / n]))
+    target = DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho]))
+    return SimReport(mean, se, marginal, total_variation(marginal, target),
+                     n, notes=notes)
+
+
 def sim_uncoded_binary(rho: float, theta: float,
                        decoder: Tuple[float, float],
                        sim: SimConfig) -> SimReport:
@@ -199,14 +212,7 @@ def sim_uncoded_binary(rho: float, theta: float,
         wrong = float(np.count_nonzero(x != y))
         return count, wrong, wrong, int(np.count_nonzero(y))
 
-    parts = _run_chunks(chunk, sim, stream=0)
-    mean, se, n = _pooled_moments(parts)
-    ones = sum(p[3] for p in parts)
-    marginal = DiscreteDistribution(
-        ("0", "1"), np.array([1.0 - ones / n, ones / n]))
-    target = DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho]))
-    return SimReport(mean, se, marginal, total_variation(marginal, target),
-                     n)
+    return _binary_report(_run_chunks(chunk, sim, stream=0), rho)
 
 
 def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
@@ -219,14 +225,8 @@ def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
     per-component (mean, variance) of the output, the worst variance error,
     and the realized channel input power.
     """
-    lams = [float(v) for v in lambdas]
-    if not lams or any(not v > 0.0 for v in lams):
-        raise ValueError("eigenvalues must be strictly positive")
-    if any(b > a for a, b in zip(lams, lams[1:])):
-        raise ValueError("eigenvalues must be sorted descending")
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
+    lams = _check_lambdas(lambdas)
+    gamma = _check_gamma(gamma)
     dim = len(lams)
     scale = np.sqrt(lams)
     gain = math.sqrt(gamma / lams[0])
@@ -284,14 +284,8 @@ def sim_genie_hybrid_binary(rho: float, theta: float, delta1: float,
         wrong = float(np.count_nonzero(x != y))
         return count, wrong, wrong, int(np.count_nonzero(y))
 
-    parts = _run_chunks(chunk, sim, stream=0)
-    mean, se, n = _pooled_moments(parts)
-    ones = sum(p[3] for p in parts)
-    marginal = DiscreteDistribution(
-        ("0", "1"), np.array([1.0 - ones / n, ones / n]))
-    target = DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho]))
-    return SimReport(mean, se, marginal, total_variation(marginal, target),
-                     n, notes=("digital part delivered noiselessly",))
+    return _binary_report(_run_chunks(chunk, sim, stream=0), rho,
+                          notes=("digital part delivered noiselessly",))
 
 
 # ------------------------------------------------------ linear-scheme check
@@ -314,11 +308,7 @@ def verify_linear_bound(lambdas: Sequence[float], trials: int,
     violations of the floor are decided without sampling noise. sim.samples
     is unused here; the trial count is explicit.
     """
-    lams = np.asarray([float(v) for v in lambdas])
-    if lams.size == 0 or np.any(lams <= 0.0):
-        raise ValueError("eigenvalues must be strictly positive")
-    if np.any(lams[1:] > lams[:-1]):
-        raise ValueError("eigenvalues must be sorted descending")
+    lams = np.asarray(_check_lambdas(lambdas))
     if trials < 1:
         raise ValueError("trials must be at least 1")
     dim = lams.size
@@ -350,10 +340,8 @@ def verify_linear_bound(lambdas: Sequence[float], trials: int,
 def uncoded_equality_gap(lambdas: Sequence[float], gamma: float) -> float:
     """Closed-form cost minus the floor at the configuration that attains
     it: all gain on the head component, decoder scaled to the budget."""
-    lams = [float(v) for v in lambdas]
-    gamma = float(gamma)
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative")
+    lams = _check_lambdas(lambdas)
+    gamma = _check_gamma(gamma)
     g = np.zeros(len(lams))
     g[0] = math.sqrt(gamma / lams[0])
     w0 = math.sqrt(lams[0] / (gamma + 1.0))
@@ -457,14 +445,40 @@ class CodebookLaws:
     msg_error: float
 
 
+def _symbol_kernels(cfg: BlockCodeConfig):
+    """Per-symbol channel-output kernels q(v|x,z) and p(v|z)."""
+    qv = np.einsum("xzu,uv->xzv", cfg.u_given_xz, cfg.channel.matrix)
+    pvz = np.einsum("zx,xzv->zv", cfg.x_given_z, qv)
+    return qv, pvz
+
+
+def _product_law(probs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Probability of each block (row) under the i.i.d. law probs."""
+    out = np.ones(blocks.shape[0])
+    for t in range(blocks.shape[1]):
+        out *= probs[blocks[:, t]]
+    return out
+
+
+def _encoder_weights(cfg: BlockCodeConfig, code: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """Likelihood-encoder weights prod_t p(x_t | z_t(m)), blocks x
+    messages."""
+    weights = np.ones((x.shape[0], code.shape[0]))
+    for t in range(cfg.n):
+        weights *= cfg.x_given_z[code[:, t]][:, x[:, t]].T
+    return weights
+
+
 def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
-                   pvz: np.ndarray, pzv_joint: np.ndarray,
-                   v_blocks: np.ndarray):
-    """Typicality + fallback decoder over every channel output block."""
+                   pvz: np.ndarray, v_blocks: np.ndarray):
+    """Typicality decoder with maximum-likelihood fallback.
+
+    Returns the decoded message of every received block (row of v_blocks)
+    and whether typicality failed to single out one message for it."""
     n = cfg.n
     msgs = code.shape[0]
-    nv = pvz.shape[1]
-    nz = pvz.shape[0]
+    nz, nv = pvz.shape
     nblocks = v_blocks.shape[0]
     npairs = nz * nv
     rows = np.arange(nblocks)
@@ -473,7 +487,7 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
     loglik = np.empty((msgs, nblocks))
     with np.errstate(divide="ignore"):
         logpvz = np.log(pvz)
-    flat_target = pzv_joint.ravel()
+    flat_target = (cfg.code_marginal.probs[:, None] * pvz).ravel()
     for m in range(msgs):
         pair = code[m][None, :] * nv + v_blocks  # (nblocks, n)
         counts = np.bincount(
@@ -495,28 +509,20 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     for one codebook, by axis-at-a-time tensor contraction."""
     n = cfg.n
     msgs = code.shape[0]
-    nx, nz = len(cfg.source), len(cfg.code_marginal)
+    nx = len(cfg.source)
     nv = len(cfg.channel.output_alphabet)
     ny = len(cfg.target)
 
-    # per-symbol kernels
-    qv = np.einsum("xzu,uv->xzv", cfg.u_given_xz, cfg.channel.matrix)
-    pvz = np.einsum("zx,xzv->zv", cfg.x_given_z, qv)
-    pzv_joint = cfg.code_marginal.probs[:, None] * pvz
-
+    qv, pvz = _symbol_kernels(cfg)
     x_blocks = _enumerate_blocks(n, nx)
     v_blocks = _enumerate_blocks(n, nv)
 
-    decode, typ_fail = _decode_tables(cfg, code, pvz, pzv_joint, v_blocks)
+    decode, typ_fail = _decode_tables(cfg, code, pvz, v_blocks)
 
-    # encoder posterior weights over the whole source space
-    px_n = np.ones(x_blocks.shape[0])
-    for t in range(n):
-        px_n *= cfg.source.probs[x_blocks[:, t]]
-    w = np.ones((msgs, x_blocks.shape[0]))
-    for m in range(msgs):
-        for t in range(n):
-            w[m] *= cfg.x_given_z[code[m, t], x_blocks[:, t]]
+    # encoder posterior weights over the whole source space; the sum over
+    # messages runs on a messages-major copy so it adds them in order
+    px_n = _product_law(cfg.source.probs, x_blocks)
+    w = np.ascontiguousarray(_encoder_weights(cfg, code, x_blocks).T)
     wtot = w.sum(axis=0)
     uncovered = wtot <= 0.0
     # blocks no codeword can produce get the uniform message, matching the
@@ -544,10 +550,7 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
                                   axes=(0, 0))
         p_yhat += masked.reshape(-1)
 
-    y_blocks = _enumerate_blocks(n, ny)
-    p_target = np.ones(ny ** n)
-    for t in range(n):
-        p_target *= cfg.target.probs[y_blocks[:, t]]
+    p_target = _product_law(cfg.target.probs, _enumerate_blocks(n, ny))
 
     tv = 0.5 * float(np.abs(p_yhat - p_target).sum())
     return CodebookLaws(decode, typ_fail, p_v, p_yhat, p_target, tv,
@@ -557,50 +560,27 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
 def _generate_phase(cfg: BlockCodeConfig, code: np.ndarray,
                     decode_map: Optional[np.ndarray],
                     sim: SimConfig, stream: int):
-    """Sample (x, m, v, mhat, yhat, err) blocks; returns per-chunk arrays."""
+    """Run sampled source blocks through encoder, channel, decoder and
+    reconstruction; returns per-chunk (x, yhat, message error) arrays.
+
+    decode_map, when given, is the decoder tabulated over every output
+    block; otherwise each chunk's received blocks are decoded directly."""
     n = cfg.n
-    msgs = code.shape[0]
     nv = len(cfg.channel.output_alphabet)
-    nz = len(cfg.code_marginal)
     src_cdf = np.cumsum(cfg.source.probs)
     vpow = nv ** np.arange(n - 1, -1, -1)
-    pvz = np.einsum("zx,xzv->zv",
-                    cfg.x_given_z,
-                    np.einsum("xzu,uv->xzv", cfg.u_given_xz,
-                              cfg.channel.matrix))
-    pzv_joint = (cfg.code_marginal.probs[:, None] * pvz).ravel()
-    with np.errstate(divide="ignore"):
-        logpvz = np.log(pvz)
+    _, pvz = _symbol_kernels(cfg)
 
     def chunk(rng, count):
         x = _cdf_draw(rng.random((count, n)), src_cdf)
-        weights = np.ones((count, msgs))
-        for t in range(n):
-            weights *= cfg.x_given_z[code[:, t]][:, x[:, t]].T
-        m = _row_draw(rng.random(count), weights)
+        m = _row_draw(rng.random(count), _encoder_weights(cfg, code, x))
         z = code[m]
         u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
         v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])
         if decode_map is not None:
-            vidx = (v * vpow).sum(axis=1)
-            mhat = decode_map[vidx]
+            mhat = decode_map[(v * vpow).sum(axis=1)]
         else:
-            counts = np.zeros((count, msgs, nz * nv))
-            # typicality of (codeword, received block) for every candidate
-            cand_pair = code[None, :, :] * nv + v[:, None, :]
-            for t in range(n):
-                np.add.at(counts,
-                          (np.arange(count)[:, None],
-                           np.arange(msgs)[None, :],
-                           cand_pair[:, :, t]), 1.0)
-            dev = np.abs(counts / n - pzv_joint[None, None, :]).max(axis=2)
-            typical = dev <= cfg.typ_delta
-            matches = typical.sum(axis=1)
-            first = typical.argmax(axis=1)
-            loglik = logpvz[code[None, :, :], v[:, None, :]].sum(axis=2)
-            fallback = loglik.argmax(axis=1)
-            fail = matches != 1
-            mhat = np.where(fail, fallback, first)
+            mhat, _ = _decode_tables(cfg, code, pvz, v)
         yhat = _row_draw(rng.random((count, n)),
                          cfg.dec_cond[code[mhat], v])
         return x, yhat, mhat != m
@@ -651,9 +631,7 @@ def _couple_plugin(cfg, gen_parts, sim, stream):
     urows, inverse, counts = np.unique(allyhat, axis=0, return_inverse=True,
                                        return_counts=True)
     phat = counts / total
-    pt_u = np.ones(urows.shape[0])
-    for t in range(n):
-        pt_u *= cfg.target.probs[urows[:, t]]
+    pt_u = _product_law(cfg.target.probs, urows)
     tv = float(np.maximum(phat - pt_u, 0.0).sum())
     sigma = math.sqrt(urows.shape[0] / (4.0 * total))
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -40,6 +40,8 @@ def _check_lambdas(lambdas, min_len=1) -> List[float]:
         raise ValueError(f"need at least {min_len} eigenvalues")
     if any(not v > 0.0 for v in lams):
         raise ValueError("eigenvalues must be strictly positive")
+    if any(math.isinf(v) for v in lams):
+        raise ValueError("eigenvalues must be finite")
     if any(b > a for a, b in zip(lams, lams[1:])):
         raise ValueError("eigenvalues must be sorted descending")
     return lams
@@ -49,6 +51,8 @@ def _check_gamma(gamma) -> float:
     g = float(gamma)
     if not g >= 0.0:
         raise ValueError("gamma must be nonnegative")
+    if math.isinf(g):
+        raise ValueError("gamma must be finite")
     return g
 
 
@@ -413,15 +417,6 @@ def toy_gaussian_sep(gamma: float, mu_x: float = 0.0, sigma_x: float = 1.0,
     g, sx, sy = _check_toy(gamma, sigma_x, sigma_y)
     dm = float(mu_x) - float(mu_y)
     return dm * dm + sx * sx + sy * sy - 2.0 * g / (g + 1.0) * sx * sy
-
-
-def toy_gaussian_joint(gamma: float, mu_x: float = 0.0, sigma_x: float = 1.0,
-                       mu_y: float = 0.0, sigma_y: float = 1.0) -> float:
-    """Scalar analog transmission cost; coincides with the floor, which is
-    the point of the comparison."""
-    g, sx, sy = _check_toy(gamma, sigma_x, sigma_y)
-    dm = float(mu_x) - float(mu_y)
-    return dm * dm + sx * sx + sy * sy - 2.0 * math.sqrt(g / (g + 1.0)) * sx * sy
 
 
 # ------------------------------------------------------- matrix ingestion

@@ -19,6 +19,7 @@ from cot_lab.block_sim import (
     SimConfig,
     SimReport,
     _codebook_laws,
+    _generate_phase,
     binary_separation_block_config,
     sim_block_hybrid,
     sim_genie_hybrid_binary,
@@ -165,6 +166,10 @@ def test_uncoded_gaussian_validation():
         sim_uncoded_gaussian([1.5, -0.5], 1.0, sim)
     with pytest.raises(ValueError):
         sim_uncoded_gaussian([1.5, 0.5], -1.0, sim)
+    for lams, gamma in (([math.inf, 1.0], 1.0), ([math.nan, 1.0], 1.0),
+                        ([1.5, 0.5], math.inf), ([1.5, 0.5], math.nan)):
+        with pytest.raises(ValueError):
+            sim_uncoded_gaussian(lams, gamma, sim)
 
 
 def test_uncoded_gaussian_worker_invariance():
@@ -242,6 +247,9 @@ def test_linear_bound_validation():
         verify_linear_bound([0.5, 1.5], 10, sim)
     with pytest.raises(ValueError):
         verify_linear_bound([1.5, 0.5], 0, sim)
+    for lams in ([math.nan, 0.5], [math.inf, 0.5], [1.5, math.nan]):
+        with pytest.raises(ValueError):
+            verify_linear_bound(lams, 1000, sim)
 
 
 def test_linear_bound_worker_invariance():
@@ -392,6 +400,21 @@ def test_exact_laws_match_brute_force_enumeration():
         [0.75 * 0.75, 0.75 * 0.25, 0.25 * 0.75, 0.25 * 0.25])).sum()
     assert abs(laws.tv_to_target - tv) < 1e-12
     assert abs(laws.msg_error - err) < 1e-12
+
+
+def test_decode_routes_agree():
+    # the tabulated decode map and decoding each sampled block directly are
+    # one decoder, so the sampled phase must not depend on the route
+    cfg = candidate(8, codebooks=1)
+    code = np.random.default_rng(0).integers(0, 4, (cfg.codebook_size, 8))
+    laws = _codebook_laws(cfg, code)
+    sim = SimConfig(6, 40000)
+    tabled = _generate_phase(cfg, code, laws.decode_map, sim, stream=2)
+    direct = _generate_phase(cfg, code, None, sim, stream=2)
+    assert len(tabled) == len(direct) == 2
+    for a, b in zip(tabled, direct):
+        assert all(np.array_equal(u, w) for u, w in zip(a, b))
+    assert laws.typ_fail.any() and any(p[2].any() for p in tabled)
 
 
 def test_exact_laws_conserve_mass_and_handle_uncovered_blocks():

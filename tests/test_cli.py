@@ -92,6 +92,20 @@ def test_missing_input_file_is_a_validation_error(capsys, workdir):
     assert "absent.json" in err
 
 
+def test_non_finite_gaussian_inputs_rejected(capsys, workdir):
+    sim = ["--seed", "1", "--samples", "64"]
+    for argv in (["simulate", "uncoded-gaussian", "--lambdas", "inf,1",
+                  "--gamma", "1"] + sim,
+                 ["simulate", "uncoded-gaussian", "--lambdas", "1.5,0.5",
+                  "--gamma", "inf"] + sim,
+                 ["gaussian-curves", "--lambdas", "inf,1", "--out", "g.csv"],
+                 ["gamma-star", "--lambdas", "inf,1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "must be finite" in err
+    assert not os.path.exists("g.csv")
+
+
 def test_bad_lambda_list_rejected(capsys, workdir):
     code, _, err = run(capsys, "gamma-star", "--lambdas", "1.5,oops")
     assert code == 1

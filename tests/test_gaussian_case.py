@@ -28,7 +28,6 @@ from cot_lab.gaussian_case import (
     kappa_gammas,
     linear_bound,
     omega_hybrid,
-    toy_gaussian_joint,
     toy_gaussian_lower,
     toy_gaussian_sep,
     waterfill_sep,
@@ -468,7 +467,6 @@ def test_toy_matched_values():
     assert toy_gaussian_lower(3.0) == pytest.approx(2.0 - math.sqrt(3.0),
                                                     abs=1e-12)
     assert toy_gaussian_sep(3.0) == pytest.approx(0.5, abs=1e-12)
-    assert toy_gaussian_joint(3.0) == toy_gaussian_lower(3.0)
 
 
 def test_toy_mean_shift_adds_through():
@@ -481,7 +479,7 @@ def test_toy_sep_never_below_joint():
     for gamma in (0.0, 0.5, 2.0, 10.0, 1e4):
         for sx, sy in ((1.0, 1.0), (2.0, 0.5)):
             sep = toy_gaussian_sep(gamma, 0.0, sx, 0.0, sy)
-            joint = toy_gaussian_joint(gamma, 0.0, sx, 0.0, sy)
+            joint = toy_gaussian_lower(gamma, 0.0, sx, 0.0, sy)
             assert sep >= joint - 1e-12
 
 

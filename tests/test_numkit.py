@@ -81,6 +81,11 @@ def test_entropy_inv_endpoints():
 def test_entropy_inv_value():
     assert binary_entropy_inv(0.4999159581645280) == pytest.approx(
         0.11, abs=1e-12)
+    # the steep foot: far below 90 halvings of [0, 1/2], on the array route
+    tiny = binary_entropy_inv(1e-300)
+    array_root = float(binary_entropy_inv(np.array([1e-300]))[0])
+    assert tiny == pytest.approx(array_root, rel=1e-12)
+    assert abs(binary_entropy(tiny) - 1e-300) <= 1e-3 * 1e-300
 
 
 def test_entropy_inv_domain_error():
