@@ -2,7 +2,7 @@
 optimal transport with a perfect-realism (matched output marginal) constraint.
 
 Submodules:
-    numkit        scalar special functions, root finding, 1-D minimization
+    numkit        special functions, root finding, batched 1-D minimization
     infokit       discrete distributions, information measures, capacity, OT
     hybrid_bound  single-letter hybrid achievability evaluator
     binary_case   Bernoulli source over a binary symmetric channel, Hamming cost

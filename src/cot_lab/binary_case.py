@@ -171,21 +171,9 @@ def _hybrid_mix(rho, theta, delta1):
 
     The digital stage absorbs whatever information the dithered analog stage
     cannot carry; when the analog stage alone satisfies the information
-    condition, delta2 collapses to 0 and m is delta1 itself. Scalar delta1
-    takes a plain-float route because the optimizer's refinement phase calls
-    this thousands of times per curve point.
+    condition, delta2 collapses to 0 and m is delta1 itself. Broadcasts over
+    theta and delta1.
     """
-    if np.ndim(delta1) == 0:
-        d1 = float(delta1)
-        mix = d1 + theta - 2.0 * d1 * theta
-        avail = 1.0 - binary_entropy(mix)
-        need = binary_entropy(rho) - binary_entropy(d1)
-        if need > avail:
-            m = binary_entropy_inv(
-                min(max(binary_entropy(rho) - avail, 0.0), 1.0))
-        else:
-            m = d1
-        return m, mix
     d1 = np.asarray(delta1, dtype=float)
     mix = bconv(d1, theta)
     avail = 1.0 - binary_entropy(mix)
@@ -214,32 +202,41 @@ def hybrid_params(rho: float, theta: float, delta1: float
         float(np.clip(beta, 0.0, 1.0))
 
 
-def hybrid_distortion(rho: float, theta: float, delta1) -> float:
+def hybrid_distortion(rho: float, theta, delta1):
     """End-to-end distortion of the hybrid scheme at a given split delta1.
 
-    Vectorized over delta1 so the optimizer can scan a grid in one call.
+    Broadcasts over theta and delta1, so the optimizer can scan a whole
+    (theta x delta1) grid in one call.
     """
     m, mix = _hybrid_mix(rho, theta, delta1)
-    d1 = np.asarray(delta1, dtype=float) if np.ndim(delta1) else \
-        float(delta1)
+    d1 = np.asarray(delta1, dtype=float)
     d2 = (m - d1) / (1.0 - 2.0 * d1)
     return 2.0 * m * ((1.0 - d1 - d2) * theta + d1 * d2) / mix
 
 
-def d_hybrid(rho: float, theta: float, grid: int = 512,
-             tol: Tolerance = Tolerance()) -> Tuple[float, float]:
+def d_hybrid(rho: float, theta, grid: int = 512,
+             tol: Tolerance = Tolerance()):
     """Optimized hybrid distortion and its argmin delta1 in [0, rho].
 
-    The argmin jumps between plateaus (0, an interior root, rho) as theta
-    moves, so the global grid scan in minimize_1d is load-bearing; local
-    search alone would track the wrong branch across a switch.
+    theta is a float, giving (value, argmin) floats, or an array, giving
+    arrays of its shape; all positive theta are solved in one batch, and
+    theta = 0 gives (0, 0). The argmin jumps between plateaus (0, an
+    interior root, rho) as theta moves, so the global grid scan in
+    minimize_1d is load-bearing; local search alone would track the wrong
+    branch across a switch.
     """
     rho = _check_rho(rho)
-    theta = _check_theta(theta)
-    if theta == 0.0:
-        return 0.0, 0.0
-    arg, val = minimize_1d(lambda d1: hybrid_distortion(rho, theta, d1),
-                           0.0, rho, grid=grid, tol=tol)
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th >= 0.0) & (th <= 0.5)):
+        raise ValueError("theta must lie in [0, 1/2]")
+    val, arg = np.zeros(th.shape), np.zeros(th.shape)
+    pos = th > 0.0
+    if pos.any():
+        arg[pos], val[pos] = minimize_1d(
+            lambda t, d1: hybrid_distortion(rho, t, d1), 0.0, rho, th[pos],
+            grid=grid, tol=tol)
+    if th.ndim == 0:
+        return float(val), float(arg)
     return val, arg
 
 
@@ -275,11 +272,8 @@ def _simple_distortion(theta: float, d1: float) -> float:
 
 # ------------------------------------------------------ mode thresholds
 
-def classify_mode(rho: float, theta: float) -> str:
-    """Which known strategy the optimized hybrid argmin coincides with."""
-    if theta == 0.0:
-        return "SEP"
-    _, arg = d_hybrid(rho, theta)
+def _label(rho: float, theta: float, arg: float) -> str:
+    """Which known strategy the hybrid argmin `arg` at theta coincides with."""
     if arg <= _AT_ZERO:
         return "SEP"
     if abs(arg - delta1_prime(rho, theta)) <= _AT_PRIME:
@@ -291,11 +285,23 @@ def classify_mode(rho: float, theta: float) -> str:
     return "NONE"
 
 
+def _modes(rho: float, thetas) -> list:
+    """classify_mode at every theta, with one batched d_hybrid."""
+    _, args = d_hybrid(rho, np.asarray(thetas, dtype=float))
+    return [_label(rho, t, a) for t, a in zip(thetas, args.tolist())]
+
+
+def classify_mode(rho: float, theta: float) -> str:
+    """Which known strategy the optimized hybrid argmin coincides with."""
+    return _modes(rho, [theta])[0]
+
+
 def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
     """Mode-switch abscissas of the optimized hybrid over the theta grid.
 
-    Scans the grid with classify_mode and refines each label change by
-    bisection to 1e-4. Returns (theta, "LEFT->RIGHT") pairs in grid order.
+    Labels the whole grid with one batched solve and refines each label
+    change by bisection to 1e-4. Returns (theta, "LEFT->RIGHT") pairs in
+    grid order.
 
     theta = 1/2 is excluded from the scan: the channel has zero capacity
     there, the objective is constant in delta1, and any label the argmin
@@ -304,7 +310,7 @@ def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
     if len(config.theta_grid) < 256:
         raise GridTooCoarse("threshold scan needs at least 256 grid points")
     grid = [t for t in config.theta_grid if t < 0.5]
-    labels = [classify_mode(config.rho, t) for t in grid]
+    labels = _modes(config.rho, grid)
     out = []
     for (t0, l0), (t1, l1) in zip(zip(grid, labels),
                                   zip(grid[1:], labels[1:])):
@@ -324,10 +330,10 @@ def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
 # ------------------------------------------------------------ the table
 
 def binary_curves(config: BinaryConfig) -> CurveTable:
+    dhs, args = d_hybrid(config.rho, np.array(config.theta_grid))
     rows = []
-    for theta in config.theta_grid:
+    for theta, dh, arg in zip(config.theta_grid, dhs.tolist(), args.tolist()):
         du, _ = d_uncoded(config.rho, theta)
-        dh, arg = d_hybrid(config.rho, theta)
         d1p = delta1_prime(config.rho, theta)
         row = BinaryCurveRow(
             theta=theta,

@@ -25,11 +25,16 @@ import numpy as np
 
 from .binary_case import hybrid_params
 from .gaussian_case import _check_gamma, _check_lambdas, linear_bound
-from .infokit import DiscreteChannel, DiscreteDistribution, total_variation
+from .infokit import (
+    DiscreteChannel,
+    DiscreteDistribution,
+    finite_array,
+    stochastic_array,
+    total_variation,
+)
 from .numkit import binary_entropy
 
 _CHUNK = 1 << 15
-_ROW_TOL = 1e-9
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
 
@@ -388,11 +393,13 @@ class BlockCodeConfig:
         nu = len(self.channel.input_alphabet)
         nv = len(self.channel.output_alphabet)
         ny = len(self.target)
-        self.x_given_z = _stochastic(self.x_given_z, (nz, nx), "x_given_z")
-        self.u_given_xz = _stochastic(self.u_given_xz, (nx, nz, nu),
-                                      "u_given_xz")
-        self.dec_cond = _stochastic(self.dec_cond, (nz, nv, ny), "dec_cond")
-        self.dist = np.asarray(self.dist, dtype=float)
+        self.x_given_z = stochastic_array(self.x_given_z, (nz, nx),
+                                          "x_given_z")
+        self.u_given_xz = stochastic_array(self.u_given_xz, (nx, nz, nu),
+                                           "u_given_xz")
+        self.dec_cond = stochastic_array(self.dec_cond, (nz, nv, ny),
+                                         "dec_cond")
+        self.dist = finite_array(self.dist, "dist")
         if self.dist.shape != (nx, ny):
             raise ValueError("dist shape mismatch")
         if np.any(self.dist < 0.0):
@@ -406,18 +413,6 @@ class BlockCodeConfig:
     @property
     def codebook_size(self) -> int:
         return math.ceil(2.0 ** (self.n * self.rate))
-
-
-def _stochastic(arr, shape, name):
-    out = np.asarray(arr, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} shape mismatch")
-    if np.any(out < -1e-12):
-        raise ValueError(f"{name} has negative entries")
-    out = np.clip(out, 0.0, None)
-    if np.max(np.abs(out.sum(axis=-1) - 1.0)) > _ROW_TOL:
-        raise ValueError(f"{name} rows must sum to 1")
-    return out
 
 
 def _enumerate_blocks(n: int, base: int) -> np.ndarray:

@@ -259,36 +259,15 @@ def omega_hybrid(config: GaussianConfig, gamma: float, alpha: float,
     return waterfill_sep(config.lambdas[1:], 0.5 * math.log2(rhs), tol)
 
 
-def _tail_fill(mu: Sequence[float], target: float) -> float:
-    """Sum of min(omega, mu_l) where omega solves the tail product equation
-    prod mu_l/(omega ^ mu_l) = target, in closed piecewise form.
+def _hybrid_grid(lams: Sequence[float], gamma, alphas) -> np.ndarray:
+    """Hybrid cost at every (gamma, alpha) pair, broadcasting the two.
 
-    Walks the candidate active-set sizes in increasing order; the first k
-    whose level clears the next eigenvalue is the true one. target >= 1.
+    The coded tail sum of min(omega, mu_l), with omega solving the tail
+    product equation prod mu_l/(omega ^ mu_l) = target, comes in closed
+    piecewise form: the candidate active-set sizes are walked in increasing
+    order, and the first k whose level clears the next eigenvalue is the
+    true one (the k = m candidate always clears 0).
     """
-    prod = 1.0
-    m = len(mu)
-    for k in range(1, m + 1):
-        prod *= mu[k - 1]
-        nxt = mu[k] if k < m else 0.0
-        omega = prod / target if k == 1 else (prod / target) ** (1.0 / k)
-        if omega >= nxt:
-            return k * omega + math.fsum(mu[k:])
-    raise AssertionError("unreachable: the k == m candidate always clears 0")
-
-
-def _hybrid_value(lams: Sequence[float], gamma: float, alpha: float) -> float:
-    # scalar twin of _hybrid_grid; keep the float operations in lockstep
-    x = (1.0 - alpha) * gamma
-    head = (1.0 - math.sqrt(x / (x + 1.0))) * lams[0]
-    target = (gamma + 1.0) / (x + 1.0)
-    return 2.0 * (head + _tail_fill(lams[1:], target))
-
-
-def _hybrid_grid(lams: Sequence[float], gamma: float,
-                 alphas: np.ndarray) -> np.ndarray:
-    """Vectorized hybrid cost over an alpha grid, same piecewise closed form
-    as the scalar path so the optimizer's two passes agree to the ulp."""
     x = (1.0 - alphas) * gamma
     head = (1.0 - np.sqrt(x / (x + 1.0))) * lams[0]
     target = (gamma + 1.0) / (x + 1.0)
@@ -319,26 +298,25 @@ def d_hybrid_at(config: GaussianConfig, gamma: float, alpha: float,
     return 2.0 * (head + math.fsum(deltas))
 
 
-def d_hybrid(config: GaussianConfig, gamma: float, grid: int = 512,
-             tol: Tolerance = Tolerance()) -> Tuple[float, float]:
+def d_hybrid(config: GaussianConfig, gamma, grid: int = 512,
+             tol: Tolerance = Tolerance()):
     """Hybrid cost minimized over the power split; returns (cost, alpha_opt).
 
-    The grid scan and the golden refinement both evaluate the piecewise
-    closed form (no root solving inside the objective), and ties go to the
-    smallest alpha, so on budgets where the objective rises from alpha = 0
-    the reported argmin is exactly 0.0 rather than optimizer noise.
+    gamma is a float, giving floats, or an array, giving arrays of its
+    shape, all budgets solved in one batch. The grid scan and the golden
+    refinement both evaluate the piecewise closed form (no root solving
+    inside the objective), and ties go to the smallest alpha, so on budgets
+    where the objective rises from alpha = 0 the reported argmin is exactly
+    0.0 rather than optimizer noise.
     """
-    g = _check_gamma(gamma)
+    gs = np.asarray(gamma, dtype=float)
+    flat = np.array([_check_gamma(g) for g in gs.ravel().tolist()])
     lams = list(config.lambdas)
-
-    def objective(a):
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim == 0:
-            return _hybrid_value(lams, g, float(arr))
-        return _hybrid_grid(lams, g, arr)
-
-    arg, val = minimize_1d(objective, 0.0, 1.0, grid=grid, tol=tol)
-    return val, arg
+    arg, val = minimize_1d(lambda g, a: _hybrid_grid(lams, g, a), 0.0, 1.0,
+                           flat, grid=grid, tol=tol)
+    if gs.ndim == 0:
+        return float(val[0]), float(arg[0])
+    return val.reshape(gs.shape), arg.reshape(gs.shape)
 
 
 def gamma_star(lambdas: Sequence[float]) -> float:
@@ -377,9 +355,11 @@ def linear_bound(lambdas: Sequence[float], g) -> float:
 
 def gaussian_curves(config: GaussianConfig, grid: int = 512,
                     tol: Tolerance = Tolerance()) -> CurveTable:
+    dhs, alphas = d_hybrid(config, np.array(config.gamma_grid), grid=grid,
+                           tol=tol)
     rows = []
-    for g in config.gamma_grid:
-        dh, alpha = d_hybrid(config, g, grid=grid, tol=tol)
+    for g, dh, alpha in zip(config.gamma_grid, dhs.tolist(),
+                            alphas.tolist()):
         row = GaussianCurveRow(
             gamma=g,
             d_lower=d_lower(config, g, tol),

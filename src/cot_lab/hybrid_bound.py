@@ -21,11 +21,12 @@ from .infokit import (
     channel_to_json,
     distribution_from_json,
     distribution_to_json,
+    finite_array,
     mutual_information,
+    stochastic_array,
     total_variation,
 )
 
-_ROW_TOL = 1e-9
 _COND_SLACK = 1e-9
 _MARGINAL_TV = 1e-8
 
@@ -62,25 +63,11 @@ class HybridSpec:
             raise ValueError(
                 "shared-variable alphabet exceeds the cardinality bound "
                 f"|Z| <= |X|+|Y|+|V|+2 = {nx + ny + nv + 2}")
-        self.enc = np.asarray(self.enc, dtype=float)
-        if self.enc.shape != (nx, nz, nu):
-            raise ValueError(
-                f"enc: expected shape {(nx, nz, nu)}, got {self.enc.shape}")
-        if np.any(self.enc < -1e-12):
-            raise ValueError("enc: negative entries")
-        self.enc = np.clip(self.enc, 0.0, None)
-        if np.max(np.abs(self.enc.sum(axis=(1, 2)) - 1.0)) > _ROW_TOL:
-            raise ValueError("enc: per-x blocks must sum to 1")
-        self.dec = np.asarray(self.dec, dtype=float)
-        if self.dec.shape != (nz, nv, ny):
-            raise ValueError(
-                f"dec: expected shape {(nz, nv, ny)}, got {self.dec.shape}")
-        if np.any(self.dec < -1e-12):
-            raise ValueError("dec: negative entries")
-        self.dec = np.clip(self.dec, 0.0, None)
-        if np.max(np.abs(self.dec.sum(axis=2) - 1.0)) > _ROW_TOL:
-            raise ValueError("dec: rows over y must sum to 1")
-        self.dist = np.asarray(self.dist, dtype=float)
+        # each source letter's (z, u) block, and each (z, v) row over y
+        self.enc = stochastic_array(self.enc, (nx, nz, nu), "enc",
+                                    axis=(1, 2))
+        self.dec = stochastic_array(self.dec, (nz, nv, ny), "dec")
+        self.dist = finite_array(self.dist, "dist")
         if self.dist.shape != (nx, ny):
             raise ValueError("dist: cost matrix shape mismatch")
         if np.any(self.dist < 0.0):

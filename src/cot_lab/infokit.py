@@ -35,16 +35,28 @@ class SinkhornDivergence(RuntimeError):
     """Sinkhorn scaling failed to meet the marginal tolerance."""
 
 
-def _as_prob_vector(probs, n_expected, what):
-    v = np.asarray(probs, dtype=float)
-    if v.ndim != 1 or len(v) != n_expected:
-        raise ValueError(f"{what}: length does not match alphabet")
-    if np.any(v < -1e-12):
-        raise ValueError(f"{what}: negative probability")
-    v = np.clip(v, 0.0, None)
-    if abs(v.sum() - 1.0) > _PROB_TOL:
-        raise ValueError(f"{what}: probabilities sum to {v.sum():.12f}, not 1")
-    return v
+def finite_array(values, what) -> np.ndarray:
+    """values as a float array; ValueError naming `what` on NaN or inf."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+    return arr
+
+
+def stochastic_array(values, shape, what, axis=-1) -> np.ndarray:
+    """values as a finite float array of `shape` whose sums over `axis` are
+    1 within 1e-9; entries down to -1e-12 are clipped to 0. Raises
+    ValueError naming `what` otherwise."""
+    arr = finite_array(values, what)
+    if arr.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if np.any(arr < -1e-12):
+        raise ValueError(f"{what} has negative entries")
+    arr = np.clip(arr, 0.0, None)
+    err = float(np.max(np.abs(arr.sum(axis=axis) - 1.0)))
+    if err > _PROB_TOL:
+        raise ValueError(f"{what} must sum to 1 (off by {err:.3g})")
+    return arr
 
 
 @dataclass
@@ -56,8 +68,8 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         self.alphabet = tuple(str(a) for a in self.alphabet)
-        self.probs = _as_prob_vector(self.probs, len(self.alphabet),
-                                     "distribution")
+        self.probs = stochastic_array(self.probs, (len(self.alphabet),),
+                                      "distribution")
 
     def __len__(self):
         return len(self.alphabet)
@@ -74,8 +86,8 @@ class Coupling:
     cost: np.ndarray
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-        self.cost = np.asarray(self.cost, dtype=float)
+        self.table = finite_array(self.table, "coupling table")
+        self.cost = finite_array(self.cost, "coupling cost")
         shape = (len(self.row_marginal), len(self.col_marginal))
         if self.table.shape != shape or self.cost.shape != shape:
             raise ValueError("coupling table/cost shape mismatch")
@@ -105,19 +117,13 @@ class DiscreteChannel:
     def __post_init__(self):
         self.input_alphabet = tuple(str(a) for a in self.input_alphabet)
         self.output_alphabet = tuple(str(a) for a in self.output_alphabet)
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape != (len(self.input_alphabet),
-                                 len(self.output_alphabet)):
-            raise ValueError("channel matrix shape mismatch")
-        if np.any(self.matrix < -1e-12):
-            raise ValueError("channel matrix has negative entries")
-        self.matrix = np.clip(self.matrix, 0.0, None)
-        if np.max(np.abs(self.matrix.sum(axis=1) - 1.0)) > _PROB_TOL:
-            raise ValueError("channel rows must sum to 1")
+        self.matrix = stochastic_array(
+            self.matrix, (len(self.input_alphabet), len(self.output_alphabet)),
+            "channel matrix")
         if self.cost is None:
             self.cost = np.zeros(len(self.input_alphabet))
         else:
-            self.cost = np.asarray(self.cost, dtype=float)
+            self.cost = finite_array(self.cost, "channel cost")
             if self.cost.shape != (len(self.input_alphabet),):
                 raise ValueError("channel cost vector shape mismatch")
             if np.any(self.cost < 0.0):
@@ -181,11 +187,7 @@ def mutual_information(joint: np.ndarray) -> float:
     Terms with zero joint mass contribute zero.
     """
     j = np.asarray(joint, dtype=float)
-    if np.any(j < -1e-12):
-        raise ValueError("joint table has negative entries")
-    j = np.clip(j, 0.0, None)
-    if abs(j.sum() - 1.0) > _PROB_TOL:
-        raise ValueError("joint table must sum to 1")
+    j = stochastic_array(j, j.shape, "joint table", axis=None)
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
     mask = j > 0.0
@@ -330,7 +332,7 @@ def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
     Solved as the transport LP; the returned plan attains d_star. Plans are
     not unique in general — only d_star is contract-bearing.
     """
-    c = np.asarray(cost, dtype=float)
+    c = finite_array(cost, "cost matrix")
     n, m = len(row), len(col)
     if c.shape != (n, m):
         raise ValueError("cost matrix shape mismatch")
@@ -399,7 +401,7 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     """
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
-    c = np.asarray(cost, dtype=float)
+    c = finite_array(cost, "cost matrix")
     e_indep = float(row.probs @ c @ col.probs)
     if rate == 0.0:
         return RDPoint(0.0, e_indep, float("inf"))

@@ -1,4 +1,4 @@
-"""Scalar special functions, bracketed root finding, and 1-D minimization.
+"""Special functions, bracketed root finding, and batched 1-D minimization.
 
 Everything here is a pure function of its arguments; no shared state, safe to
 call from any number of threads.
@@ -64,7 +64,7 @@ def _clip_unit(x: ArrayLike, name: str) -> ArrayLike:
     """Validate x in [0,1], snapping values within _EDGE of the edges.
 
     Floats (np.float64 included) take a plain-Python route and come back as
-    0-d np.float64; the curve optimizers call this in tight loops, where
+    0-d np.float64; the per-theta root finds call this in tight loops, where
     np.asarray/np.any/np.clip cost several times the arithmetic.
     """
     if isinstance(x, float):
@@ -84,7 +84,7 @@ def binary_entropy(p: ArrayLike) -> ArrayLike:
     """
     arr = _clip_unit(p, "p")
     if arr.ndim == 0:
-        # scalar fast path: the curve optimizers call this in tight loops
+        # scalar fast path: the per-theta root finds call this in tight loops
         x = float(arr)
         if x <= 0.0 or x >= 1.0:
             return 0.0
@@ -186,65 +186,81 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+# most values one objective call may see; bounds the temporaries of a batch
+_MAX_VALUES = 2 ** 14
 
-def _golden(f, lo, hi, tol):
-    """Golden-section descent on [lo, hi]; returns (x, f(x)) at the final
-    midpoint. Deterministic, no derivative use."""
-    a, b = lo, hi
+
+def _evaluate(f, p, x):
+    """f(p, x) as a (len(p), width) array in calls of at most _MAX_VALUES
+    values; x is one (width,) row shared by all p or one row per p."""
+    rows = max(1, _MAX_VALUES // x.shape[-1])
+    out = np.empty((len(p), x.shape[-1]))
+    for s in range(0, len(p), rows):
+        part = slice(s, s + rows)
+        out[part] = f(p[part], x if x.ndim == 1 else x[part])
+    return out
+
+
+def _golden(f, p, a, b, tol):
+    """Golden-section descent on all cells [a, b] in lockstep; returns
+    (x, f(x)) at each cell's final midpoint. Each cell takes exactly the
+    steps it would take alone: a converged cell stays frozen."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = _evaluate(f, p, c), _evaluate(f, p, d)
     for _ in range(tol.max_iter):
-        if b - a <= tol.abs_tol + tol.rel_tol * (abs(a) + abs(b)):
+        done = b - a <= tol.abs_tol + tol.rel_tol * (np.abs(a) + np.abs(b))
+        live = ~done
+        if not live.any():
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
+        lt = fc < fd
+        left, right = live & lt, live & ~lt
+        # left: the minimum is in [a, d], so d becomes b and c becomes d;
+        # right: it is in [c, b], so c becomes a and d becomes c
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d = (np.where(left, b - _INV_PHI * (b - a), np.where(right, d, c)),
+                np.where(right, a + _INV_PHI * (b - a), np.where(left, c, d)))
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        fnew = _evaluate(f, p, np.where(left, c, d))
+        fc, fd = np.where(left, fnew, fc), np.where(right, fnew, fd)
+    pick = fc < fd
+    return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
-def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
-                grid: int = 512, tol: Tolerance = Tolerance()
-                ) -> Tuple[float, float]:
-    """Global scan + local polish on [lo, hi]; returns (argmin, minimum).
+def minimize_1d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                lo: float, hi: float, params, grid: int = 512,
+                tol: Tolerance = Tolerance()) -> Tuple[np.ndarray, np.ndarray]:
+    """Global scan + local polish on [lo, hi], one problem per parameter.
 
-    Coarse scan over `grid` points, then golden-section refinement inside the
-    best grid cell and inside each boundary cell (the objectives this serves
-    have argmin plateaus that end exactly at the interval edges). The result
-    is never worse than the best scanned point. Ties — including ties created
-    by sub-ulp noise between the vectorized scan and the scalar refinement
-    paths — go to the smallest argument, which pins plateau argmins to the
-    exact interval endpoint.
+    `f(p, x)` is vectorized: p is a (k, 1) column of `params` entries, x a
+    (grid,) row or a (k, 3) array, and it returns f at the broadcast pairs.
+    Returns (argmins, minima) arrays, one entry per parameter; each entry is
+    what the parameter would get alone. Each problem gets a coarse scan over
+    `grid` points, then golden-section refinement inside the best grid cell
+    and inside each boundary cell (the objectives this serves have argmin
+    plateaus that end exactly at the interval edges). The result is never
+    worse than the best scanned point. Ties within a few ulps go to the
+    smallest argument, which pins plateau argmins to the exact endpoint.
     """
     if not lo < hi:
         raise ValueError("minimize_1d needs lo < hi")
     if grid < 16:
         raise ValueError("grid must be at least 16 points")
+    p = np.asarray(params, dtype=float).reshape(-1, 1)
 
     xs = np.linspace(lo, hi, grid)
-    try:
-        fs = np.asarray(f(xs), dtype=float)
-        if fs.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        fs = np.array([float(f(x)) for x in xs])
+    fs = _evaluate(f, p, xs)
+    best = np.argmin(fs, axis=1)[:, None]
+    # cells [xs[i], xs[j]]: around the best grid point, then the two edges
+    i = np.maximum(best - 1, 0) * [1, 0, 0] + [0, 0, grid - 2]
+    j = np.minimum(best + 1, grid - 1) * [1, 0, 0] + [0, 1, grid - 1]
+    gx, gf = _golden(f, p, xs[i], xs[j], tol)
 
-    candidates = list(zip(xs.tolist(), fs.tolist()))
-    best = int(np.argmin(fs))
-    cells = {(max(best - 1, 0), min(best + 1, grid - 1)), (0, 1),
-             (grid - 2, grid - 1)}
-    for i, j in cells:
-        x, fx = _golden(f, xs[i], xs[j], tol)
-        candidates.append((float(x), float(fx)))
-
-    fmin = min(fx for _, fx in candidates)
-    fuzz = 64.0 * np.finfo(float).eps * (1.0 + abs(fmin))
-    argmin = min(x for x, fx in candidates if fx <= fmin + fuzz)
-    return argmin, fmin
+    fmin = np.minimum(fs.min(axis=1), gf.min(axis=1))
+    fuzz = 64.0 * np.finfo(float).eps * (1.0 + np.abs(fmin))
+    within = (fmin + fuzz)[:, None]
+    near = fs <= within
+    # xs ascends, so the first scanned point within the fuzz is the smallest
+    scanned = np.where(near.any(axis=1), xs[np.argmax(near, axis=1)], np.inf)
+    polished = np.where(gf <= within, gx, np.inf).min(axis=1)
+    return np.minimum(scanned, polished), fmin

@@ -209,6 +209,22 @@ def test_d_hybrid_noiseless_shortcut():
     assert d_hybrid(0.25, 0.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("rho", [0.25, 0.35])
+def test_d_hybrid_batch_equals_per_theta_calls(rho):
+    thetas = np.linspace(0.0, 0.5, 41)
+    vals, args = d_hybrid(rho, thetas)
+    assert vals.shape == args.shape == thetas.shape
+    for theta, val, arg in zip(thetas.tolist(), vals.tolist(),
+                               args.tolist()):
+        assert d_hybrid(rho, theta) == (val, arg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.6, -0.1])
+def test_d_hybrid_rejects_theta_array_out_of_range(bad):
+    with pytest.raises(ValueError):
+        d_hybrid(0.25, np.array([0.1, bad, 0.2]))
+
+
 def test_delta1_prime_branches():
     # channel beats the source entropy (theta below ~0.0295): no split needed
     assert delta1_prime(0.25, 0.02) == 0.0

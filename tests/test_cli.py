@@ -106,6 +106,18 @@ def test_non_finite_gaussian_inputs_rejected(capsys, workdir):
     assert not os.path.exists("g.csv")
 
 
+def test_non_finite_channel_rejected_before_solving(capsys, workdir):
+    # JSON NaN/Infinity parse to floats; the channel must refuse them
+    # instead of running the capacity iteration to a "gap nan" failure
+    for bad in ("NaN", "Infinity"):
+        with open("ch.json", "w", encoding="utf-8") as fh:
+            fh.write('{"inputs": ["0", "1"], "outputs": ["0", "1"], '
+                     f'"matrix": [[{bad}, 0.1], [0.1, 0.9]]}}')
+        code, _, err = run(capsys, "capacity", "--channel", "ch.json")
+        assert code == 1, bad
+        assert "channel matrix has non-finite entries" in err
+
+
 def test_bad_lambda_list_rejected(capsys, workdir):
     code, _, err = run(capsys, "gamma-star", "--lambdas", "1.5,oops")
     assert code == 1

@@ -340,6 +340,15 @@ def test_hybrid_root_and_closed_paths_agree():
         assert d_hybrid_at(cfg, gamma, arg) == pytest.approx(val, abs=1e-9)
 
 
+def test_d_hybrid_batch_equals_per_budget_calls():
+    gammas = np.logspace(-2.0, 2.0, 32)
+    vals, alphas = d_hybrid(CFG, gammas)
+    assert vals.shape == alphas.shape == gammas.shape
+    for gamma, val, alpha in zip(gammas.tolist(), vals.tolist(),
+                                 alphas.tolist()):
+        assert d_hybrid(CFG, gamma) == (val, alpha)
+
+
 def test_d_hybrid_plateau_is_exact_zero():
     gs = gamma_star(LAMS)
     for gamma in (0.05, 0.3, gs - 0.1, gs - 0.01):

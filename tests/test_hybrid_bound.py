@@ -114,6 +114,20 @@ def test_decoder_rows_must_sum_to_one():
                    spec.y_alphabet, spec.dist, spec.gamma, spec.target_y)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite_entries(bad):
+    spec = random_spec(np.random.default_rng(9))
+    parts = {"enc": spec.enc, "dec": spec.dec, "dist": spec.dist}
+    for name in parts:
+        poisoned = dict(parts)
+        poisoned[name] = parts[name].copy()
+        poisoned[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            HybridSpec(spec.p_x, spec.z_alphabet, poisoned["enc"], spec.ch,
+                       poisoned["dec"], spec.y_alphabet, poisoned["dist"],
+                       spec.gamma, spec.target_y)
+
+
 def test_default_target_requires_matching_alphabets():
     px = bern(0.3)
     enc = np.zeros((2, 1, 2))

@@ -167,6 +167,30 @@ def test_channel_rows_must_be_stochastic():
                         np.array([[0.9, 0.2], [0.1, 0.9]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite_entries(bad):
+    p = bern(0.3)
+    ok_table = np.array([[0.7, 0.0], [0.0, 0.3]])
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    cases = [
+        lambda: DiscreteDistribution(("a", "b"), np.array([bad, 1.0])),
+        lambda: Coupling(p, p, np.array([[0.7, bad], [0.0, 0.3]]),
+                         np.zeros((2, 2))),
+        lambda: Coupling(p, p, ok_table, np.array([[0.0, bad], [1.0, 0.0]])),
+        lambda: DiscreteChannel(("0", "1"), ("0", "1"),
+                                np.array([[bad, 0.1], [0.1, 0.9]])),
+        lambda: DiscreteChannel(("0", "1"), ("0", "1"), bsc,
+                                np.array([0.0, bad])),
+        lambda: ot_min_cost(p, p, np.array([[0.0, bad], [1.0, 0.0]])),
+        lambda: rate_limited_ot(p, p, np.array([[0.0, bad], [1.0, 0.0]]),
+                                0.5),
+        lambda: mutual_information(np.array([[0.7, bad], [0.0, 0.3]])),
+    ]
+    for make in cases:
+        with pytest.raises(ValueError, match="non-finite"):
+            make()
+
+
 def test_rdpoint_rejects_negative_rate():
     with pytest.raises(ValueError):
         RDPoint(-0.1, 0.5, 1.0)

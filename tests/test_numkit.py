@@ -248,20 +248,21 @@ def test_tolerance_validation():
 # ------------------------------------------------------------ minimize_1d
 
 def test_minimize_parabola():
-    x, fx = minimize_1d(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+    (x,), (fx,) = minimize_1d(lambda _, t: (t - 0.3) ** 2, 0.0, 1.0, [0.0])
     assert x == pytest.approx(0.3, abs=1e-8)
     assert fx == pytest.approx(0.0, abs=1e-15)
 
 
 def test_minimize_constant_ties_to_smallest_argument():
-    x, fx = minimize_1d(lambda t: 0.0 * t + 1.0, 0.25, 2.0)
+    (x,), (fx,) = minimize_1d(lambda _, t: 0.0 * t + 1.0, 0.25, 2.0, [0.0])
     assert x == 0.25
     assert fx == 1.0
 
 
 def test_minimize_boundary_plateau_returns_exact_endpoint():
     # flat-then-rising objective: argmin plateau ends at lo
-    x, _ = minimize_1d(lambda t: np.maximum(t - 0.4, 0.0) ** 2, 0.0, 1.0)
+    (x,), _ = minimize_1d(lambda _, t: np.maximum(t - 0.4, 0.0) ** 2,
+                          0.0, 1.0, [0.0])
     assert x == 0.0
 
 
@@ -275,7 +276,7 @@ def test_minimize_matches_dense_grid_on_curve_objective():
     # negate so the interior maximum becomes a minimum to hunt
     f = lambda d: -phi(d)
     x_star, f_star = dense_grid_argmin(f, 0.0, 0.25)
-    x, fx = minimize_1d(f, 0.0, 0.25)
+    (x,), (fx,) = minimize_1d(lambda _, d: f(d), 0.0, 0.25, [0.0])
     assert x == pytest.approx(x_star, abs=1e-6)
     assert fx <= f_star + 1e-12
 
@@ -287,25 +288,29 @@ def test_minimize_never_worse_than_grid():
     for c in coeffs:
         f = lambda t, c=c: (c[0] * np.sin(3.0 * t) + c[1] * t ** 2
                             + c[2] * t + c[3] * np.cos(5.0 * t))
-        x, fx = minimize_1d(f, -1.0, 2.0, grid=64)
+        (x,), (fx,) = minimize_1d(lambda _, t: f(t), -1.0, 2.0, [0.0],
+                                  grid=64)
         xs = np.linspace(-1.0, 2.0, 64)
         assert fx <= float(np.min(f(xs))) + 1e-12
         assert -1.0 <= x <= 2.0
 
 
-def test_minimize_scalar_only_objective():
-    # objectives that reject arrays fall back to pointwise evaluation
-    def f(t):
-        if isinstance(t, np.ndarray):
-            raise TypeError("scalar only")
-        return (t - 1.5) ** 2
+def test_minimize_batch_equals_single_solves():
+    # 40 problems at grid=512 span two scan chunks of 2**14 values
+    shifts = np.linspace(-0.3, 1.4, 40)
 
-    x, _ = minimize_1d(f, 0.0, 2.0, grid=32)
-    assert x == pytest.approx(1.5, abs=1e-8)
+    def f(p, t):
+        return (np.maximum(np.abs(t - p) - 0.05, 0.0) ** 1.5
+                + 0.1 * np.sin(7.0 * t))
+
+    xs, fs = minimize_1d(f, 0.0, 1.0, shifts)
+    for s, x, fx in zip(shifts, xs, fs):
+        (x1,), (f1,) = minimize_1d(f, 0.0, 1.0, [s])
+        assert (x, fx) == (x1, f1)
 
 
 def test_minimize_validation():
     with pytest.raises(ValueError):
-        minimize_1d(lambda t: t, 1.0, 0.0)
+        minimize_1d(lambda _, t: t, 1.0, 0.0, [0.0])
     with pytest.raises(ValueError):
-        minimize_1d(lambda t: t, 0.0, 1.0, grid=8)
+        minimize_1d(lambda _, t: t, 0.0, 1.0, [0.0], grid=8)
