@@ -9,11 +9,11 @@ dither-based hybrid scheme with its one-dimensional parameter optimization,
 the simplified hybrid curve, and a mode classifier that locates the theta
 thresholds where the optimized hybrid switches strategy.
 
-Scalar operations accept rho = 1/2 as a degenerate boundary check; the grid
+The curve functions take theta as a float or as an array (one batched solve
+per sweep). They accept rho = 1/2 as a degenerate boundary check; the grid
 config object enforces the open interval.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -22,12 +22,12 @@ import numpy as np
 from .hybrid_bound import HybridSpec, make_uncoded
 from .infokit import DiscreteChannel, DiscreteDistribution
 from .numkit import (
-    Bracket,
     Tolerance,
     bconv,
     binary_entropy,
     binary_entropy_inv,
     find_root,
+    float_or_array,
     minimize_1d,
 )
 from .tables import CurveTable, table_from_rows
@@ -56,10 +56,18 @@ def _check_rho(rho, closed=False):
     return float(rho)
 
 
-def _check_theta(theta):
-    if not 0.0 <= theta <= 0.5:
+def _check_theta(theta) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th >= 0.0) & (th <= 0.5)):
         raise ValueError("theta must lie in [0, 1/2]")
-    return float(theta)
+    return th
+
+
+def _check_delta1(rho, delta1) -> np.ndarray:
+    d1 = np.asarray(delta1, dtype=float)
+    if not np.all((d1 >= 0.0) & (d1 <= rho)):
+        raise ValueError("delta1 must lie in [0, rho]")
+    return d1
 
 
 @dataclass(frozen=True)
@@ -77,26 +85,9 @@ class BinaryConfig:
         object.__setattr__(self, "theta_grid", grid)
 
 
-@dataclass(frozen=True)
-class BinaryCurveRow:
-    theta: float
-    d_lower: float
-    d_sep: float
-    d_uncoded: float
-    d_hybrid: float
-    d_hybrid_simple: float
-    delta1_opt: float
-    delta1_prime: float
-
-    def as_tuple(self) -> Tuple[float, ...]:
-        return (self.theta, self.d_lower, self.d_sep, self.d_uncoded,
-                self.d_hybrid, self.d_hybrid_simple, self.delta1_opt,
-                self.delta1_prime)
-
-
 # ------------------------------------------------------------- converse
 
-def rate_of_distortion(rho: float, d: float) -> float:
+def rate_of_distortion(rho: float, d):
     """Information rate pinned down by a target coupling cost d.
 
     This is the implicit relation whose root defines the converse curve;
@@ -104,43 +95,46 @@ def rate_of_distortion(rho: float, d: float) -> float:
     d in (0, 2(1-rho)rho].
     """
     def plog(x):
-        return x * math.log2(x) if x > 0.0 else 0.0
+        return x * np.log2(np.where(x > 0.0, x, 1.0))
 
-    return (2.0 * binary_entropy(rho) + plog((2.0 - 2.0 * rho - d) / 2.0)
-            + d * math.log2(d / 2.0) + plog((2.0 * rho - d) / 2.0))
+    return float_or_array(
+        2.0 * binary_entropy(rho) + plog((2.0 - 2.0 * rho - d) / 2.0)
+        + d * np.log2(d / 2.0) + plog((2.0 * rho - d) / 2.0))
 
 
-def d_hat(rho: float, rate: float, tol: Tolerance = Tolerance()) -> float:
+def d_hat(rho: float, rate, tol: Tolerance = Tolerance()):
     """Minimum coupling cost at information budget `rate` (both B(rho))."""
     rho = _check_rho(rho, closed=True)
-    if rate < 0.0:
+    rate = np.asarray(rate, dtype=float)
+    if np.any(rate < 0.0):
         raise ValueError("rate must be nonnegative")
     dmax = 2.0 * (1.0 - rho) * rho
-    if rate == 0.0:
-        return dmax
-    if rate >= binary_entropy(rho):
-        return 0.0
-    return find_root(lambda d: rate_of_distortion(rho, d) - rate,
-                     Bracket(1e-15, dmax), tol)
+    out = np.where(rate == 0.0, dmax, 0.0)
+    solve = (rate > 0.0) & (rate < binary_entropy(rho))
+    r = rate[solve]
+    out[solve] = find_root(lambda d: rate_of_distortion(rho, d) - r,
+                           np.full(r.shape, 1e-15), dmax, tol)
+    return float_or_array(out)
 
 
-def d_lower(rho: float, theta: float) -> float:
+def d_lower(rho: float, theta):
     """Converse: no scheme over the crossover-theta channel does better."""
     rho = _check_rho(rho, closed=True)
     theta = _check_theta(theta)
-    if theta <= binary_entropy_inv(1.0 - binary_entropy(rho)):
-        return 0.0
-    return d_hat(rho, 1.0 - binary_entropy(theta))
+    out = np.zeros(theta.shape)
+    past = theta > binary_entropy_inv(1.0 - binary_entropy(rho))
+    out[past] = d_hat(rho, 1.0 - binary_entropy(theta[past]))
+    return float_or_array(out)
 
 
 # -------------------------------------------------------- basic schemes
 
-def quantizer_noise(rho: float, rate: float) -> float:
+def quantizer_noise(rho: float, rate):
     """Backward test-channel crossover of the optimal rate-`rate` quantizer."""
-    return binary_entropy_inv(max(binary_entropy(rho) - rate, 0.0))
+    return binary_entropy_inv(np.maximum(binary_entropy(rho) - rate, 0.0))
 
 
-def d_sep(rho: float, theta: float) -> float:
+def d_sep(rho: float, theta):
     """Quantize-transmit-redither: distortion 2(1-delta)delta at capacity."""
     rho = _check_rho(rho, closed=True)
     theta = _check_theta(theta)
@@ -148,8 +142,7 @@ def d_sep(rho: float, theta: float) -> float:
     return 2.0 * (1.0 - delta) * delta
 
 
-def d_uncoded(rho: float, theta: float
-              ) -> Tuple[float, Tuple[float, float]]:
+def d_uncoded(rho: float, theta):
     """Best single-letter passthrough scheme and its decoder.
 
     The decoder is the pair (a, b) = (P{Y=1|V=0}, P{Y=0|V=1}); a = 0 is
@@ -157,11 +150,9 @@ def d_uncoded(rho: float, theta: float
     """
     rho = _check_rho(rho, closed=True)
     theta = _check_theta(theta)
-    if theta == 0.0:
-        return 0.0, (0.0, 0.0)
     mix = bconv(rho, theta)
-    b = (1.0 - 2.0 * rho) * theta / mix
-    return 2.0 * (1.0 - rho) * rho * theta / mix, (0.0, b)
+    b = float_or_array((1.0 - 2.0 * rho) * theta / mix)
+    return float_or_array(2.0 * (1.0 - rho) * rho * theta / mix), (0.0, b)
 
 
 # -------------------------------------------------------- hybrid scheme
@@ -174,14 +165,13 @@ def _hybrid_mix(rho, theta, delta1):
     condition, delta2 collapses to 0 and m is delta1 itself. Broadcasts over
     theta and delta1.
     """
-    d1 = np.asarray(delta1, dtype=float)
-    mix = bconv(d1, theta)
+    mix = bconv(delta1, theta)
     avail = 1.0 - binary_entropy(mix)
-    need = binary_entropy(rho) - binary_entropy(d1)
+    h_rho = binary_entropy(rho)
+    need = h_rho - binary_entropy(delta1)
     # clip keeps the discarded where-branch inside the inverse's domain
-    forced = binary_entropy_inv(
-        np.clip(binary_entropy(rho) - avail, 0.0, 1.0))
-    return np.where(need > avail, forced, d1), mix
+    forced = binary_entropy_inv(np.clip(h_rho - avail, 0.0, 1.0))
+    return np.where(need > avail, forced, delta1), mix
 
 
 def hybrid_params(rho: float, theta: float, delta1: float
@@ -192,8 +182,7 @@ def hybrid_params(rho: float, theta: float, delta1: float
     if theta == 0.0:
         raise ValueError("theta = 0 is degenerate here; the optimum is the "
                          "noiseless passthrough with all parameters 0")
-    if not 0.0 <= delta1 <= rho:
-        raise ValueError("delta1 must lie in [0, rho]")
+    delta1 = _check_delta1(rho, delta1)
     m, mix = _hybrid_mix(rho, theta, delta1)
     delta2 = (m - delta1) / (1.0 - 2.0 * delta1)
     tau = (rho - m) / (1.0 - 2.0 * m)
@@ -206,10 +195,13 @@ def hybrid_distortion(rho: float, theta, delta1):
     """End-to-end distortion of the hybrid scheme at a given split delta1.
 
     Broadcasts over theta and delta1, so the optimizer can scan a whole
-    (theta x delta1) grid in one call.
+    (theta x delta1) grid in one call. Rejects rho outside (0, 1/2), theta
+    outside [0, 1/2] and delta1 outside [0, rho], NaN included.
     """
-    m, mix = _hybrid_mix(rho, theta, delta1)
-    d1 = np.asarray(delta1, dtype=float)
+    rho = _check_rho(rho)
+    theta = _check_theta(theta)
+    d1 = _check_delta1(rho, delta1)
+    m, mix = _hybrid_mix(rho, theta, d1)
     d2 = (m - d1) / (1.0 - 2.0 * d1)
     return 2.0 * m * ((1.0 - d1 - d2) * theta + d1 * d2) / mix
 
@@ -226,9 +218,7 @@ def d_hybrid(rho: float, theta, grid: int = 512,
     branch across a switch.
     """
     rho = _check_rho(rho)
-    th = np.asarray(theta, dtype=float)
-    if not np.all((th >= 0.0) & (th <= 0.5)):
-        raise ValueError("theta must lie in [0, 1/2]")
+    th = _check_theta(theta)
     val, arg = np.zeros(th.shape), np.zeros(th.shape)
     pos = th > 0.0
     if pos.any():
@@ -240,43 +230,44 @@ def d_hybrid(rho: float, theta, grid: int = 512,
     return val, arg
 
 
-def delta1_prime(rho: float, theta: float,
-                 tol: Tolerance = Tolerance()) -> float:
+def delta1_prime(rho: float, theta, tol: Tolerance = Tolerance()):
     """Simplified-scheme split: the delta in (0, rho] balancing the analog
     information surplus against the channel, or 0 when the channel already
     carries the source at full fidelity."""
     rho = _check_rho(rho)
     theta = _check_theta(theta)
-    if binary_entropy(rho) <= 1.0 - binary_entropy(theta):
-        return 0.0
+    out = np.zeros(theta.shape)
+    solve = binary_entropy(rho) > 1.0 - binary_entropy(theta)
+    th = theta[solve]
 
     def resid(d):
-        return (binary_entropy(bconv(d, theta)) - binary_entropy(d)
+        return (binary_entropy(bconv(d, th)) - binary_entropy(d)
                 - (1.0 - binary_entropy(rho)))
 
-    return find_root(resid, Bracket(1e-15, rho), tol)
+    out[solve] = find_root(resid, np.full(th.shape, 1e-15), rho, tol)
+    return float_or_array(out)
 
 
-def d_hybrid_simple(rho: float, theta: float,
-                    tol: Tolerance = Tolerance()) -> float:
+def d_hybrid_simple(rho: float, theta, tol: Tolerance = Tolerance()):
     """Hybrid distortion with the split pinned to delta1_prime."""
     return _simple_distortion(theta, delta1_prime(rho, theta, tol))
 
 
-def _simple_distortion(theta: float, d1: float) -> float:
+def _simple_distortion(theta, d1):
     """Distortion of the simplified hybrid scheme at split d1."""
-    if d1 == 0.0:
-        return 0.0
-    return 2.0 * (1.0 - d1) * d1 * theta / bconv(d1, theta)
+    mix = bconv(d1, theta)
+    # mix is 0 only at d1 = theta = 0, where the distortion is 0
+    return float_or_array(2.0 * (1.0 - d1) * d1 * theta
+                          / np.where(mix > 0.0, mix, 1.0))
 
 
 # ------------------------------------------------------ mode thresholds
 
-def _label(rho: float, theta: float, arg: float) -> str:
-    """Which known strategy the hybrid argmin `arg` at theta coincides with."""
+def _label(arg: float, prime: float, rho: float) -> str:
+    """Which strategy the argmin `arg` is, given delta1_prime `prime`."""
     if arg <= _AT_ZERO:
         return "SEP"
-    if abs(arg - delta1_prime(rho, theta)) <= _AT_PRIME:
+    if abs(arg - prime) <= _AT_PRIME:
         # checked before the rho plateau: the simplified split converges to
         # rho as theta approaches 1/2, where both labels describe the argmin
         return "SIMPLE"
@@ -286,9 +277,11 @@ def _label(rho: float, theta: float, arg: float) -> str:
 
 
 def _modes(rho: float, thetas) -> list:
-    """classify_mode at every theta, with one batched d_hybrid."""
-    _, args = d_hybrid(rho, np.asarray(thetas, dtype=float))
-    return [_label(rho, t, a) for t, a in zip(thetas, args.tolist())]
+    """classify_mode at every theta, with one batch of each solve."""
+    th = np.asarray(thetas, dtype=float)
+    _, args = d_hybrid(rho, th)
+    return [_label(a, p, rho) for a, p in
+            zip(args.tolist(), delta1_prime(rho, th).tolist())]
 
 
 def classify_mode(rho: float, theta: float) -> str:
@@ -330,23 +323,13 @@ def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
 # ------------------------------------------------------------ the table
 
 def binary_curves(config: BinaryConfig) -> CurveTable:
-    dhs, args = d_hybrid(config.rho, np.array(config.theta_grid))
-    rows = []
-    for theta, dh, arg in zip(config.theta_grid, dhs.tolist(), args.tolist()):
-        du, _ = d_uncoded(config.rho, theta)
-        d1p = delta1_prime(config.rho, theta)
-        row = BinaryCurveRow(
-            theta=theta,
-            d_lower=d_lower(config.rho, theta),
-            d_sep=d_sep(config.rho, theta),
-            d_uncoded=du,
-            d_hybrid=dh,
-            d_hybrid_simple=_simple_distortion(theta, d1p),
-            delta1_opt=arg,
-            delta1_prime=d1p,
-        )
-        rows.append(row.as_tuple())
-    return table_from_rows(CURVE_COLUMNS, rows)
+    rho, th = config.rho, np.array(config.theta_grid)
+    dhs, args = d_hybrid(rho, th)
+    d1p = delta1_prime(rho, th)
+    cols = (th, d_lower(rho, th), d_sep(rho, th), d_uncoded(rho, th)[0],
+            dhs, _simple_distortion(th, d1p), args, d1p)
+    return table_from_rows(CURVE_COLUMNS,
+                           list(zip(*(c.tolist() for c in cols))))
 
 
 # ----------------------------------------- single-letter candidate specs

@@ -57,6 +57,9 @@ from .numkit import BracketError, MaxIterError
 _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
                      ArithmeticError, FloatingPointError)
 
+# most points of a curve grid: the optimizer's scan table is points x 512 x 8 B
+MAX_POINTS = 2 ** 14
+
 
 class _UsageError(Exception):
     def __init__(self, usage: str, message: str):
@@ -73,6 +76,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ------------------------------------------------------------- utilities
+
+def _points(text: str) -> int:
+    n = int(text)
+    if not 2 <= n <= MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_POINTS}]")
+    return n
+
 
 def _parse_floats(text: str) -> list:
     try:
@@ -427,7 +437,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=0.5)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_points, default=512)
     _add_out_json(p, out_required=True)
     p.set_defaults(handler=_cmd_binary_curves)
 
@@ -436,7 +446,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=0.5)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=_points, default=512)
     _add_out_json(p)
     p.set_defaults(handler=_cmd_binary_thresholds)
 
@@ -446,7 +456,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated eigenvalues, descending")
     p.add_argument("--gamma-min", type=float, default=0.01)
     p.add_argument("--gamma-max", type=float, default=100.0)
-    p.add_argument("--points", type=int, default=256)
+    p.add_argument("--points", type=_points, default=256)
     p.add_argument("--linear-grid", action="store_true",
                    help="use a linear budget grid instead of log spacing")
     _add_out_json(p, out_required=True)

@@ -23,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numkit import Bracket, BracketError, Tolerance, find_root, minimize_1d
+from .numkit import (BracketError, Tolerance, find_root, float_or_array,
+                     minimize_1d)
 from .tables import CurveTable, table_from_rows
 
 GAUSSIAN_COLUMNS = ("gamma", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
@@ -47,13 +48,13 @@ def _check_lambdas(lambdas, min_len=1) -> List[float]:
     return lams
 
 
-def _check_gamma(gamma) -> float:
-    g = float(gamma)
-    if not g >= 0.0:
+def _check_gamma(gamma):
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0.0):
         raise ValueError("gamma must be nonnegative")
-    if math.isinf(g):
+    if np.any(np.isinf(g)):
         raise ValueError("gamma must be finite")
-    return g
+    return float_or_array(g)
 
 
 def _check_alpha(alpha) -> float:
@@ -63,9 +64,10 @@ def _check_alpha(alpha) -> float:
     return a
 
 
-def _budget_rate(gamma: float) -> float:
+def _budget_rate(gamma):
     """Bits per use bought by power budget gamma on the unit-noise channel."""
-    return 0.5 * math.log2(gamma + 1.0)
+    return 0.5 * np.log2(gamma + 1.0)
+
 
 
 @dataclass(frozen=True)
@@ -109,21 +111,17 @@ class GaussianCurveRow:
         if self.d_hybrid > min(self.d_sep, self.d_uncoded) + _ROW_SLACK:
             raise ValueError("row violates d_hybrid <= min(d_sep, d_uncoded)")
 
-    def as_tuple(self) -> Tuple[float, ...]:
-        return (self.gamma, self.d_lower, self.d_sep, self.d_uncoded,
-                self.d_hybrid, self.alpha_opt)
-
 
 # ------------------------------------------------------------- converse
 
-def _gamma_of_kappa(kappa: float, lam: float) -> float:
+def _gamma_of_kappa(kappa, lam):
     # positive root of kappa*g^2 + g - kappa*lam^2 = 0, written without the
     # subtractive cancellation the quadratic formula would have at small kappa
     x = kappa * lam
-    return 2.0 * kappa * lam * lam / (1.0 + math.sqrt(1.0 + 4.0 * x * x))
+    return 2.0 * kappa * lam * lam / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
 
 
-def _rate_of_kappa(kappa: float, lams: Sequence[float]) -> float:
+def _rate_of_kappa(kappa, lams: Sequence[float]):
     """Total bits pinned down by the correlation multiplier kappa.
 
     Each component contributes -0.5*log2(1 - (g/lam)^2); the factor 1 - g/lam
@@ -132,113 +130,122 @@ def _rate_of_kappa(kappa: float, lams: Sequence[float]) -> float:
     total = 0.0
     for lam in lams:
         x = kappa * lam
-        s = math.sqrt(1.0 + 4.0 * x * x)
+        s = np.sqrt(1.0 + 4.0 * x * x)
         r = 2.0 * x / (1.0 + s)
-        one_minus = (1.0 + 1.0 / (s + 2.0 * x)) / (1.0 + s) if x > 0.0 else 1.0
-        total += -0.5 * math.log2(one_minus * (1.0 + r))
+        one_minus = (1.0 + 1.0 / (s + 2.0 * x)) / (1.0 + s)  # 1 at x = 0
+        total = total - 0.5 * np.log2(one_minus * (1.0 + r))
     return total
 
 
-def kappa_gammas(lambdas: Sequence[float], rate: float,
-                 tol: Tolerance = Tolerance()) -> Tuple[float, List[float]]:
+def kappa_gammas(lambdas: Sequence[float], rate, tol: Tolerance = Tolerance()):
     """Correlation levels achievable between matched Gaussians at `rate` bits.
 
     Solves for the unique kappa > 0 whose per-component correlations
     gamma_l = (-1 + sqrt(1 + 4 kappa^2 lam_l^2)) / (2 kappa) spend exactly
     `rate` bits in total, and returns (kappa, [gamma_1, ..., gamma_L]).
-    rate = 0 returns kappa = 0 with the all-zero vector.
+    rate = 0 returns kappa = 0 with the all-zero vector. An array of rates
+    gives arrays, the gammas on one more axis.
     """
     lams = _check_lambdas(lambdas)
-    if rate < 0.0:
+    rate = np.asarray(rate, dtype=float)
+    if np.any(rate < 0.0):
         raise ValueError("rate must be nonnegative")
-    if rate == 0.0:
-        return 0.0, [0.0] * len(lams)
-
-    hi = 1.0
+    kappa = np.zeros(rate.shape)
+    pos = rate > 0.0
+    r = rate[pos]
+    # each lane widens its own bracket exactly as a lone solve would
+    hi = np.ones(r.shape)
     for _ in range(200):
-        if _rate_of_kappa(hi, lams) >= rate:
+        short = ~(_rate_of_kappa(hi, lams) >= r)
+        if not short.any():
             break
-        hi *= 4.0
+        hi = np.where(short, hi * 4.0, hi)
     else:
-        raise BracketError(f"rate {rate!r} not reachable at kappa {hi:.3e}")
-    lo = 1e-9
+        raise BracketError(f"rate {r[short][0]!r} not reachable at "
+                           f"kappa {hi[short][0]:.3e}")
+    lo = np.full(r.shape, 1e-9)
     for _ in range(200):
-        if _rate_of_kappa(lo, lams) <= rate:
+        over = ~(_rate_of_kappa(lo, lams) <= r)
+        if not over.any():
             break
-        lo /= 4.0
+        lo = np.where(over, lo / 4.0, lo)
+    kappa[pos] = find_root(lambda k: _rate_of_kappa(k, lams) - r, lo, hi, tol)
+    gams = _gamma_of_kappa(kappa[..., None], np.array(lams))
+    if rate.ndim == 0:
+        return float(kappa), gams.tolist()
+    return kappa, gams
 
-    kappa = find_root(lambda k: _rate_of_kappa(k, lams) - rate,
-                      Bracket(lo, hi), tol)
-    return kappa, [_gamma_of_kappa(kappa, lam) for lam in lams]
 
-
-def d_lower(config: GaussianConfig, gamma: float,
-            tol: Tolerance = Tolerance()) -> float:
+def d_lower(config: GaussianConfig, gamma, tol: Tolerance = Tolerance()):
     """Converse curve: the least squared cost any scheme with unlimited
     common randomness can reach at power budget gamma."""
     g = _check_gamma(gamma)
     _, gams = kappa_gammas(config.lambdas, _budget_rate(g), tol)
-    return 2.0 * math.fsum(lam - gam
-                           for lam, gam in zip(config.lambdas, gams))
+    return 2.0 * float_or_array(np.sum(np.subtract(config.lambdas, gams),
+                                       axis=-1))
 
 
 # ----------------------------------------------------------- separation
 
-def waterfill_sep(lambdas: Sequence[float], rate: float,
-                  tol: Tolerance = Tolerance()) -> Tuple[float, List[float]]:
+def waterfill_sep(lambdas: Sequence[float], rate,
+                  tol: Tolerance = Tolerance()):
     """Reverse waterfilling level for the quadratic Gaussian curve.
 
     Finds omega in (0, lambda_1] with 0.5 * sum log2(lam_l / (omega ^ lam_l))
     equal to `rate` and returns (omega, [omega ^ lam_l per component]). The
     search runs on log omega so widely spread eigenvalues stay well scaled.
+    An array of rates gives arrays, the components on one more axis.
     """
     lams = _check_lambdas(lambdas)
-    if rate < 0.0:
+    rate = np.asarray(rate, dtype=float)
+    if np.any(rate < 0.0):
         raise ValueError("rate must be nonnegative")
-    if rate == 0.0:
-        return lams[0], list(lams)
+    omega = np.full(rate.shape, lams[0])
+    pos = rate > 0.0
+    r = rate[pos]
 
     def gap(u):
-        w = math.exp(u)
+        w = np.exp(u)
         spent = 0.0
         for lam in lams:
-            if w < lam:
-                spent += 0.5 * math.log2(lam / w)
-        return spent - rate
+            spent = spent + np.where(w < lam, 0.5 * np.log2(lam / w), 0.0)
+        return spent - r
 
-    hi = math.log(lams[0])
-    lo = math.log(lams[-1])
+    # each lane widens its own bracket exactly as a lone solve would
+    lo = np.full(r.shape, math.log(lams[-1]))
     step = 1.0
     for _ in range(200):
-        if gap(lo) >= 0.0:
+        short = ~(gap(lo) >= 0.0)
+        if not short.any():
             break
-        lo -= step
+        lo = np.where(short, lo - step, lo)
         step *= 2.0
     else:
-        raise BracketError(f"rate {rate!r} not reachable above omega 0")
+        raise BracketError(f"rate {r[short][0]!r} not reachable above omega 0")
+    omega[pos] = np.exp(find_root(gap, lo, math.log(lams[0]), tol))
+    deltas = np.minimum(omega[..., None], lams)
+    if rate.ndim == 0:
+        return float(omega), deltas.tolist()
+    return omega, deltas
 
-    omega = math.exp(find_root(gap, Bracket(lo, hi), tol))
-    return omega, [min(omega, lam) for lam in lams]
 
-
-def d_sep(config: GaussianConfig, gamma: float,
-          tol: Tolerance = Tolerance()) -> float:
+def d_sep(config: GaussianConfig, gamma, tol: Tolerance = Tolerance()):
     """Source-channel separation without common randomness: twice the
     classical distortion-rate value at the channel's bit budget."""
     g = _check_gamma(gamma)
     _, deltas = waterfill_sep(config.lambdas, _budget_rate(g), tol)
-    return 2.0 * math.fsum(deltas)
+    return 2.0 * float_or_array(np.sum(deltas, axis=-1))
 
 
 # -------------------------------------------------------------- uncoded
 
-def d_uncoded(config: GaussianConfig, gamma: float) -> float:
+def d_uncoded(config: GaussianConfig, gamma):
     """Analog passthrough of the largest component, remaining components
     regenerated from scratch at the decoder."""
     g = _check_gamma(gamma)
     lam1 = config.lambdas[0]
-    return (2.0 * math.fsum(config.lambdas)
-            - 2.0 * math.sqrt(g / (g + 1.0)) * lam1)
+    return float_or_array(2.0 * math.fsum(config.lambdas)
+                          - 2.0 * np.sqrt(g / (g + 1.0)) * lam1)
 
 
 # --------------------------------------------------------------- hybrid
@@ -309,11 +316,10 @@ def d_hybrid(config: GaussianConfig, gamma, grid: int = 512,
     where the objective rises from alpha = 0 the reported argmin is exactly
     0.0 rather than optimizer noise.
     """
-    gs = np.asarray(gamma, dtype=float)
-    flat = np.array([_check_gamma(g) for g in gs.ravel().tolist()])
+    gs = np.asarray(_check_gamma(gamma))
     lams = list(config.lambdas)
     arg, val = minimize_1d(lambda g, a: _hybrid_grid(lams, g, a), 0.0, 1.0,
-                           flat, grid=grid, tol=tol)
+                           gs, grid=grid, tol=tol)
     if gs.ndim == 0:
         return float(val[0]), float(arg[0])
     return val.reshape(gs.shape), arg.reshape(gs.shape)
@@ -355,20 +361,13 @@ def linear_bound(lambdas: Sequence[float], g) -> float:
 
 def gaussian_curves(config: GaussianConfig, grid: int = 512,
                     tol: Tolerance = Tolerance()) -> CurveTable:
-    dhs, alphas = d_hybrid(config, np.array(config.gamma_grid), grid=grid,
-                           tol=tol)
-    rows = []
-    for g, dh, alpha in zip(config.gamma_grid, dhs.tolist(),
-                            alphas.tolist()):
-        row = GaussianCurveRow(
-            gamma=g,
-            d_lower=d_lower(config, g, tol),
-            d_sep=d_sep(config, g, tol),
-            d_uncoded=d_uncoded(config, g),
-            d_hybrid=dh,
-            alpha_opt=alpha,
-        )
-        rows.append(row.as_tuple())
+    gs = np.array(config.gamma_grid)
+    dhs, alphas = d_hybrid(config, gs, grid=grid, tol=tol)
+    cols = (gs, d_lower(config, gs, tol), d_sep(config, gs, tol),
+            d_uncoded(config, gs), dhs, alphas)
+    rows = list(zip(*(c.tolist() for c in cols)))
+    for row in rows:
+        GaussianCurveRow(*row)  # raises on a row that breaks the ordering
     return table_from_rows(GAUSSIAN_COLUMNS, rows)
 
 

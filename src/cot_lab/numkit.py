@@ -1,5 +1,8 @@
 """Special functions, bracketed root finding, and batched 1-D minimization.
 
+Each routine has one vectorized implementation for floats and arrays; the
+solvers solve every lane of their input in one call, as each would alone.
+
 Everything here is a pure function of its arguments; no shared state, safe to
 call from any number of threads.
 """
@@ -9,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 # inputs within this distance of a domain boundary are snapped to the boundary
 # (curve sweeps hit exact 0/1 abscissas and accumulate 1-ulp drift)
@@ -47,83 +49,41 @@ class Tolerance:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] handed to find_root; lo < hi is checked here,
-    the sign change is checked at call time."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket needs lo < hi")
+def float_or_array(x) -> ArrayLike:
+    """A 0-d result as a plain float, any other array unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def _clip_unit(x: ArrayLike, name: str) -> ArrayLike:
-    """Validate x in [0,1], snapping values within _EDGE of the edges.
-
-    Floats (np.float64 included) take a plain-Python route and come back as
-    0-d np.float64; the per-theta root finds call this in tight loops, where
-    np.asarray/np.any/np.clip cost several times the arithmetic.
-    """
-    if isinstance(x, float):
-        if x < -_EDGE or x > 1.0 + _EDGE:
-            raise ValueError(f"{name} must lie in [0, 1]")
-        return np.float64(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+def _clip_unit(x: ArrayLike, name: str) -> np.ndarray:
+    """Validate x in [0,1], snapping values within _EDGE of the edges."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -_EDGE) or np.any(arr > 1.0 + _EDGE):
+    if ((arr < -_EDGE) | (arr > 1.0 + _EDGE)).any():
         raise ValueError(f"{name} must lie in [0, 1]")
-    return np.clip(arr, 0.0, 1.0)
+    return np.minimum(np.maximum(arr, 0.0), 1.0)
 
 
 def binary_entropy(p: ArrayLike) -> ArrayLike:
     """H_b(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
 
-    Accepts scalars or arrays; scalars come back as plain floats.
+    The (1-p) term goes through log1p, so the p log2 e it carries for tiny p
+    is not lost to the rounding of 1-p.
     """
     arr = _clip_unit(p, "p")
-    if arr.ndim == 0:
-        # scalar fast path: the per-theta root finds call this in tight loops
-        x = float(arr)
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-    out = np.zeros_like(arr)
     interior = (arr > 0.0) & (arr < 1.0)
-    q = arr[interior]
-    out[interior] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return out
+    q = np.where(interior, arr, 0.5)
+    h = -q * np.log2(q) - (1.0 - q) * (np.log1p(-q) * _LOG2E)
+    return float_or_array(np.where(interior, h, 0.0))
 
 
 def binary_entropy_inv(h: ArrayLike) -> ArrayLike:
     """Inverse of binary_entropy restricted to [0, 1/2].
 
-    Scalars use bisection on the monotone branch. Arrays use safeguarded
-    Newton so curve sweeps can invert a whole grid in one call: H is concave
-    and increasing on [0, 1/2], so Newton started below the root climbs to
-    it, and iterates are clipped to [start, 1/2] so the float noise of H
-    near its flat top and its steep foot cannot throw them out.
+    Safeguarded Newton on every entry at once: H is concave and increasing
+    on [0, 1/2], so Newton started below the root climbs to it, and
+    iterates are clipped to [start, 1/2] so the float noise of H near its
+    flat top and its steep foot cannot throw them out.
     """
     arr = _clip_unit(h, "h")
-    if arr.ndim == 0:
-        hh = float(arr)
-        if hh <= 0.0:
-            return 0.0
-        if hh >= 1.0:
-            return 0.5
-        lo, hi = 0.0, 0.5
-        # 1075 halvings of 1/2 reach the smallest subnormal
-        for _ in range(1075):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if (-mid * math.log2(mid)
-                    - (1.0 - mid) * math.log2(1.0 - mid)) < hh:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
     inner = (arr > 0.0) & (arr < 1.0)
     hh = np.where(inner, arr, 0.5)
     # two lower bounds on the root, from H(p) <= (4p(1-p))^(1/ln 4) (tight
@@ -137,51 +97,94 @@ def binary_entropy_inv(h: ArrayLike) -> ArrayLike:
     # four steps reach the float noise floor of H from either bound; two
     # more are margin
     for _ in range(6):
-        lp, lq = np.log2(p), np.log2(1.0 - p)
-        p = np.clip(p + (hh + p * lp + (1.0 - p) * lq) / (lq - lp),
-                    start, 0.5)
-    return np.where(inner, p, np.where(arr >= 1.0, 0.5, 0.0))
+        lp, lq = np.log2(p), np.log1p(-p) * _LOG2E
+        p = np.minimum(np.maximum(
+            p + (hh + p * lp + (1.0 - p) * lq) / (lq - lp), start), 0.5)
+    return float_or_array(np.where(inner, p, np.where(arr >= 1.0, 0.5, 0.0)))
 
 
 def bconv(a: ArrayLike, b: ArrayLike) -> ArrayLike:
     """Binary convolution a*b = (1-a)b + a(1-b): the end-to-end crossover of
     two cascaded symmetric binary mechanisms."""
-    if (isinstance(a, float) and isinstance(b, float)
-            and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        return a + b - 2.0 * a * b
     aa = _clip_unit(a, "a")
     bb = _clip_unit(b, "b")
-    out = aa + bb - 2.0 * aa * bb
-    return float(out) if np.ndim(out) == 0 else out
+    return float_or_array(aa + bb - 2.0 * aa * bb)
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket,
-              tol: Tolerance = Tolerance()) -> float:
-    """Root of f inside the bracket.
+def _residual(f, x):
+    fx = np.asarray(f(x), dtype=float)
+    nan = np.isnan(fx)
+    if nan.any():
+        raise ValueError(f"residual is NaN at x={x[nan][0]!r}")
+    return fx
 
-    Brent-style bracketed iteration (bisection with secant/inverse-quadratic
-    acceleration) so termination is guaranteed even where f is steep or flat
-    near an endpoint. Raises BracketError when f(lo) and f(hi) have the same
-    strict sign, MaxIterError when max_iter is hit.
+
+def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
+              hi: ArrayLike, tol: Tolerance = Tolerance()) -> ArrayLike:
+    """Root of f in every lane [lo, hi] of the broadcast brackets, at once.
+
+    f maps the array of lane abscissas to the array of lane residuals, each
+    lane on its own, so every lane gets the root it would get alone. This is
+    Brent's method (Brent 1973, ch. 4) stepped exactly as scipy.optimize's
+    Brent solver steps it, with xtol = abs_tol and rtol = max(rel_tol,
+    4 eps), so the roots are bit-identical to scipy's; converged lanes stay
+    frozen. Not Chandrupatla: a root is pinned only to ~1e-10 relative, so
+    other iterates would move the curves past their 1e-12 reference.
+
+    Float brackets give a float root. Raises ValueError for lo >= hi or a
+    NaN residual, BracketError for a lane without a sign change, and
+    MaxIterError for a lane still open after max_iter steps.
     """
-    flo = f(bracket.lo)
-    fhi = f(bracket.hi)
-    if flo == 0.0:
-        return bracket.lo
-    if fhi == 0.0:
-        return bracket.hi
-    if flo * fhi > 0.0:
+    xpre, xcur = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+    if not np.all(xpre < xcur):
+        raise ValueError("find_root needs lo < hi in every lane")
+    fpre, fcur = _residual(f, xpre), _residual(f, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    same = live & (np.signbit(fpre) == np.signbit(fcur))
+    if same.any():
         raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: "
-            f"f(lo)={flo:.6g}, f(hi)={fhi:.6g}")
-    # brentq refuses rtol below 4*eps
+            f"no sign change on [{xpre[same][0]}, {xcur[same][0]}]: "
+            f"f(lo)={fpre[same][0]:.6g}, f(hi)={fcur[same][0]:.6g}")
+    xcur = np.where(fpre == 0.0, xpre, xcur)
+    xblk = fblk = spre = scur = np.zeros(xcur.shape)
     rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
-    try:
-        return float(optimize.brentq(f, bracket.lo, bracket.hi,
-                                     xtol=tol.abs_tol, rtol=rtol,
-                                     maxiter=tol.max_iter))
-    except RuntimeError as exc:  # scipy signals non-convergence this way
-        raise MaxIterError(str(exc)) from exc
+    for _ in range(tol.max_iter):
+        # [xblk, xcur] is the bracket and xcur the better end; xpre is the
+        # previous iterate, spre and scur the last two step lengths
+        flip = (fpre != 0.0) & (fcur != 0.0) & (
+            np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # make xcur the end with the smaller residual
+        swap = live & (np.abs(fblk) < np.abs(fcur))
+        xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
+        xcur, fcur = np.where(swap, xblk, xcur), np.where(swap, fblk, fcur)
+        xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
+        delta = (tol.abs_tol + rtol * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        live &= (fcur != 0.0) & ~(np.abs(sbis) < delta)
+        if not live.any():
+            return float_or_array(xcur)
+        # the discarded branches may divide by zero, as scipy's C code may
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interp = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrap = (-fcur * (fblk * dblk - fpre * dpre)
+                      / (dblk * dpre * (fblk - fpre)))
+            stry = np.where(xpre == xblk, interp, extrap)
+            bound = np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2.0 * np.abs(stry) < bound))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        # sbis != 0 on live lanes, so this is scipy's (sbis > 0 ? d : -d)
+        step = np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+        xcur = np.where(live, xcur + step, xcur)
+        fcur = np.where(live, _residual(f, xcur), fcur)
+    raise MaxIterError(f"no convergence in {tol.max_iter} iterations")
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -178,6 +178,18 @@ def test_hybrid_params_domain_errors():
         hybrid_params(0.25, 0.0, 0.1)  # degenerate channel
 
 
+@pytest.mark.parametrize("args", [(0.6, 0.1, 0.1), (0.25, 0.7, 0.1),
+                                  (0.25, 0.1, 0.5), (np.nan, 0.1, 0.1),
+                                  (0.25, np.nan, 0.1), (0.25, 0.1, np.nan)])
+def test_hybrid_distortion_rejects_out_of_domain(args):
+    rho, theta, delta1 = args
+    with pytest.raises(ValueError):
+        hybrid_distortion(rho, theta, delta1)
+    with pytest.raises(ValueError):
+        hybrid_distortion(rho, np.array([[0.2], [theta]]),
+                          np.array([0.0, delta1]))
+
+
 def test_hybrid_endpoint_reductions():
     for rho, theta in ((0.25, 0.1), (0.25, 0.35), (0.35, 0.2)):
         assert hybrid_distortion(rho, theta, 0.0) == pytest.approx(
@@ -217,6 +229,20 @@ def test_d_hybrid_batch_equals_per_theta_calls(rho):
     for theta, val, arg in zip(thetas.tolist(), vals.tolist(),
                                args.tolist()):
         assert d_hybrid(rho, theta) == (val, arg)
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.35])
+def test_curve_columns_batch_equal_per_theta_calls(rho):
+    # each theta is one root-finder lane, solved exactly as alone
+    thetas = np.linspace(0.0, 0.5, 41)
+    for f in (d_lower, d_sep, lambda r, t: d_uncoded(r, t)[0], delta1_prime,
+              d_hybrid_simple):
+        col = f(rho, thetas)
+        assert col.shape == thetas.shape
+        assert col.tolist() == [f(rho, t) for t in thetas.tolist()]
+    rates = np.linspace(0.0, 1.0, 21)
+    assert d_hat(rho, rates).tolist() == [d_hat(rho, r)
+                                          for r in rates.tolist()]
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.6, -0.1])

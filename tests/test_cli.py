@@ -3,6 +3,7 @@ contents, rerun determinism, JSON side files, and the plot-script layouts."""
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ def test_rho_out_of_range_message(capsys, workdir):
     assert code == 1
     assert err.strip() == "rho must lie in (0, 1/2)"
     assert not os.path.exists("x.csv")
+
+
+def test_points_out_of_range_rejected_before_any_grid(capsys, workdir):
+    curves = {"binary-curves": ["--rho", "0.25", "--out", "c.csv"],
+              "binary-thresholds": ["--rho", "0.25", "--out", "t.json"],
+              "gaussian-curves": ["--lambdas", "1.5,0.5", "--out", "g.csv"]}
+    for cmd, rest in curves.items():
+        for points in ("0", "100000000"):
+            t0 = time.perf_counter()
+            code, _, err = run(capsys, cmd, "--points", points, *rest)
+            assert code == 1, (cmd, points)
+            assert "--points" in err
+            # a 10^8-point grid alone would take seconds to build
+            assert time.perf_counter() - t0 < 1.0
+    assert os.listdir(".") == []
 
 
 def test_numerical_failure_maps_to_exit_2(capsys, workdir, monkeypatch):

@@ -349,6 +349,23 @@ def test_d_hybrid_batch_equals_per_budget_calls():
         assert d_hybrid(CFG, gamma) == (val, alpha)
 
 
+def test_curve_columns_batch_equal_per_budget_calls():
+    # each budget is one root-finder lane, solved exactly as alone
+    cfg = GaussianConfig((2.0, 1.0, 0.1), (0.0,))
+    gammas = np.concatenate([[0.0], np.logspace(-2.0, 2.0, 31)])
+    for f in (d_lower, d_sep, d_uncoded):
+        col = f(cfg, gammas)
+        assert col.shape == gammas.shape
+        assert col.tolist() == [f(cfg, g) for g in gammas.tolist()]
+    rates = np.linspace(0.0, 3.0, 16)
+    for solve in (kappa_gammas, waterfill_sep):
+        level, parts = solve(cfg.lambdas, rates)
+        assert parts.shape == (16, 3)
+        for r, lv, row in zip(rates.tolist(), level.tolist(),
+                              parts.tolist()):
+            assert solve(cfg.lambdas, r) == (lv, row)
+
+
 def test_d_hybrid_plateau_is_exact_zero():
     gs = gamma_star(LAMS)
     for gamma in (0.05, 0.3, gs - 0.1, gs - 0.01):

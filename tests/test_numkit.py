@@ -1,14 +1,17 @@
 import decimal
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import optimize
 
-from cot_lab.numkit import (Bracket, BracketError, MaxIterError, Tolerance,
-                            bconv, binary_entropy, binary_entropy_inv,
-                            find_root, minimize_1d)
+from cot_lab.numkit import (BracketError, MaxIterError, Tolerance, bconv,
+                            binary_entropy, binary_entropy_inv, find_root,
+                            minimize_1d)
 
 
 # ---------------------------------------------------------------- oracles
@@ -22,6 +25,26 @@ def entropy_highprec(p: str) -> float:
         ln2 = decimal.Decimal(2).ln()
         h = -(pp * pp.ln() + q * q.ln()) / ln2
         return float(h)
+
+
+def bisection_entropy_inv(hh: float) -> float:
+    """H_b inverse on [0, 1/2] by plain bisection on floats."""
+    if hh <= 0.0:
+        return 0.0
+    if hh >= 1.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    # 1075 halvings of 1/2 reach the smallest subnormal
+    for _ in range(1075):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (-mid * math.log2(mid)
+                - (1.0 - mid) * math.log2(1.0 - mid)) < hh:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def dense_grid_argmin(f, lo, hi, points=1_000_000):
@@ -43,6 +66,13 @@ def test_entropy_against_high_precision_oracle():
     for p in ["0.11", "0.25", "0.35", "0.05", "0.499"]:
         assert binary_entropy(float(p)) == pytest.approx(
             entropy_highprec(p), abs=1e-14)
+
+
+def test_entropy_keeps_the_p_log2_e_term_at_tiny_p():
+    # -(1-p) log2(1-p) is about p log2 e here; forming 1-p first loses it
+    p = 2.134283e-14
+    want = entropy_highprec(repr(p))
+    assert abs(binary_entropy(p) - want) <= 1e-12 * want
 
 
 def test_entropy_value_near_half_bit():
@@ -81,11 +111,16 @@ def test_entropy_inv_endpoints():
 def test_entropy_inv_value():
     assert binary_entropy_inv(0.4999159581645280) == pytest.approx(
         0.11, abs=1e-12)
-    # the steep foot: far below 90 halvings of [0, 1/2], on the array route
+    # the steep foot: far below 90 halvings of [0, 1/2]
     tiny = binary_entropy_inv(1e-300)
     array_root = float(binary_entropy_inv(np.array([1e-300]))[0])
     assert tiny == pytest.approx(array_root, rel=1e-12)
     assert abs(binary_entropy(tiny) - 1e-300) <= 1e-3 * 1e-300
+
+
+def test_entropy_inv_roundtrips_through_oracle_at_tiny_h():
+    p = binary_entropy_inv(1e-12)
+    assert abs(entropy_highprec(repr(p)) - 1e-12) <= 1e-12 * 1e-12
 
 
 def test_entropy_inv_domain_error():
@@ -128,7 +163,7 @@ def test_entropy_inv_array_matches_scalar_bisection():
                          np.logspace(-300.0, -1.0, 2000),
                          1.0 - np.logspace(-15.0, -1.0, 500)])
     ps = binary_entropy_inv(hs)
-    ref = np.array([binary_entropy_inv(float(h)) for h in hs])
+    ref = np.array([bisection_entropy_inv(float(h)) for h in hs])
     # Near h = 1 the curve is flat, so a band of p about 1 ulp(1)/H'(p)
     # wide maps to the same float h and both answers are equally right;
     # measure the gap through the slope there.
@@ -138,7 +173,7 @@ def test_entropy_inv_array_matches_scalar_bisection():
     assert np.all(np.abs(binary_entropy(ps) - hs) <= 1e-15)
 
 
-# ------------------------------------------------- scalar routes agree
+# ----------------------------------------------- float and array inputs
 
 ROUTES = (float, np.float64, np.array)
 UNIT_FUNCS = (binary_entropy, binary_entropy_inv,
@@ -195,47 +230,103 @@ def test_bconv_dominates_min_on_lower_half(a, b):
 # -------------------------------------------------------------- find_root
 
 def test_find_root_linear():
-    assert find_root(lambda x: x - 1.0, Bracket(0.0, 2.0)) == pytest.approx(
+    assert find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(
         1.0, abs=1e-10)
 
 
 def test_find_root_sqrt2():
-    r = find_root(lambda x: x * x - 2.0, Bracket(0.0, 2.0))
+    r = find_root(lambda x: x * x - 2.0, 0.0, 2.0)
+    assert isinstance(r, float)
     assert r == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
 def test_find_root_matches_entropy_inverse():
-    r = find_root(lambda x: binary_entropy(x) - 0.5, Bracket(0.0, 0.5))
+    r = find_root(lambda x: binary_entropy(x) - 0.5, 0.0, 0.5)
     assert r == pytest.approx(binary_entropy_inv(0.5), abs=1e-9)
     assert abs(binary_entropy(r) - 0.5) <= 1e-9
 
 
 def test_find_root_accepts_root_at_endpoint():
-    assert find_root(lambda x: x, Bracket(0.0, 1.0)) == 0.0
-    assert find_root(lambda x: x - 1.0, Bracket(0.0, 1.0)) == 1.0
+    assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    # endpoint lanes stay put while the others iterate
+    roots = find_root(lambda x: x - [0.0, 0.3, 1.0], np.zeros(3), 1.0)
+    assert roots[0] == 0.0 and roots[2] == 1.0
+    assert roots[1] == pytest.approx(0.3, abs=1e-10)
 
 
 def test_find_root_no_sign_change():
     with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
+        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    # one bad lane among good ones
+    with pytest.raises(BracketError):
+        find_root(lambda x: x * x - [0.5, 2.0], np.zeros(2), 1.0)
 
 
 def test_find_root_max_iter():
     with pytest.raises(MaxIterError):
-        find_root(lambda x: math.tanh(1e6 * (x - 0.123456789)),
-                  Bracket(0.0, 1.0), Tolerance(abs_tol=1e-14, max_iter=2))
+        find_root(lambda x: np.tanh(1e6 * (x - 0.123456789)),
+                  0.0, 1.0, Tolerance(abs_tol=1e-14, max_iter=2))
 
 
 def test_find_root_residual_on_monotone_family():
-    for k in [0.5, 1.0, 3.0, 10.0]:
-        f = lambda x, k=k: math.expm1(k * x) - 1.0
-        r = find_root(f, Bracket(0.0, 5.0))
-        assert abs(f(r)) <= 1e-8
+    ks = np.array([0.5, 1.0, 3.0, 10.0])
+    roots = find_root(lambda x: np.expm1(ks * x) - 1.0, 0.0, np.full(4, 5.0))
+    assert roots.shape == (4,)
+    assert np.all(np.abs(np.expm1(ks * roots) - 1.0) <= 1e-8)
 
 
 def test_bracket_validation():
     with pytest.raises(ValueError):
-        Bracket(1.0, 1.0)
+        find_root(lambda x: x, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        find_root(lambda x: x - 0.5, np.array([0.0, 2.0]), 1.0)
+
+
+def test_find_root_rejects_nan_residual():
+    # the second lane's residual turns NaN at its first interior step
+    def f(x):
+        return np.where((x > 0.0) & (x < 1.0) & ([False, True]), np.nan,
+                        x - 0.25)
+
+    with pytest.raises(ValueError, match="NaN"):
+        find_root(f, 0.0, np.ones(2))
+    with pytest.raises(ValueError, match="NaN"):
+        find_root(lambda x: x * np.nan, 0.0, 1.0)
+
+
+FAMILIES = {
+    "cubic": (lambda c, x: x ** 3 - c, (0.01, 8.0), (0.0, 2.5)),
+    "tanh": (lambda c, x: np.tanh(c * (x - 0.3)), (0.1, 1e4), (0.0, 1.0)),
+    "expm1": (lambda c, x: np.expm1(c * x) - 1.0, (0.2, 10.0), (0.0, 5.0)),
+    "entropy": (lambda c, x: binary_entropy(x) - c, (1e-6, 0.999),
+                (1e-15, 0.5)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_find_root_bit_identical_to_brentq(family):
+    f, (c_lo, c_hi), (lo, hi) = FAMILIES[family]
+    rng = np.random.default_rng(sorted(FAMILIES).index(family))
+    cs = rng.uniform(c_lo, c_hi, 100)
+    # upper ends up to 1% short of the family's, still above every root
+    his = hi - (hi - lo) * rng.uniform(0.0, 0.01, 100)
+    tol = Tolerance()
+    roots = find_root(lambda x: f(cs, x), lo, his, tol)
+    rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
+    for c, b, r in zip(cs, his, roots):
+        want = optimize.brentq(lambda x: float(f(np.array(c), np.array(x))),
+                               lo, b, xtol=tol.abs_tol, rtol=rtol,
+                               maxiter=tol.max_iter)
+        assert r == want
+
+
+def test_numkit_imports_no_scipy():
+    code = ("import sys, cot_lab.numkit; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_tolerance_validation():
