@@ -12,3 +12,17 @@ Submodules:
 """
 
 __version__ = "0.1.0"
+
+
+# the numerical failures the CLI maps to exit 2, importable without numpy
+
+class BracketError(ValueError):
+    """The supplied bracket does not contain a sign change."""
+
+
+class MaxIterError(RuntimeError):
+    """Iteration budget exhausted before reaching the requested tolerance."""
+
+
+class SinkhornDivergence(RuntimeError):
+    """Sinkhorn scaling failed to meet the marginal tolerance."""

@@ -30,7 +30,7 @@ from .numkit import (
     float_or_array,
     minimize_1d,
 )
-from .tables import CurveTable, table_from_rows
+from .tables import CURVE_COLUMNS, CurveTable, table_from_rows
 
 _HAMMING = 1.0 - np.eye(2)
 
@@ -40,9 +40,6 @@ _HAMMING = 1.0 - np.eye(2)
 _AT_ZERO = 1e-6
 _AT_RHO = 1e-6
 _AT_PRIME = 1e-5
-
-CURVE_COLUMNS = ("theta", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
-                 "d_hybrid_simple", "delta1_opt", "delta1_prime")
 
 
 class GridTooCoarse(ValueError):

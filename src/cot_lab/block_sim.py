@@ -37,6 +37,9 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
+# largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
+# sums square lambda and u^2 scales with gamma, so larger ones overflow to inf
+_MAX_GAUSSIAN_SCALE = 1e100
 
 
 class BudgetExceeded(ValueError):
@@ -232,6 +235,9 @@ def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
     """
     lams = _check_lambdas(lambdas)
     gamma = _check_gamma(gamma)
+    for name, value in (("eigenvalues", lams[0]), ("gamma", gamma)):
+        if value > _MAX_GAUSSIAN_SCALE:
+            raise ValueError(f"{name} must be at most {_MAX_GAUSSIAN_SCALE:g}")
     dim = len(lams)
     scale = np.sqrt(lams)
     gain = math.sqrt(gamma / lams[0])

@@ -18,41 +18,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__
-from .binary_case import (
-    CURVE_COLUMNS,
-    BinaryConfig,
-    binary_curves,
-    thresholds,
-)
-from .block_sim import (
-    SimConfig,
-    binary_separation_block_config,
-    sim_block_hybrid,
-    sim_genie_hybrid_binary,
-    sim_uncoded_binary,
-    sim_uncoded_gaussian,
-)
-from .gaussian_case import (
-    GAUSSIAN_COLUMNS,
-    GaussianConfig,
-    gamma_star,
-    gaussian_curves,
-)
-from .hybrid_bound import evaluate, hybrid_spec_from_json, report_to_json
-from .infokit import (
-    DiscreteDistribution,
-    SinkhornDivergence,
-    blahut_arimoto,
-    channel_from_json,
-    distribution_from_json,
-    distribution_to_json,
-    ot_min_cost,
-    rate_limited_ot,
-)
-from .numkit import BracketError, MaxIterError
+# numpy and the numerics are imported inside each handler, so a command
+# loads only what it runs: emit-plot needs neither numpy nor scipy, and
+# only ot and rl-ot load scipy
+from . import BracketError, MaxIterError, SinkhornDivergence, __version__
+from .tables import CURVE_COLUMNS, GAUSSIAN_COLUMNS
 
 _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
                      ArithmeticError, FloatingPointError)
@@ -153,6 +123,8 @@ def _emit_result(result: dict, args, argv, inputs: dict, t0, seed=None,
 # ----------------------------------------------------------- subcommands
 
 def _cmd_binary_curves(args, argv, t0):
+    import numpy as np
+    from .binary_case import BinaryConfig, binary_curves
     grid = np.linspace(args.theta_min, args.theta_max, args.points)
     table = binary_curves(BinaryConfig(args.rho, tuple(grid)))
     inputs = {"rho": args.rho, "theta_min": args.theta_min,
@@ -161,6 +133,8 @@ def _cmd_binary_curves(args, argv, t0):
 
 
 def _cmd_binary_thresholds(args, argv, t0):
+    import numpy as np
+    from .binary_case import BinaryConfig, thresholds
     grid = np.linspace(args.theta_min, args.theta_max, args.points)
     events = thresholds(BinaryConfig(args.rho, tuple(grid)))
     result = {"rho": args.rho,
@@ -174,6 +148,8 @@ def _cmd_binary_thresholds(args, argv, t0):
 
 
 def _cmd_gaussian_curves(args, argv, t0):
+    import numpy as np
+    from .gaussian_case import GaussianConfig, gaussian_curves
     lams = _parse_floats(args.lambdas)
     if args.linear_grid:
         grid = np.linspace(args.gamma_min, args.gamma_max, args.points)
@@ -190,6 +166,7 @@ def _cmd_gaussian_curves(args, argv, t0):
 
 
 def _cmd_gamma_star(args, argv, t0):
+    from .gaussian_case import gamma_star
     lams = _parse_floats(args.lambdas)
     value = gamma_star(lams)
     result = {"lambdas": lams, "gamma_star": value}
@@ -198,6 +175,8 @@ def _cmd_gamma_star(args, argv, t0):
 
 
 def _cmd_capacity(args, argv, t0):
+    from .infokit import (blahut_arimoto, channel_from_json,
+                          distribution_to_json)
     ch = channel_from_json(_load_json(args.channel))
     cap, opt = blahut_arimoto(ch, args.gamma)
     result = {"capacity_bits": cap, "gamma": args.gamma,
@@ -209,6 +188,8 @@ def _cmd_capacity(args, argv, t0):
 
 
 def _cmd_rl_ot(args, argv, t0):
+    import numpy as np
+    from .infokit import distribution_from_json, rate_limited_ot
     row = distribution_from_json(_load_json(args.source))
     col = distribution_from_json(_load_json(args.target))
     cost = np.asarray(_load_json(args.cost), dtype=float)
@@ -224,6 +205,8 @@ def _cmd_rl_ot(args, argv, t0):
 
 
 def _cmd_ot(args, argv, t0):
+    import numpy as np
+    from .infokit import distribution_from_json, ot_min_cost
     row = distribution_from_json(_load_json(args.source))
     col = distribution_from_json(_load_json(args.target))
     cost = np.asarray(_load_json(args.cost), dtype=float)
@@ -237,6 +220,7 @@ def _cmd_ot(args, argv, t0):
 
 
 def _cmd_hybrid_eval(args, argv, t0):
+    from .hybrid_bound import evaluate, hybrid_spec_from_json, report_to_json
     spec = hybrid_spec_from_json(_load_json(args.spec))
     report = evaluate(spec)
     result = report_to_json(report)
@@ -251,6 +235,7 @@ def _cmd_hybrid_eval(args, argv, t0):
 
 
 def _report_to_json(rep) -> dict:
+    from .infokit import DiscreteDistribution, distribution_to_json
     marginal = rep.empirical_marginal
     if isinstance(marginal, DiscreteDistribution):
         marginal = distribution_to_json(marginal)
@@ -276,12 +261,14 @@ def _report_to_json(rep) -> dict:
     return out
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args):
+    from .block_sim import SimConfig
     return SimConfig(seed=args.seed, samples=args.samples,
                      workers=args.workers)
 
 
 def _cmd_sim_uncoded_binary(args, argv, t0):
+    from .block_sim import sim_uncoded_binary
     a, b = (_parse_floats(args.decoder) + [0.0, 0.0])[:2]
     rep = sim_uncoded_binary(args.rho, args.theta, (a, b), _sim_config(args))
     inputs = {"scheme": "uncoded-binary", "rho": args.rho,
@@ -294,6 +281,7 @@ def _cmd_sim_uncoded_binary(args, argv, t0):
 
 
 def _cmd_sim_uncoded_gaussian(args, argv, t0):
+    from .block_sim import sim_uncoded_gaussian
     lams = _parse_floats(args.lambdas)
     rep = sim_uncoded_gaussian(lams, args.gamma, _sim_config(args))
     inputs = {"scheme": "uncoded-gaussian", "lambdas": lams,
@@ -306,6 +294,7 @@ def _cmd_sim_uncoded_gaussian(args, argv, t0):
 
 
 def _cmd_sim_genie_hybrid(args, argv, t0):
+    from .block_sim import sim_genie_hybrid_binary
     rep = sim_genie_hybrid_binary(args.rho, args.theta, args.delta1,
                                   _sim_config(args))
     inputs = {"scheme": "genie-hybrid", "rho": args.rho,
@@ -318,6 +307,7 @@ def _cmd_sim_genie_hybrid(args, argv, t0):
 
 
 def _cmd_sim_block_hybrid(args, argv, t0):
+    from .block_sim import binary_separation_block_config, sim_block_hybrid
     cfg = binary_separation_block_config(
         args.rho, args.delta, args.theta, args.rate, args.n,
         typ_delta=args.typ_delta, codebooks=args.codebooks)
@@ -344,19 +334,14 @@ _FIGS = {
     "fig2": ("binary", "linear",
              [(7, "optimal split"), (8, "simplified split")],
              "theta", "delta1"),
-    "fig3": ("binary", "linear",
-             [(2, "lower bound"), (3, "separation"), (4, "uncoded"),
-              (5, "hybrid"), (6, "hybrid (simplified)")],
-             "theta", "distortion"),
-    "fig4": ("binary", "linear",
-             [(7, "optimal split"), (8, "simplified split")],
-             "theta", "delta1"),
     "fig5": ("gaussian", "log",
              [(2, "lower bound"), (3, "separation"), (4, "uncoded"),
               (5, "hybrid")],
              "Gamma", "distortion"),
     "fig6": ("gaussian", "log", [(6, "alpha")], "Gamma", "alpha"),
 }
+# fig3 and fig4 draw the fig1 and fig2 layouts for the second source bias
+_FIGS["fig3"], _FIGS["fig4"] = _FIGS["fig1"], _FIGS["fig2"]
 
 _SCHEMAS = {"binary": CURVE_COLUMNS, "gaussian": GAUSSIAN_COLUMNS}
 

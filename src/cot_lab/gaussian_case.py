@@ -25,10 +25,7 @@ import numpy as np
 
 from .numkit import (BracketError, Tolerance, find_root, float_or_array,
                      minimize_1d)
-from .tables import CurveTable, table_from_rows
-
-GAUSSIAN_COLUMNS = ("gamma", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
-                    "alpha_opt")
+from .tables import GAUSSIAN_COLUMNS, CurveTable, table_from_rows
 
 # slack for the per-row curve ordering; the curves come out of independent
 # solvers, so exact float equality at coinciding points cannot be expected
@@ -334,7 +331,7 @@ def gamma_star(lambdas: Sequence[float]) -> float:
     """
     lams = _check_lambdas(lambdas, min_len=2)
     l1, l2 = lams[0], lams[1]
-    g = (-l2 + math.sqrt(l1 * l1 + l2 * l2)) / (2.0 * l2)
+    g = (-l2 + math.hypot(l1, l2)) / (2.0 * l2)
     resid = (math.sqrt(g) * l1 / (g + 1.0) ** 1.5
              - 2.0 * g * l2 / (g + 1.0))
     if not abs(resid) <= 1e-9:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
-from scipy.special import logsumexp
 
-from .numkit import Tolerance, MaxIterError
+from . import MaxIterError, SinkhornDivergence
+from .numkit import Tolerance
 
 _PROB_TOL = 1e-9
 _MARGINAL_TOL = 1e-8
@@ -29,10 +28,6 @@ _MARGINAL_TOL = 1e-8
 
 class InfeasibleCost(ValueError):
     """Cost budget below the cheapest channel input."""
-
-
-class SinkhornDivergence(RuntimeError):
-    """Sinkhorn scaling failed to meet the marginal tolerance."""
 
 
 def finite_array(values, what) -> np.ndarray:
@@ -347,7 +342,8 @@ def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
     a_cols = np.zeros((m, n * m))
     for j in range(m):
         a_cols[j, j::m] = 1.0
-    res = optimize.linprog(
+    from scipy.optimize import linprog
+    res = linprog(
         c.ravel(),
         A_eq=np.vstack([a_rows, a_cols]),
         b_eq=np.concatenate([row.probs, col.probs]),
@@ -368,6 +364,8 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
     the worst marginal violation drops below 1e-9. Returns (plan, f, g) with
     the dual potentials for warm starts.
     """
+    # scipy's, not a numpy max-shift: the plans' last bits follow its log1p sum
+    from scipy.special import logsumexp
     c = np.asarray(cost, dtype=float)
     with np.errstate(divide="ignore"):
         logp = np.log(row.probs)

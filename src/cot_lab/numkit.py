@@ -13,6 +13,8 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
+from . import BracketError, MaxIterError
+
 # inputs within this distance of a domain boundary are snapped to the boundary
 # (curve sweeps hit exact 0/1 abscissas and accumulate 1-ulp drift)
 _EDGE = 1e-15
@@ -22,14 +24,6 @@ _LOG2E = 1.0 / math.log(2.0)
 _TINY = np.finfo(float).smallest_subnormal
 
 ArrayLike = Union[float, np.ndarray]
-
-
-class BracketError(ValueError):
-    """The supplied bracket does not contain a sign change."""
-
-
-class MaxIterError(RuntimeError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@ contents, rerun determinism, JSON side files, and the plot-script layouts."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from cot_lab import __version__, cli
+import cot_lab
+from cot_lab import __version__, block_sim, infokit, numkit
 from cot_lab.binary_case import CURVE_COLUMNS, d_uncoded
 from cot_lab.cli import emit_plot_script, main
 from cot_lab.gaussian_case import GAUSSIAN_COLUMNS
@@ -95,7 +98,7 @@ def test_numerical_failure_maps_to_exit_2(capsys, workdir, monkeypatch):
     def explode(ch, gamma=None):
         raise MaxIterError("no convergence after 42 sweeps")
 
-    monkeypatch.setattr(cli, "blahut_arimoto", explode)
+    monkeypatch.setattr(infokit, "blahut_arimoto", explode)
     write_bsc("ch.json", 0.1)
     code, _, err = run(capsys, "capacity", "--channel", "ch.json")
     assert code == 2
@@ -120,6 +123,19 @@ def test_non_finite_gaussian_inputs_rejected(capsys, workdir):
         assert code == 1, argv
         assert "must be finite" in err
     assert not os.path.exists("g.csv")
+
+
+def test_oversized_gaussian_simulation_rejected(capsys, workdir):
+    # the per-sample moment sums would overflow and report NaN/Infinity
+    sim = ["--seed", "1", "--samples", "64", "--out", "r.json"]
+    for argv, name in (
+            (["--lambdas", "1e300,1", "--gamma", "1"], "eigenvalues"),
+            (["--lambdas", "1.5,0.5", "--gamma", "1e308"], "gamma")):
+        code, _, err = run(capsys, "simulate", "uncoded-gaussian", *argv,
+                           *sim)
+        assert code == 1, argv
+        assert err.startswith(f"{name} must be at most")
+    assert os.listdir(".") == []
 
 
 def test_non_finite_channel_rejected_before_solving(capsys, workdir):
@@ -243,6 +259,20 @@ def test_gamma_star_json(capsys, workdir):
     assert doc["gamma_star"] == pytest.approx(np.sqrt(2.5) - 0.5, abs=1e-9)
 
 
+def test_gamma_star_on_subnormal_eigenvalues(capsys, workdir):
+    # l1*l1 + l2*l2 underflows to 0 here; the norm must not
+    code, out, err = run(capsys, "gamma-star", "--lambdas", "1e-320,1e-321",
+                         "--json")
+    assert code == 0, err
+    assert np.isfinite(json.loads(out)["gamma_star"])
+    # and the norm leaves ordinary eigenvalues bit for bit as they were
+    code, out, _ = run(capsys, "gamma-star", "--lambdas", "1.5,0.5",
+                       "--json")
+    assert code == 0
+    assert out == ('{\n  "gamma_star": 1.0811388300841898,\n'
+                   '  "lambdas": [\n    1.5,\n    0.5\n  ]\n}\n')
+
+
 def test_capacity_of_symmetric_channel(capsys, workdir):
     write_bsc("ch.json", 0.11)
     code, out, _ = run(capsys, "capacity", "--channel", "ch.json", "--json")
@@ -283,23 +313,26 @@ def test_rate_capped_transport_interpolates(capsys, workdir):
     assert doc["distortion"] < 0.5
 
 
+# identity reconstruction over a noisy channel: it shifts the output
+# marginal away from the source
+IDENTITY_SPEC = {
+    "p_x": {"alphabet": ["0", "1"], "probs": [0.75, 0.25]},
+    "z_alphabet": ["z0"],
+    "enc": [[[1.0, 0.0]], [[0.0, 1.0]]],
+    "channel": {"inputs": ["0", "1"], "outputs": ["0", "1"],
+                "matrix": [[0.9, 0.1], [0.1, 0.9]]},
+    "dec": [[[1.0, 0.0], [0.0, 1.0]]],
+    "y_alphabet": ["0", "1"],
+    "dist": [[0.0, 1.0], [1.0, 0.0]],
+    "gamma": 1.0,
+    "target_y": None,
+}
+
+
 def test_hybrid_eval_reports_feasibility(capsys, workdir):
-    # identity reconstruction over a noisy channel shifts the output
-    # marginal away from the source, so the check must fail
-    spec = {
-        "p_x": {"alphabet": ["0", "1"], "probs": [0.75, 0.25]},
-        "z_alphabet": ["z0"],
-        "enc": [[[1.0, 0.0]], [[0.0, 1.0]]],
-        "channel": {"inputs": ["0", "1"], "outputs": ["0", "1"],
-                    "matrix": [[0.9, 0.1], [0.1, 0.9]]},
-        "dec": [[[1.0, 0.0], [0.0, 1.0]]],
-        "y_alphabet": ["0", "1"],
-        "dist": [[0.0, 1.0], [1.0, 0.0]],
-        "gamma": 1.0,
-        "target_y": None,
-    }
+    # the shifted output marginal must fail the check
     with open("spec.json", "w", encoding="utf-8") as fh:
-        json.dump(spec, fh)
+        json.dump(IDENTITY_SPEC, fh)
     code, out, _ = run(capsys, "hybrid-eval", "--spec", "spec.json",
                        "--json")
     assert code == 0
@@ -378,13 +411,13 @@ def test_simulate_rejects_bad_rate(capsys, workdir):
 
 def test_thread_env_caps_workers(capsys, workdir, monkeypatch):
     seen = {}
-    real = cli.sim_uncoded_binary
+    real = block_sim.sim_uncoded_binary
 
     def spy(rho, theta, decoder, sim):
         seen["workers"] = sim.workers
         return real(rho, theta, decoder, sim)
 
-    monkeypatch.setattr(cli, "sim_uncoded_binary", spy)
+    monkeypatch.setattr(block_sim, "sim_uncoded_binary", spy)
     monkeypatch.setenv("COT_LAB_THREADS", "2")
     code, _, _ = run(capsys, "simulate", "uncoded-binary", "--rho", "0.25",
                      "--theta", "0.1", "--seed", "1", "--samples", "1000",
@@ -400,6 +433,69 @@ def test_thread_env_must_be_integer(capsys, workdir, monkeypatch):
                        "--samples", "1000")
     assert code == 1
     assert "COT_LAB_THREADS" in err
+
+
+# ------------------------------------------------------- import footprint
+
+# Runs CLI commands in order in one fresh interpreter and reports, after
+# the bare import and after each command, its exit code and which of numpy
+# and scipy are loaded by then.
+_FOOTPRINT = """
+import json, sys
+from cot_lab import cli
+def loaded():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+seen = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    seen[name] = [cli.main(argv)] + loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    with open(tmp_path / "c.csv", "w", encoding="utf-8") as fh:
+        fh.write(",".join(CURVE_COLUMNS) + "\n" + ",".join(["0.1"] * 8))
+    write_bsc(tmp_path / "ch.json", 0.1)
+    write_marginal(tmp_path / "p.json", [0.75, 0.25])
+    write_cost(tmp_path / "cost.json", [[0, 1], [1, 0]])
+    with open(tmp_path / "spec.json", "w", encoding="utf-8") as fh:
+        json.dump(IDENTITY_SPEC, fh)
+    commands = [
+        ("emit-plot", ["emit-plot", "--csv", "c.csv", "--figure", "fig1"]),
+        ("binary-curves", ["binary-curves", "--rho", "0.25", "--points",
+                           "8", "--out", "b.csv"]),
+        ("binary-thresholds", ["binary-thresholds", "--rho", "0.25",
+                               "--points", "256", "--out", "t.json"]),
+        ("gaussian-curves", ["gaussian-curves", "--lambdas", "1.5,0.5",
+                             "--points", "8", "--out", "g.csv"]),
+        ("capacity", ["capacity", "--channel", "ch.json", "--out",
+                      "cap.json"]),
+        ("hybrid-eval", ["hybrid-eval", "--spec", "spec.json", "--out",
+                         "h.json"]),
+        ("uncoded-binary", ["simulate", "uncoded-binary", "--rho", "0.25",
+                            "--theta", "0.1", "--seed", "1", "--samples",
+                            "1000", "--out", "s.json"]),
+        # the exact transport LP is the one that needs scipy
+        ("ot", ["ot", "--source", "p.json", "--target", "p.json", "--cost",
+                "cost.json", "--out", "ot.json"]),
+    ]
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True)
+    # the commands print their human-readable lines first
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("import") == []
+    assert seen.pop("emit-plot") == [0]
+    assert seen.pop("ot") == [0, "numpy", "scipy"]
+    assert seen == {name: [0, "numpy"] for name, _ in commands[1:-1]}
+
+
+def test_error_classes_are_shared_with_the_solvers():
+    assert numkit.BracketError is cot_lab.BracketError
+    assert numkit.MaxIterError is infokit.MaxIterError is cot_lab.MaxIterError
+    assert infokit.SinkhornDivergence is cot_lab.SinkhornDivergence
 
 
 # ---------------------------------------------------------- plot scripts
