@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import MaxIterError
 from .binary_case import hybrid_params
 from .gaussian_case import _check_gamma, _check_lambdas, linear_bound
 from .infokit import (
@@ -37,6 +38,11 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
+# largest blocks x messages float64 table of the exact path (encoder weights,
+# decoder log-likelihoods); a few such tables are alive at once
+_ENUM_BYTES = 2 ** 28
+# proposals the plug-in coupling may draw for one residual sample
+_PLUGIN_TRIES = 100000
 # largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
 # sums square lambda and u^2 scales with gamma, so larger ones overflow to inf
 _MAX_GAUSSIAN_SCALE = 1e100
@@ -653,7 +659,7 @@ def _couple_plugin(cfg, gen_parts, sim, stream):
         # rejection-sample the residual: propose from the product target,
         # accept with probability 1 - min(1, phat/pt)
         for pos in need:
-            for _ in range(100000):
+            for _ in range(_PLUGIN_TRIES):
                 cand = _cdf_draw(rng.random(n), tgt_cdf)
                 k = lookup.get(cand.astype(np.int64).tobytes())
                 if k is None:
@@ -663,6 +669,10 @@ def _couple_plugin(cfg, gen_parts, sim, stream):
                     continue
                 if rng.random() < max(0.0, 1.0 - phat[k] / ptc):
                     break
+            else:
+                raise MaxIterError(
+                    f"plug-in coupling rejected {_PLUGIN_TRIES} proposals "
+                    "for one residual sample")
             y[pos] = cand
         out.append((x, y, err))
     return out, tv, sigma
@@ -688,6 +698,11 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     exact = all(cfg.n * math.log2(k) <= _ENUM_BITS + 1e-9
                 for k in (nx, nv, ny))
     msgs = cfg.codebook_size
+    table = 8 * msgs * max(nx, nv) ** cfg.n if exact else 0
+    if table > _ENUM_BYTES:
+        raise BudgetExceeded(
+            f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
+            f"table, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 
     draws = []

@@ -30,6 +30,9 @@ from .tables import GAUSSIAN_COLUMNS, CurveTable, table_from_rows
 # slack for the per-row curve ordering; the curves come out of independent
 # solvers, so exact float equality at coinciding points cannot be expected
 _ROW_SLACK = 1e-9
+# largest eigenvalue the curves take: the converse squares kappa * lambda
+# over a kappa bracket that starts at 1, which overflows past about 1e154
+_MAX_EIGENVALUE = 1e100
 
 
 def _check_lambdas(lambdas, min_len=1) -> List[float]:
@@ -77,6 +80,10 @@ class GaussianConfig:
 
     def __post_init__(self):
         lams = tuple(_check_lambdas(self.lambdas, min_len=2))
+        if lams[0] > _MAX_EIGENVALUE:
+            raise ValueError(f"eigenvalue {lams[0]!r} exceeds "
+                             f"{_MAX_EIGENVALUE:g}, the largest the curves "
+                             "take")
         object.__setattr__(self, "lambdas", lams)
         grid = tuple(float(g) for g in self.gamma_grid)
         if any(not g >= 0.0 for g in grid):

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import MaxIterError, SinkhornDivergence
-from .numkit import Tolerance
+from .numkit import Tolerance, find_root
 
 _PROB_TOL = 1e-9
 _MARGINAL_TOL = 1e-8
@@ -218,18 +218,53 @@ def maximal_coupling(p: DiscreteDistribution,
 
 # ---------------------------------------------------------------- capacity
 
-def _ba_inner(W, cost, s, tol):
-    """Alternating maximization of I(p) - s*E[c] over the input law p.
+# the multiplier of a budgeted step is pinned to float precision, so a tilted
+# input law spends its budget to within rounding
+_MULTIPLIER_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-300)
 
-    Returns (p, mi_bits, expected_cost). The stopping rule is the classic
-    bound gap max_u t_u - sum_u p_u t_u on the surrogate t_u = D_u - s c_u,
-    which upper-bounds the remaining suboptimality.
+
+def _tilt(a, cost, s):
+    """The input law proportional to 2^(a - s c)."""
+    logp = a - s * cost
+    logp -= np.max(logp)
+    p = np.exp2(logp)
+    return p / p.sum()
+
+
+def _budget_multiplier(a, cost, gamma, tol):
+    """Smallest s >= 0 whose tilt _tilt(a, cost, s) spends at most gamma:
+    0 when s = 0 already does, else the root of E[c] = gamma. The spend
+    falls in s, so doubling from 1 brackets the root."""
+    def over(s):
+        return _tilt(a, cost, s) @ cost - gamma
+
+    if over(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(tol.max_iter):
+        if over(hi) <= 0.0:
+            return float(find_root(over, lo, hi, _MULTIPLIER_TOL))
+        lo, hi = hi, 2.0 * hi
+    raise MaxIterError("cost multiplier bracket did not close")
+
+
+def _ba_inner(W, cost, gamma, tol):
+    """Alternating maximization of I(p) over the input laws p with
+    E[c] <= gamma (every p when gamma is None).
+
+    Each step tilts p by 2^(D_u - s c_u), D_u = D(W_u || pW), with the
+    multiplier s of _budget_multiplier (always 0 without a budget). It stops
+    when the dual bound max_u(D_u - s c_u) + s gamma on the capacity is
+    within the tolerance of I(p) = p.D; the bound certifies p only once p
+    meets the budget, which every tilted p does. Returns (p, mi_bits).
     """
     n_in = W.shape[0]
     logW = np.full_like(W, -np.inf)
     np.log2(W, out=logW, where=W > 0.0)
     p = np.full(n_in, 1.0 / n_in)
+    feasible = gamma is None or float(p @ cost) <= gamma
     gap_tol = tol.abs_tol + tol.rel_tol
+    s = 0.0
     # the alternating maximization contracts slowly near the optimum; the
     # per-round cost is tiny, so trade iterations for the tight default gap
     for _ in range(max(tol.max_iter, 20000)):
@@ -242,18 +277,18 @@ def _ba_inner(W, cost, s, tol):
         terms[mask] = W[mask] * (logW[mask]
                                  - np.broadcast_to(logr, W.shape)[mask])
         D = terms.sum(axis=1)
-        t = D - s * cost
-        gap = float(np.max(t) - p @ t)
-        if gap <= gap_tol:
+        a = np.log2(np.clip(p, 1e-300, None)) + D
+        if gamma is not None:
+            s = _budget_multiplier(a, cost, gamma, tol)
+        bound = float(np.max(D - s * cost)) + (s * gamma if s else 0.0)
+        gap = bound - float(p @ D)
+        if feasible and gap <= gap_tol:
             break
-        logp = np.log2(np.clip(p, 1e-300, None)) + t
-        logp -= np.max(logp)
-        p = np.exp2(logp)
-        p /= p.sum()
+        p = _tilt(a, cost, s)
+        feasible = True
     else:
         raise MaxIterError(f"capacity iteration gap {gap:.3e} at exhaustion")
-    mi = float(p @ D)
-    return p, mi, float(p @ cost)
+    return p, float(p @ D)
 
 
 def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
@@ -261,25 +296,21 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
                    ) -> Tuple[float, DiscreteDistribution]:
     """Channel capacity max I(U;V) subject to E[c(U)] <= gamma.
 
-    Alternating maximization for the Lagrangian at fixed multiplier s, with
-    an outer bisection driving E[c] to the budget. gamma=None drops the cost
-    constraint entirely.
+    One alternating maximization over the budget set (Blahut 1972): each
+    step tilts the input law and, when the plain step would overspend,
+    picks the cost multiplier that puts E[c] on gamma, so no outer search
+    over the multiplier runs. On two inputs the budget line holds a single
+    law, so a binding budget is solved by the first step that reaches it.
+    gamma=None drops the cost constraint entirely; a budget at the
+    cheapest cost pins the input to the cheapest symbols.
     """
     W = ch.matrix
     cost = ch.cost
-
-    def solve(s):
-        return _ba_inner(W, cost, s, tol)
-
-    if gamma is None:
-        p, mi, _ = solve(0.0)
-        return mi, DiscreteDistribution(ch.input_alphabet, p)
-
     min_cost = float(np.min(cost))
-    if gamma < min_cost - 1e-12:
+    if gamma is not None and gamma < min_cost - 1e-12:
         raise InfeasibleCost(
             f"budget {gamma} below cheapest input cost {min_cost}")
-    if gamma <= min_cost + 1e-12:
+    if gamma is not None and gamma <= min_cost + 1e-12:
         # budget pins the input to the cheapest symbols; solve the
         # restricted unconstrained problem on that support
         keep = cost <= min_cost + 1e-12
@@ -290,28 +321,7 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
         p = np.zeros(len(ch.input_alphabet))
         p[np.flatnonzero(keep)] = psub.probs
         return cap, DiscreteDistribution(ch.input_alphabet, p)
-
-    p, mi, ec = solve(0.0)
-    if ec <= gamma + _PROB_TOL:
-        return mi, DiscreteDistribution(ch.input_alphabet, p)
-
-    s_lo, s_hi = 0.0, 1.0
-    for _ in range(tol.max_iter):
-        p, mi, ec = solve(s_hi)
-        if ec <= gamma:
-            break
-        s_hi *= 2.0
-    else:
-        raise MaxIterError("cost multiplier bracket did not close")
-    best = (mi, p)
-    for _ in range(80):
-        s = 0.5 * (s_lo + s_hi)
-        p, mi, ec = solve(s)
-        if ec <= gamma:
-            s_hi, best = s, (mi, p)
-        else:
-            s_lo = s
-    mi, p = best
+    p, mi = _ba_inner(W, cost, gamma, tol)
     return mi, DiscreteDistribution(ch.input_alphabet, p)
 
 
@@ -354,33 +364,58 @@ def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
     return float(res.fun), Coupling(row, col, plan, c)
 
 
+def _logsumexp(a, axis):
+    """log(sum(exp(a))) along axis, computed step for step as
+    scipy.special.logsumexp computes it for real input, so the result is
+    bit-identical: the largest terms come out of the sum (m of them when m
+    tie), the rest are summed shifted, and the total goes through log1p.
+    Where that is not finite (a slice of all -inf or a +inf entry) the
+    plain log(sum(exp(a))) is used, again as scipy does. The caller keeps
+    the floating-point warnings of -inf arithmetic quiet."""
+    a_max = a.max(axis=axis, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=axis, keepdims=True, dtype=a.dtype)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis,
+                                                      keepdims=True)
+    # scipy's s = where(s == 0, s, s / m) and its sign fix-ups are no-ops
+    # here: m >= 1 wherever s is a number, and s >= 0 for real input
+    out = np.log1p(s / m) + np.log(m) + a_max
+    finite = np.isfinite(out)
+    if not finite.all():
+        out = np.where(finite, out,
+                       np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out.squeeze(axis=axis)
+
+
 def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
                   cost: np.ndarray, lam: float,
                   tol: Tolerance = Tolerance(),
                   warm: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """Sinkhorn solution of min <cost, pi> + lam * KL(pi || row x col).
 
-    Log-domain scaling of the kernel p_i q_j exp(-c_ij / lam); converged when
-    the worst marginal violation drops below 1e-9. Returns (plan, f, g) with
-    the dual potentials for warm starts.
+    Log-domain scaling of the kernel p_i q_j exp(-c_ij / lam) (Cuturi 2013);
+    converged when the worst marginal violation drops below 1e-9. Each
+    half-step is one _logsumexp, which matches scipy's bit for bit, so the
+    plans are scipy's without importing it. Returns (plan, f, g) with the
+    dual potentials for warm starts.
     """
-    # scipy's, not a numpy max-shift: the plans' last bits follow its log1p sum
-    from scipy.special import logsumexp
     c = np.asarray(cost, dtype=float)
-    with np.errstate(divide="ignore"):
-        logp = np.log(row.probs)
-        logq = np.log(col.probs)
-    base = -c / lam
     f = np.zeros(len(row)) if warm is None else warm[0].copy()
     g = np.zeros(len(col)) if warm is None else warm[1].copy()
-    for _ in range(max(tol.max_iter, 200)):
-        f = -logsumexp(base + (g + logq)[None, :], axis=1)
-        g = -logsumexp(base + (f + logp)[:, None], axis=0)
-        plan = np.exp((f + logp)[:, None] + (g + logq)[None, :] + base)
-        err = max(float(np.max(np.abs(plan.sum(axis=1) - row.probs))),
-                  float(np.max(np.abs(plan.sum(axis=0) - col.probs))))
-        if err < 1e-9:
-            return plan, f, g
+    # zero-mass atoms give log 0 = -inf, and an all -inf slice gives -inf
+    # minus -inf inside _logsumexp; both are handled, so keep numpy quiet
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logp = np.log(row.probs)
+        logq = np.log(col.probs)
+        base = -c / lam
+        for _ in range(max(tol.max_iter, 200)):
+            f = -_logsumexp(base + (g + logq)[None, :], axis=1)
+            g = -_logsumexp(base + (f + logp)[:, None], axis=0)
+            plan = np.exp((f + logp)[:, None] + (g + logq)[None, :] + base)
+            err = max(float(np.abs(plan.sum(axis=1) - row.probs).max()),
+                      float(np.abs(plan.sum(axis=0) - col.probs).max()))
+            if err < 1e-9:
+                return plan, f, g
     raise SinkhornDivergence(
         f"no convergence at lambda={lam} (marginal error {err:.3e})")
 

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cot_lab import MaxIterError, block_sim
 from cot_lab.binary_case import d_hybrid, d_uncoded, hybrid_distortion
 from cot_lab.block_sim import (
     BlockCodeConfig,
@@ -548,3 +549,49 @@ def test_block_plugin_path_worker_invariance():
     one = sim_block_hybrid(cfg, SimConfig(2, 3000, 1))
     three = sim_block_hybrid(cfg, SimConfig(2, 3000, 3))
     assert reports_equal(one, three)
+
+
+def test_block_plugin_coupling_raises_when_proposals_run_out(monkeypatch):
+    # one proposal per residual sample: some proposal is rejected, and the
+    # coupling must say so rather than keep the rejected candidate
+    monkeypatch.setattr(block_sim, "_PLUGIN_TRIES", 1)
+    with pytest.raises(MaxIterError, match="1 proposals"):
+        sim_block_hybrid(_wide_alphabet_config(), SimConfig(2, 3000))
+
+
+def _binary_code_config(n, rate):
+    """Binary codeword, source, channel and target alphabets: n bits of
+    each, so the exact path admits n up to the enumeration bit budget."""
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    copy = np.zeros((2, 2, 2))
+    copy[0, :, 0] = copy[1, :, 1] = 1.0
+    return BlockCodeConfig(
+        n=n, rate=rate, source=bern(0.5),
+        code_marginal=DiscreteDistribution(("a", "b"), np.array([0.5, 0.5])),
+        x_given_z=bsc, u_given_xz=copy,
+        channel=DiscreteChannel(("0", "1"), ("0", "1"), bsc),
+        dec_cond=np.stack([bsc, bsc]), target=bern(0.5),
+        dist=1.0 - np.eye(2))
+
+
+def test_block_byte_budget_gate(monkeypatch):
+    cfg = candidate(8, codebooks=1)
+    table = 8 * cfg.codebook_size * 2 ** 8
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", table)
+    assert sim_block_hybrid(cfg, SimConfig(0, 16)).codebook_draws[0].exact_law
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", table - 1)
+    with pytest.raises(BudgetExceeded, match="MiB"):
+        sim_block_hybrid(cfg, SimConfig(0, 16))
+
+
+def test_block_byte_budget_stops_before_any_table(monkeypatch):
+    # n = 20 bits fits the bit budget, but 2^20 blocks x 1024 messages of
+    # float64 is 8 GiB; the gate must fire before the laws are built
+    def no_tables(*args):
+        raise AssertionError("exact laws built past the byte budget")
+
+    monkeypatch.setattr(block_sim, "_codebook_laws", no_tables)
+    cfg = _binary_code_config(20, 0.5)
+    assert cfg.codebook_size == 1024
+    with pytest.raises(BudgetExceeded, match="8192 MiB"):
+        sim_block_hybrid(cfg, SimConfig(0, 16))

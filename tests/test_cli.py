@@ -138,6 +138,15 @@ def test_oversized_gaussian_simulation_rejected(capsys, workdir):
     assert os.listdir(".") == []
 
 
+def test_oversized_gaussian_curve_eigenvalue_rejected(capsys, workdir):
+    # kappa * lambda would be squared past the float range in the converse
+    code, _, err = run(capsys, "gaussian-curves", "--lambdas", "1e300,1",
+                       "--points", "8", "--out", "g.csv")
+    assert code == 1
+    assert err.strip().startswith("eigenvalue 1e+300 exceeds")
+    assert os.listdir(".") == []
+
+
 def test_non_finite_channel_rejected_before_solving(capsys, workdir):
     # JSON NaN/Infinity parse to floats; the channel must refuse them
     # instead of running the capacity iteration to a "gap nan" failure

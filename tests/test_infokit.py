@@ -9,18 +9,23 @@ a brute-force grid search over two-symbol input laws.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cot_lab
 from cot_lab.infokit import (
     Coupling,
     DiscreteChannel,
     DiscreteDistribution,
     InfeasibleCost,
     RDPoint,
+    _logsumexp,
     blahut_arimoto,
     channel_from_json,
     channel_to_json,
@@ -357,6 +362,64 @@ def test_capacity_nondecreasing_in_budget():
     assert caps[-1] == pytest.approx(1.0 - binary_entropy(rho), abs=1e-9)
 
 
+@pytest.mark.parametrize("W, cost, gamma", [
+    # exhausted the iteration budget of the earlier bisection on the cost
+    # multiplier
+    ([[0.5727994147154708, 0.26691871059819733, 0.16028187468633184],
+      [0.10349898964868395, 0.2965857435704997, 0.5999152667808164]],
+     [0.07286336839482861, 1.0048418175437468], 0.3204725160294482),
+    # the uniform start spends 100 times the budget, so its dual gap is
+    # negative and must not stop the iteration
+    ([[0.6, 0.4], [0.99, 0.01]], [0.0, 1.0], 0.005),
+])
+def test_capacity_binding_budget_on_two_inputs_is_the_budget_point(
+        W, cost, gamma):
+    # on two inputs a binding budget leaves one feasible law, p1 =
+    # (gamma - c0) / (c1 - c0)
+    W, cost = np.array(W), np.array(cost)
+    outputs = tuple(str(v) for v in range(W.shape[1]))
+    cap, pin = blahut_arimoto(DiscreteChannel(("0", "1"), outputs, W, cost),
+                              gamma)
+    p1 = (gamma - cost[0]) / (cost[1] - cost[0])
+    want = mutual_information(np.array([1.0 - p1, p1])[:, None] * W)
+    assert abs(cap - want) <= 1e-9
+    assert float(cost @ pin.probs) <= gamma + 1e-12
+
+
+def test_capacity_three_inputs_binding_budget_matches_grid_search():
+    W = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.05, 0.15, 0.8]])
+    cost = np.array([0.0, 0.5, 1.0])
+    gamma = 0.3
+    ch = DiscreteChannel(("0", "1", "2"), ("a", "b", "c"), W, cost)
+    cap, pin = blahut_arimoto(ch, gamma)
+    assert float(cost @ pin.probs) <= gamma + 1e-12
+    # I is concave and the unconstrained optimum overspends, so the optimum
+    # lies on the budget plane: scan the segment where it meets the simplex
+    p2 = np.linspace(0.0, gamma / cost[2], 400001)
+    p1 = (gamma - cost[2] * p2) / cost[1]
+    laws = np.stack([1.0 - p1 - p2, p1, p2], axis=1)
+    laws = laws[laws[:, 0] >= 0.0]
+    out = laws @ W
+    h_out = -np.sum(out * np.log2(out), axis=1)
+    h_cond = laws @ -np.sum(W * np.log2(W), axis=1)
+    best = float(np.max(h_out - h_cond))
+    assert cap == pytest.approx(best, abs=1e-9)
+    free, pfree = blahut_arimoto(ch)
+    assert float(cost @ pfree.probs) > gamma and free > cap
+
+
+def test_capacity_slack_budget_is_the_unconstrained_solve():
+    rng = np.random.default_rng(19)
+    W = rng.uniform(0.05, 1.0, (3, 4))
+    W /= W.sum(axis=1, keepdims=True)
+    ch = DiscreteChannel(("0", "1", "2"), tuple("abcd"), W,
+                         np.array([0.2, 0.5, 1.0]))
+    free, pfree = blahut_arimoto(ch)
+    cap, pin = blahut_arimoto(ch, 1.0)
+    assert cap == free
+    assert np.array_equal(pin.probs, pfree.probs)
+
+
 # -------------------------------------------------------- optimal transport
 
 def test_ot_binary_hamming_closed_form():
@@ -463,6 +526,52 @@ def test_entropic_frontier_is_monotone_in_lam():
     # decreasing lam tightens the plan: information rises, cost falls
     assert all(b >= a - 1e-9 for a, b in zip(mis, mis[1:]))
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+
+
+def _scipy_logsumexp_cases():
+    """Random arrays up to 6x6 with -inf entries, whole -inf rows and
+    columns, tied maxima and a few +inf entries."""
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        shape = tuple(int(k) for k in rng.integers(1, 7, 2))
+        a = rng.normal(0.0, float(rng.choice([1e-3, 1.0, 30.0, 800.0])),
+                       shape)
+        if rng.random() < 0.5:
+            a[rng.random(shape) < 0.3] = -np.inf
+        if rng.random() < 0.3:
+            a[rng.integers(shape[0])] = -np.inf
+        if rng.random() < 0.3:
+            a[:, rng.integers(shape[1])] = -np.inf
+        if rng.random() < 0.3:
+            a = np.round(a)
+        if rng.random() < 0.1:
+            a[rng.random(shape) < 0.2] = np.inf
+        yield a
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    from scipy.special import logsumexp
+    for a in _scipy_logsumexp_cases():
+        for axis in (0, 1):
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                got = _logsumexp(a, axis=axis)
+            want = logsumexp(a, axis=axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (a, axis)
+
+
+def test_entropic_plan_imports_no_scipy_special():
+    code = ("import sys, numpy as np\n"
+            "from cot_lab.infokit import DiscreteDistribution, entropic_plan\n"
+            "p = DiscreteDistribution(('0', '1'), [0.75, 0.25])\n"
+            "entropic_plan(p, p, 1.0 - np.eye(2), 0.3)\n"
+            "print('scipy.special' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------- rate-limited curve
