@@ -289,9 +289,9 @@ def classify_mode(rho: float, theta: float) -> str:
 def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
     """Mode-switch abscissas of the optimized hybrid over the theta grid.
 
-    Labels the whole grid with one batched solve and refines each label
-    change by bisection to 1e-4. Returns (theta, "LEFT->RIGHT") pairs in
-    grid order.
+    Labels the whole grid with one batched solve and refines every label
+    change by bisection to 1e-4, all changes in lockstep. Returns (theta,
+    "LEFT->RIGHT") pairs in grid order.
 
     theta = 1/2 is excluded from the scan: the channel has zero capacity
     there, the objective is constant in delta1, and any label the argmin
@@ -301,20 +301,19 @@ def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
         raise GridTooCoarse("threshold scan needs at least 256 grid points")
     grid = [t for t in config.theta_grid if t < 0.5]
     labels = _modes(config.rho, grid)
-    out = []
-    for (t0, l0), (t1, l1) in zip(zip(grid, labels),
-                                  zip(grid[1:], labels[1:])):
-        if l0 == l1:
-            continue
-        lo, hi = t0, t1
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            if classify_mode(config.rho, mid) == l0:
-                lo = mid
+    # each label change as a [lo, hi, left label, right label] cell
+    cells = [[t0, t1, l0, l1] for t0, t1, l0, l1
+             in zip(grid, grid[1:], labels, labels[1:]) if l0 != l1]
+    # bisect every cell to 1e-4 in lockstep, labelling all open midpoints
+    # in one batch per step; each cell takes the steps it would take alone
+    while live := [cell for cell in cells if cell[1] - cell[0] > 1e-4]:
+        mids = [0.5 * (cell[0] + cell[1]) for cell in live]
+        for cell, mid, label in zip(live, mids, _modes(config.rho, mids)):
+            if label == cell[2]:
+                cell[0] = mid
             else:
-                hi = mid
-        out.append((0.5 * (lo + hi), f"{l0}->{l1}"))
-    return tuple(out)
+                cell[1] = mid
+    return tuple((0.5 * (lo + hi), f"{l0}->{l1}") for lo, hi, l0, l1 in cells)
 
 
 # ------------------------------------------------------------ the table

@@ -17,6 +17,7 @@ bit-identical for a given (seed, samples) no matter how many workers run.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -141,8 +142,10 @@ def _run_chunks(fn, sim: SimConfig, stream: int) -> List[tuple]:
         idx, count = job
         return fn(_rng(sim.seed, stream, idx), count)
 
-    if sim.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=sim.workers) as pool:
+    # threads past the chunk or core count would only wait
+    threads = min(sim.workers, len(jobs), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(work, jobs))
     return [work(job) for job in jobs]
 
@@ -703,6 +706,12 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
         raise BudgetExceeded(
             f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
             f"table, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
+    # every sampled block is kept as int64 rows (source, reconstruction and
+    # the coupled copy) until the report is pooled
+    if 8 * sim.samples * cfg.n > _ENUM_BYTES:
+        raise BudgetExceeded(
+            f"{sim.samples} blocks of length {cfg.n} exceed the "
+            f"{_ENUM_BYTES / 2 ** 20:.0f} MiB sample budget")
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 
     draws = []

@@ -29,6 +29,8 @@ _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
 
 # most points of a curve grid: the optimizer's scan table is points x 512 x 8 B
 MAX_POINTS = 2 ** 14
+# most samples of one simulation: about 30,000 chunks of 2^15
+MAX_SAMPLES = 10 ** 9
 
 
 class _UsageError(Exception):
@@ -47,11 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- utilities
 
-def _points(text: str) -> int:
-    n = int(text)
-    if not 2 <= n <= MAX_POINTS:
-        raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_POINTS}]")
-    return n
+def _int_in(lo: int, hi: int):
+    """argparse type for an integer in [lo, hi]."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}]")
+        return n
+    return integer
 
 
 def _parse_floats(text: str) -> list:
@@ -422,7 +427,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=0.5)
-    p.add_argument("--points", type=_points, default=512)
+    p.add_argument("--points", type=_int_in(2, MAX_POINTS), default=512)
     _add_out_json(p, out_required=True)
     p.set_defaults(handler=_cmd_binary_curves)
 
@@ -431,7 +436,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=0.5)
-    p.add_argument("--points", type=_points, default=512)
+    p.add_argument("--points", type=_int_in(2, MAX_POINTS), default=512)
     _add_out_json(p)
     p.set_defaults(handler=_cmd_binary_thresholds)
 
@@ -441,7 +446,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated eigenvalues, descending")
     p.add_argument("--gamma-min", type=float, default=0.01)
     p.add_argument("--gamma-max", type=float, default=100.0)
-    p.add_argument("--points", type=_points, default=256)
+    p.add_argument("--points", type=_int_in(2, MAX_POINTS), default=256)
     p.add_argument("--linear-grid", action="store_true",
                    help="use a linear budget grid instead of log spacing")
     _add_out_json(p, out_required=True)
@@ -489,7 +494,8 @@ def _build_parser() -> _Parser:
 
     def sim_flags(q):
         q.add_argument("--seed", type=int, required=True)
-        q.add_argument("--samples", type=int, required=True)
+        q.add_argument("--samples", type=_int_in(1, MAX_SAMPLES),
+                       required=True)
         q.add_argument("--workers", type=int, default=1)
         _add_out_json(q)
 

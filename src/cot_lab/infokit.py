@@ -14,6 +14,7 @@ JSON schema (shared with hybrid_bound and the CLI):
 dataclasses below; file handling lives in the CLI.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -427,10 +428,14 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
 
     The Lagrangian at multiplier lam is exactly entropic OT against the
     product of the prescribed marginals, so every Sinkhorn solve lands one
-    point on the (I, D) frontier. A 64-point log-lam sweep brackets the
-    requested rate, bisection on lam refines it (I is monotone in lam and the
-    frontier is convex), and the result is the lower-envelope interpolation
-    between the two tightest sweep points.
+    point (I, D) on the frontier, and I falls as lam grows. Warm-started
+    solves walk lam down the ladder scale * logspace(4, -4, 64) (up, at the
+    same spacing, for rates below its first rung) until I crosses the rate;
+    Brent's method on log lam then solves I = rate in that cell to `tol`.
+    The distortion is D at the root, clamped at the exact optimum d*, and
+    multiplier is lam at the root. When the LP plan meets the rate or a
+    rung reaches d*, the answer is d* with multiplier 0. A walk that leaves
+    the ladder without a crossing raises SinkhornDivergence.
     """
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
@@ -439,76 +444,53 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     if rate == 0.0:
         return RDPoint(0.0, e_indep, float("inf"))
 
-    d_star, _ = ot_min_cost(row, col, c)
+    d_star, lp = ot_min_cost(row, col, c)
+    scale = float(np.max(c) - np.min(c))
+    if scale == 0.0:
+        # every coupling costs the constant
+        return RDPoint(rate, float(c.flat[0]), 0.0)
+    # mutual information never exceeds either marginal entropy, so past that
+    # point the constraint is inactive and the plain OT optimum is the
+    # answer; so it is whenever the LP plan itself meets the rate
+    if rate >= min(entropy(row), entropy(col)) - 1e-12 \
+            or mutual_information(lp.table) <= rate:
+        return RDPoint(rate, d_star, 0.0)
 
-    scale = max(float(np.max(c) - np.min(c)), 1e-12)
     # the scaling loop contracts slowly at intermediate lam (observed ~2e4
     # sweeps to reach 1e-9 on skewed binary marginals); give the inner
     # solves room while keeping the caller's accuracy targets
     sink_tol = Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 40000))
-
-    def frontier(lam, warm=None):
-        plan, f, g = entropic_plan(row, col, c, lam, sink_tol, warm)
-        return mutual_information(plan), float(np.sum(plan * c)), (f, g)
-
-    # mutual information never exceeds either marginal entropy, so past that
-    # point the constraint is inactive and the plain OT optimum is the answer
-    if rate >= min(entropy(row), entropy(col)) - 1e-12:
-        return RDPoint(rate, d_star, 0.0)
-
-    lams = scale * np.logspace(4.0, -4.0, 64)
-    pts = []
+    solved = {}
     warm = None
-    bracketed = False
-    for lam in lams:
-        try:
-            mi, d, warm = frontier(lam, warm)
-        except SinkhornDivergence:
-            # the scaling stalls deep in the saturated small-lam region; if
-            # the sweep already sits on the unconstrained optimum, stop there
-            if pts and pts[-1][2] <= d_star + 1e-6 * scale \
-                    and pts[-1][1] <= rate:
-                return RDPoint(rate, d_star, pts[-1][0])
-            raise
-        pts.append((lam, mi, d))
-        if mi > rate:
-            bracketed = True
-            break
-        if d <= d_star + 1e-10 * scale:
-            return RDPoint(rate, d_star, lam)
-    if not bracketed:
-        # sharpest sweep point still satisfies the rate: constraint inactive
-        return RDPoint(rate, d_star, pts[-1][0])
-    if pts[0][1] > rate:
-        # rate below the smoothest sweep point: push lam upward
-        lam = pts[0][0]
-        for _ in range(60):
-            lam *= 10.0
-            mi, d, warm = frontier(lam, warm)
-            pts.insert(0, (lam, mi, d))
-            if mi <= rate:
-                break
-        else:
-            raise SinkhornDivergence("could not bracket the requested rate")
 
-    below = max((p for p in pts if p[1] <= rate), key=lambda p: p[1])
-    above = min((p for p in pts if p[1] > rate), key=lambda p: p[1])
-    for _ in range(64):
-        if abs(below[1] - rate) <= 1e-9 or abs(above[1] - rate) <= 1e-9:
-            break
-        lam = float(np.sqrt(below[0] * above[0]))
-        mi, d, warm = frontier(lam, warm)
-        if mi <= rate:
-            below = (lam, mi, d)
-        else:
-            above = (lam, mi, d)
+    def frontier(u):
+        """(I, D) at lam = e^u, warm-started from the previous solve."""
+        nonlocal warm
+        if u not in solved:
+            plan, f, g = entropic_plan(row, col, c, math.exp(u), sink_tol,
+                                       warm)
+            warm = (f, g)
+            solved[u] = (mutual_information(plan), float(np.sum(plan * c)))
+        return solved[u]
 
-    lam_b, i_b, d_b = below
-    lam_a, i_a, d_a = above
-    if i_a - i_b > 1e-15:
-        w = (rate - i_b) / (i_a - i_b)
-        dist = d_b + w * (d_a - d_b)
-        lam_out = lam_b + w * (lam_a - lam_b)
+    # 64 rungs over 8 decades; a coarser step overshoots further into small
+    # lam, where the Sinkhorn solves are slow
+    step = math.log(10.0) * 8.0 / 63.0
+    u = math.log(scale) + 4.0 * math.log(10.0)
+    up = frontier(u)[0] > rate
+    for _ in range(63):
+        prev, u = u, u + (step if up else -step)
+        mi, d = frontier(u)
+        if (mi > rate) != up:
+            break
+        if not up and d <= d_star + 1e-10 * scale:
+            # a plan at the optimum meets the rate (tied costs whose
+            # optimal plans are not the LP vertex)
+            return RDPoint(rate, d_star, 0.0)
     else:
-        dist, lam_out = d_b, lam_b
-    return RDPoint(rate, max(dist, d_star), lam_out)
+        raise SinkhornDivergence(
+            f"rate {rate!r} below I at lambda={math.exp(u):.3g}" if up else
+            f"rate {rate!r} not reached by lambda down to {math.exp(u):.3g}")
+    root = float(find_root(lambda v: frontier(float(v))[0] - rate,
+                           min(prev, u), max(prev, u), tol))
+    return RDPoint(rate, max(frontier(root)[1], d_star), math.exp(root))

@@ -8,6 +8,7 @@ transport sweep, which shares no code with the closed-form route.
 import numpy as np
 import pytest
 
+from cot_lab import binary_case
 from cot_lab.binary_case import (
     BinaryConfig,
     GridTooCoarse,
@@ -302,6 +303,42 @@ def test_thresholds_seven_twentieths():
                                           "UNCODED->SIMPLE"]
     assert th[0][0] == pytest.approx(0.037, abs=0.005)
     assert th[1][0] == pytest.approx(0.197, abs=0.005)
+
+
+def serial_thresholds(rho, grid):
+    """Each label change of the batch-labelled grid bisected alone with
+    classify_mode, to 1e-4."""
+    grid = [t for t in grid if t < 0.5]
+    labels = binary_case._modes(rho, grid)
+    out = []
+    for t0, t1, l0, l1 in zip(grid, grid[1:], labels, labels[1:]):
+        if l0 != l1:
+            lo, hi = t0, t1
+            while hi - lo > 1e-4:
+                mid = 0.5 * (lo + hi)
+                if classify_mode(rho, mid) == l0:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((0.5 * (lo + hi), f"{l0}->{l1}"))
+    return tuple(out)
+
+
+def test_thresholds_lockstep_equals_serial_bisection(monkeypatch):
+    # a finer patch of grid around the first switch gives the two cells
+    # different step counts, so one cell stops while the other bisects on
+    grid = np.unique(np.concatenate([np.linspace(0.0, 0.5, 256),
+                                     np.linspace(0.03, 0.045, 40)]))
+    want = serial_thresholds(0.35, grid.tolist())
+    calls = []
+    real = binary_case._modes
+    monkeypatch.setattr(binary_case, "_modes",
+                        lambda rho, th: calls.append(len(th)) or real(rho, th))
+    got = thresholds(BinaryConfig(0.35, tuple(grid)))
+    assert got == want
+    assert [label for _, label in got] == ["SEP->UNCODED", "UNCODED->SIMPLE"]
+    # one labelling of the grid, then one batch per bisection step
+    assert calls == [len(grid) - 1, 2, 2, 1, 1, 1]
 
 
 def test_thresholds_grid_too_coarse():

@@ -116,6 +116,34 @@ def test_uncoded_binary_validation():
         sim_uncoded_binary(0.25, 0.1, (1.5, 0.0), sim)
 
 
+@pytest.mark.parametrize("workers, chunks, cpus, threads", [
+    (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 1, 4, None),
+    (1, 10, 4, None), (8, 10, 1, None)])
+def test_run_chunks_clamps_the_pool(monkeypatch, workers, chunks, cpus,
+                                    threads):
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(block_sim, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: cpus)
+    sim = SimConfig(0, chunks * block_sim._CHUNK, workers)
+    counts = block_sim._run_chunks(lambda rng, n: n, sim, stream=0)
+    assert counts == [block_sim._CHUNK] * chunks
+    assert seen == ([] if threads is None else [threads])
+
+
 def test_uncoded_binary_worker_invariance():
     one = sim_uncoded_binary(0.3, 0.1, (0.0, 0.2), SimConfig(9, 200001, 1))
     four = sim_uncoded_binary(0.3, 0.1, (0.0, 0.2), SimConfig(9, 200001, 4))
@@ -582,6 +610,17 @@ def test_block_byte_budget_gate(monkeypatch):
     monkeypatch.setattr(block_sim, "_ENUM_BYTES", table - 1)
     with pytest.raises(BudgetExceeded, match="MiB"):
         sim_block_hybrid(cfg, SimConfig(0, 16))
+
+
+def test_block_sample_budget_stops_before_any_codebook(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("codebook drawn past the sample budget")
+
+    monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
+    cfg = candidate(8, codebooks=1)
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 8 * 1000)
+    with pytest.raises(BudgetExceeded, match="blocks of length 8 exceed"):
+        sim_block_hybrid(cfg, SimConfig(0, 1001))
 
 
 def test_block_byte_budget_stops_before_any_table(monkeypatch):

@@ -94,6 +94,39 @@ def test_points_out_of_range_rejected_before_any_grid(capsys, workdir):
     assert os.listdir(".") == []
 
 
+def test_samples_out_of_range_rejected_before_sampling(capsys, workdir):
+    schemes = {
+        "uncoded-binary": ["--rho", "0.25", "--theta", "0.1"],
+        "uncoded-gaussian": ["--lambdas", "1.5,0.5", "--gamma", "2.0"],
+        "genie-hybrid": ["--rho", "0.25", "--theta", "0.1", "--delta1",
+                         "0.05"],
+        "block-hybrid": ["--rho", "0.25", "--delta", "0.2", "--theta",
+                         "0.005", "--rate", "0.6", "--n", "8",
+                         "--codebooks", "1"]}
+    for scheme, rest in schemes.items():
+        for samples in ("0", "1000000001"):
+            t0 = time.perf_counter()
+            code, _, err = run(capsys, "simulate", scheme, *rest, "--seed",
+                               "7", "--samples", samples, "--out", "r.json")
+            assert code == 1, (scheme, samples)
+            assert "--samples" in err
+            assert time.perf_counter() - t0 < 1.0
+    assert os.listdir(".") == []
+
+
+def test_block_samples_over_byte_budget_rejected(capsys, workdir):
+    # 2^22 blocks of 8 int64 symbols are 256 MiB per sample array
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "block-hybrid", "--rho", "0.25",
+                       "--delta", "0.2", "--theta", "0.005", "--rate", "0.6",
+                       "--n", "8", "--seed", "7", "--samples",
+                       str(2 ** 22 + 1), "--out", "r.json")
+    assert code == 1
+    assert "MiB" in err
+    assert time.perf_counter() - t0 < 1.0
+    assert os.listdir(".") == []
+
+
 def test_numerical_failure_maps_to_exit_2(capsys, workdir, monkeypatch):
     def explode(ch, gamma=None):
         raise MaxIterError("no convergence after 42 sweeps")
@@ -320,6 +353,16 @@ def test_rate_capped_transport_interpolates(capsys, workdir):
     # a tight rate cap forces more transport cost than the LP optimum
     assert doc["distortion"] > 0.25
     assert doc["distortion"] < 0.5
+
+
+def test_rate_capped_transport_constant_cost(capsys, workdir):
+    write_marginal("s.json", [0.5, 0.5])
+    write_cost("c.json", [[1.0, 1.0], [1.0, 1.0]])
+    code, out, _ = run(capsys, "rl-ot", "--source", "s.json", "--target",
+                       "s.json", "--cost", "c.json", "--rate", "0.3",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["distortion"] == 1.0
 
 
 # identity reconstruction over a noisy channel: it shifts the output

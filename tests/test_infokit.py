@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cot_lab
+from cot_lab import SinkhornDivergence, infokit
+from cot_lab.binary_case import d_hat
 from cot_lab.infokit import (
     Coupling,
     DiscreteChannel,
@@ -630,6 +632,66 @@ def test_rate_limited_monotone_and_bounded():
     ds = [rate_limited_ot(row, col, cost, r).distortion for r in rates]
     assert all(b <= a + 1e-9 for a, b in zip(ds, ds[1:]))
     assert all(d_star - 1e-9 <= d <= e_indep + 1e-9 for d in ds)
+
+
+@pytest.mark.parametrize("rate", [1e-12, 1e-9, 1e-6])
+def test_rate_limited_small_rates_match_closed_form(rate):
+    # rates far below the first rung of the lam ladder; the root is solved
+    # on log lam, so the distortion is pinned to 1e-9 even here
+    pt = rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), rate)
+    assert pt.distortion == pytest.approx(d_hat(0.25, rate), abs=1e-9)
+
+
+def test_rate_limited_reports_lambda_at_the_root():
+    b = bern(0.25)
+    pt = rate_limited_ot(b, b, 1.0 - np.eye(2), 0.3)
+    plan, _, _ = entropic_plan(b, b, 1.0 - np.eye(2), pt.multiplier,
+                               Tolerance(max_iter=40000))
+    assert mutual_information(plan) == pytest.approx(0.3, abs=1e-9)
+
+
+def test_rate_limited_tied_block_cost_reaches_zero():
+    # the LP vertex spends log2(3) bits, but a zero-cost plan that mixes
+    # the two tied columns spends less than the rate
+    u = DiscreteDistribution(("a", "b", "c"), np.full(3, 1.0 / 3.0))
+    cost = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    pt = rate_limited_ot(u, u, cost, 1.2)
+    assert pt.distortion == 0.0
+    assert pt.multiplier == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_rate_limited_constant_cost_is_that_constant(value, monkeypatch):
+    def no_sinkhorn(*args, **kwargs):
+        raise AssertionError("Sinkhorn ran on a constant cost")
+
+    monkeypatch.setattr(infokit, "entropic_plan", no_sinkhorn)
+    u = DiscreteDistribution(("a", "b", "c"), np.full(3, 1.0 / 3.0))
+    pt = rate_limited_ot(u, u, np.full((3, 3), value), 0.3)
+    assert pt.distortion == value
+
+
+def test_rate_limited_lp_plan_within_rate_runs_no_sinkhorn(monkeypatch):
+    rng = np.random.default_rng(0)
+    row, col = rand_dist(rng, 3), rand_dist(rng, 3)
+    cost = rng.uniform(0.0, 2.0, (3, 3))
+    d_star, plan = ot_min_cost(row, col, cost)
+    rate = 0.6
+    assert mutual_information(plan.table) <= rate < min(entropy(row),
+                                                         entropy(col))
+
+    def no_sinkhorn(*args, **kwargs):
+        raise AssertionError("Sinkhorn ran although the LP plan is feasible")
+
+    monkeypatch.setattr(infokit, "entropic_plan", no_sinkhorn)
+    assert rate_limited_ot(row, col, cost, rate).distortion == d_star
+
+
+def test_rate_limited_raises_past_the_ladder(monkeypatch):
+    # an I that never falls to the rate walks off the top of the ladder
+    monkeypatch.setattr(infokit, "mutual_information", lambda joint: 1.0)
+    with pytest.raises(SinkhornDivergence, match="below I"):
+        rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), 0.3)
 
 
 def test_rate_limited_rejects_negative_rate():
