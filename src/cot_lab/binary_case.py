@@ -22,7 +22,6 @@ import numpy as np
 from .hybrid_bound import HybridSpec, make_uncoded
 from .infokit import DiscreteChannel, DiscreteDistribution
 from .numkit import (
-    Tolerance,
     bconv,
     binary_entropy,
     binary_entropy_inv,
@@ -99,7 +98,7 @@ def rate_of_distortion(rho: float, d):
         + d * np.log2(d / 2.0) + plog((2.0 * rho - d) / 2.0))
 
 
-def d_hat(rho: float, rate, tol: Tolerance = Tolerance()):
+def d_hat(rho: float, rate):
     """Minimum coupling cost at information budget `rate` (both B(rho))."""
     rho = _check_rho(rho, closed=True)
     rate = np.asarray(rate, dtype=float)
@@ -110,7 +109,7 @@ def d_hat(rho: float, rate, tol: Tolerance = Tolerance()):
     solve = (rate > 0.0) & (rate < binary_entropy(rho))
     r = rate[solve]
     out[solve] = find_root(lambda d: rate_of_distortion(rho, d) - r,
-                           np.full(r.shape, 1e-15), dmax, tol)
+                           np.full(r.shape, 1e-15), dmax)
     return float_or_array(out)
 
 
@@ -203,8 +202,7 @@ def hybrid_distortion(rho: float, theta, delta1):
     return 2.0 * m * ((1.0 - d1 - d2) * theta + d1 * d2) / mix
 
 
-def d_hybrid(rho: float, theta, grid: int = 512,
-             tol: Tolerance = Tolerance()):
+def d_hybrid(rho: float, theta):
     """Optimized hybrid distortion and its argmin delta1 in [0, rho].
 
     theta is a float, giving (value, argmin) floats, or an array, giving
@@ -220,14 +218,13 @@ def d_hybrid(rho: float, theta, grid: int = 512,
     pos = th > 0.0
     if pos.any():
         arg[pos], val[pos] = minimize_1d(
-            lambda t, d1: hybrid_distortion(rho, t, d1), 0.0, rho, th[pos],
-            grid=grid, tol=tol)
+            lambda t, d1: hybrid_distortion(rho, t, d1), 0.0, rho, th[pos])
     if th.ndim == 0:
         return float(val), float(arg)
     return val, arg
 
 
-def delta1_prime(rho: float, theta, tol: Tolerance = Tolerance()):
+def delta1_prime(rho: float, theta):
     """Simplified-scheme split: the delta in (0, rho] balancing the analog
     information surplus against the channel, or 0 when the channel already
     carries the source at full fidelity."""
@@ -241,13 +238,13 @@ def delta1_prime(rho: float, theta, tol: Tolerance = Tolerance()):
         return (binary_entropy(bconv(d, th)) - binary_entropy(d)
                 - (1.0 - binary_entropy(rho)))
 
-    out[solve] = find_root(resid, np.full(th.shape, 1e-15), rho, tol)
+    out[solve] = find_root(resid, np.full(th.shape, 1e-15), rho)
     return float_or_array(out)
 
 
-def d_hybrid_simple(rho: float, theta, tol: Tolerance = Tolerance()):
+def d_hybrid_simple(rho: float, theta):
     """Hybrid distortion with the split pinned to delta1_prime."""
-    return _simple_distortion(theta, delta1_prime(rho, theta, tol))
+    return _simple_distortion(theta, delta1_prime(rho, theta))
 
 
 def _simple_distortion(theta, d1):

@@ -31,6 +31,9 @@ _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
 MAX_POINTS = 2 ** 14
 # most samples of one simulation: about 30,000 chunks of 2^15
 MAX_SAMPLES = 10 ** 9
+# most codebooks of one block-hybrid run: each is one exact-law enumeration,
+# about 0.4 s at n = 12, so a run stays under about 7 min there
+MAX_CODEBOOKS = 2 ** 10
 
 
 class _UsageError(Exception):
@@ -527,7 +530,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--rate", type=float, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--typ-delta", type=float, default=0.1)
-    q.add_argument("--codebooks", type=int, default=32)
+    q.add_argument("--codebooks", type=_int_in(1, MAX_CODEBOOKS),
+                   default=32)
     sim_flags(q)
     q.set_defaults(handler=_cmd_sim_block_hybrid)
 

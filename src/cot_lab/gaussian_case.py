@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numkit import (BracketError, Tolerance, find_root, float_or_array,
-                     minimize_1d)
+from .numkit import BracketError, find_root, float_or_array, minimize_1d
 from .tables import GAUSSIAN_COLUMNS, CurveTable, table_from_rows
 
 # slack for the per-row curve ordering; the curves come out of independent
@@ -141,7 +140,7 @@ def _rate_of_kappa(kappa, lams: Sequence[float]):
     return total
 
 
-def kappa_gammas(lambdas: Sequence[float], rate, tol: Tolerance = Tolerance()):
+def kappa_gammas(lambdas: Sequence[float], rate):
     """Correlation levels achievable between matched Gaussians at `rate` bits.
 
     Solves for the unique kappa > 0 whose per-component correlations
@@ -173,72 +172,74 @@ def kappa_gammas(lambdas: Sequence[float], rate, tol: Tolerance = Tolerance()):
         if not over.any():
             break
         lo = np.where(over, lo / 4.0, lo)
-    kappa[pos] = find_root(lambda k: _rate_of_kappa(k, lams) - r, lo, hi, tol)
+    kappa[pos] = find_root(lambda k: _rate_of_kappa(k, lams) - r, lo, hi)
     gams = _gamma_of_kappa(kappa[..., None], np.array(lams))
     if rate.ndim == 0:
         return float(kappa), gams.tolist()
     return kappa, gams
 
 
-def d_lower(config: GaussianConfig, gamma, tol: Tolerance = Tolerance()):
+def d_lower(config: GaussianConfig, gamma):
     """Converse curve: the least squared cost any scheme with unlimited
     common randomness can reach at power budget gamma."""
     g = _check_gamma(gamma)
-    _, gams = kappa_gammas(config.lambdas, _budget_rate(g), tol)
+    _, gams = kappa_gammas(config.lambdas, _budget_rate(g))
     return 2.0 * float_or_array(np.sum(np.subtract(config.lambdas, gams),
                                        axis=-1))
 
 
 # ----------------------------------------------------------- separation
 
-def waterfill_sep(lambdas: Sequence[float], rate,
-                  tol: Tolerance = Tolerance()):
+def _waterfill(mu: Sequence[float], target):
+    """Reverse waterfilling in closed form: the level omega solving
+    prod mu_l / min(omega, mu_l) = target (mu descending, target >= 1) and
+    the total sum of min(omega, mu_l), elementwise over the target array.
+
+    The candidate active-set sizes are walked in increasing order, and the
+    first k whose level clears the next eigenvalue is the true one (the
+    k = len(mu) candidate always clears 0).
+    """
+    target = np.asarray(target, dtype=float)
+    m = len(mu)
+    omega, total = np.empty_like(target), np.empty_like(target)
+    open_ = np.ones(target.shape, dtype=bool)
+    prod = 1.0
+    for k in range(1, m + 1):
+        prod *= mu[k - 1]
+        nxt = mu[k] if k < m else 0.0
+        cand = prod / target if k == 1 else (prod / target) ** (1.0 / k)
+        pick = open_ & (cand >= nxt)
+        omega[pick] = cand[pick]
+        total[pick] = k * cand[pick] + math.fsum(mu[k:])
+        open_ &= ~pick
+    return omega, total
+
+
+def waterfill_sep(lambdas: Sequence[float], rate):
     """Reverse waterfilling level for the quadratic Gaussian curve.
 
-    Finds omega in (0, lambda_1] with 0.5 * sum log2(lam_l / (omega ^ lam_l))
-    equal to `rate` and returns (omega, [omega ^ lam_l per component]). The
-    search runs on log omega so widely spread eigenvalues stay well scaled.
-    An array of rates gives arrays, the components on one more axis.
+    Returns omega in (0, lambda_1] with 0.5 * sum log2(lam_l / (omega ^ lam_l))
+    equal to `rate`, and [omega ^ lam_l per component]. An array of rates
+    gives arrays, the components on one more axis.
     """
     lams = _check_lambdas(lambdas)
     rate = np.asarray(rate, dtype=float)
-    if np.any(rate < 0.0):
+    if not np.all(rate >= 0.0):
         raise ValueError("rate must be nonnegative")
-    omega = np.full(rate.shape, lams[0])
-    pos = rate > 0.0
-    r = rate[pos]
-
-    def gap(u):
-        w = np.exp(u)
-        spent = 0.0
-        for lam in lams:
-            spent = spent + np.where(w < lam, 0.5 * np.log2(lam / w), 0.0)
-        return spent - r
-
-    # each lane widens its own bracket exactly as a lone solve would
-    lo = np.full(r.shape, math.log(lams[-1]))
-    step = 1.0
-    for _ in range(200):
-        short = ~(gap(lo) >= 0.0)
-        if not short.any():
-            break
-        lo = np.where(short, lo - step, lo)
-        step *= 2.0
-    else:
-        raise BracketError(f"rate {r[short][0]!r} not reachable above omega 0")
-    omega[pos] = np.exp(find_root(gap, lo, math.log(lams[0]), tol))
+    omega, _ = _waterfill(lams, np.exp2(2.0 * rate))
     deltas = np.minimum(omega[..., None], lams)
     if rate.ndim == 0:
         return float(omega), deltas.tolist()
     return omega, deltas
 
 
-def d_sep(config: GaussianConfig, gamma, tol: Tolerance = Tolerance()):
+def d_sep(config: GaussianConfig, gamma):
     """Source-channel separation without common randomness: twice the
-    classical distortion-rate value at the channel's bit budget."""
+    classical distortion-rate value at the channel's bit budget, whose
+    waterfilling product is gamma + 1."""
     g = _check_gamma(gamma)
-    _, deltas = waterfill_sep(config.lambdas, _budget_rate(g), tol)
-    return 2.0 * float_or_array(np.sum(deltas, axis=-1))
+    _, total = _waterfill(config.lambdas, g + 1.0)
+    return 2.0 * float_or_array(total)
 
 
 # -------------------------------------------------------------- uncoded
@@ -254,76 +255,52 @@ def d_uncoded(config: GaussianConfig, gamma):
 
 # --------------------------------------------------------------- hybrid
 
-def omega_hybrid(config: GaussianConfig, gamma: float, alpha: float,
-                 tol: Tolerance = Tolerance()) -> Tuple[float, List[float]]:
+def omega_hybrid(config: GaussianConfig, gamma: float,
+                 alpha: float) -> Tuple[float, List[float]]:
     """Waterfilling level for the digitally coded tail of the hybrid scheme.
 
-    With fraction alpha of the power assigned to the digital part, the tail
-    components share 0.5*log2((gamma+1)/((1-alpha)*gamma+1)) bits; omega is
+    With fraction alpha of the power assigned to the digital part, omega is
     the unique level in (0, lambda_2] where the tail product
-    prod_{l>=2} lam_l / (omega ^ lam_l) meets that budget. Returns omega and
-    the per-component tail distortions.
+    prod_{l>=2} lam_l / (omega ^ lam_l) meets (gamma+1)/((1-alpha)*gamma+1).
+    Returns omega and the per-component tail distortions.
     """
     g = _check_gamma(gamma)
     a = _check_alpha(alpha)
-    rhs = (g + 1.0) / ((1.0 - a) * g + 1.0)
-    return waterfill_sep(config.lambdas[1:], 0.5 * math.log2(rhs), tol)
+    tail = config.lambdas[1:]
+    omega, _ = _waterfill(tail, (g + 1.0) / ((1.0 - a) * g + 1.0))
+    return float(omega), np.minimum(omega, tail).tolist()
 
 
 def _hybrid_grid(lams: Sequence[float], gamma, alphas) -> np.ndarray:
-    """Hybrid cost at every (gamma, alpha) pair, broadcasting the two.
-
-    The coded tail sum of min(omega, mu_l), with omega solving the tail
-    product equation prod mu_l/(omega ^ mu_l) = target, comes in closed
-    piecewise form: the candidate active-set sizes are walked in increasing
-    order, and the first k whose level clears the next eigenvalue is the
-    true one (the k = m candidate always clears 0).
-    """
+    """Hybrid cost at every (gamma, alpha) pair, broadcasting the two: the
+    analog head term plus the closed-form waterfilling of the coded tail."""
     x = (1.0 - alphas) * gamma
     head = (1.0 - np.sqrt(x / (x + 1.0))) * lams[0]
-    target = (gamma + 1.0) / (x + 1.0)
-    mu = lams[1:]
-    m = len(mu)
-    total = np.empty_like(target)
-    open_ = np.ones(target.shape, dtype=bool)
-    prod = 1.0
-    for k in range(1, m + 1):
-        prod *= mu[k - 1]
-        nxt = mu[k] if k < m else 0.0
-        cand = prod / target if k == 1 else (prod / target) ** (1.0 / k)
-        pick = open_ & (cand >= nxt)
-        total[pick] = k * cand[pick] + math.fsum(mu[k:])
-        open_ &= ~pick
+    _, total = _waterfill(lams[1:], (gamma + 1.0) / (x + 1.0))
     return 2.0 * (head + total)
 
 
-def d_hybrid_at(config: GaussianConfig, gamma: float, alpha: float,
-                tol: Tolerance = Tolerance()) -> float:
+def d_hybrid_at(config: GaussianConfig, gamma: float, alpha: float) -> float:
     """Hybrid cost at a fixed digital power fraction: analog head term plus
-    twice the coded-tail distortions from omega_hybrid."""
+    twice the coded-tail distortions of omega_hybrid."""
     g = _check_gamma(gamma)
     a = _check_alpha(alpha)
-    x = (1.0 - a) * g
-    head = (1.0 - math.sqrt(x / (x + 1.0))) * config.lambdas[0]
-    _, deltas = omega_hybrid(config, g, a, tol)
-    return 2.0 * (head + math.fsum(deltas))
+    return float(_hybrid_grid(config.lambdas, g, a))
 
 
-def d_hybrid(config: GaussianConfig, gamma, grid: int = 512,
-             tol: Tolerance = Tolerance()):
+def d_hybrid(config: GaussianConfig, gamma):
     """Hybrid cost minimized over the power split; returns (cost, alpha_opt).
 
     gamma is a float, giving floats, or an array, giving arrays of its
     shape, all budgets solved in one batch. The grid scan and the golden
-    refinement both evaluate the piecewise closed form (no root solving
-    inside the objective), and ties go to the smallest alpha, so on budgets
-    where the objective rises from alpha = 0 the reported argmin is exactly
-    0.0 rather than optimizer noise.
+    refinement both evaluate the closed form (no root solving inside the
+    objective), and ties go to the smallest alpha, so on budgets where the
+    objective rises from alpha = 0 the reported argmin is exactly 0.0
+    rather than optimizer noise.
     """
     gs = np.asarray(_check_gamma(gamma))
-    lams = list(config.lambdas)
-    arg, val = minimize_1d(lambda g, a: _hybrid_grid(lams, g, a), 0.0, 1.0,
-                           gs, grid=grid, tol=tol)
+    arg, val = minimize_1d(lambda g, a: _hybrid_grid(config.lambdas, g, a),
+                           0.0, 1.0, gs)
     if gs.ndim == 0:
         return float(val[0]), float(arg[0])
     return val.reshape(gs.shape), arg.reshape(gs.shape)
@@ -363,11 +340,10 @@ def linear_bound(lambdas: Sequence[float], g) -> float:
 
 # ------------------------------------------------------------ the table
 
-def gaussian_curves(config: GaussianConfig, grid: int = 512,
-                    tol: Tolerance = Tolerance()) -> CurveTable:
+def gaussian_curves(config: GaussianConfig) -> CurveTable:
     gs = np.array(config.gamma_grid)
-    dhs, alphas = d_hybrid(config, gs, grid=grid, tol=tol)
-    cols = (gs, d_lower(config, gs, tol), d_sep(config, gs, tol),
+    dhs, alphas = d_hybrid(config, gs)
+    cols = (gs, d_lower(config, gs), d_sep(config, gs),
             d_uncoded(config, gs), dhs, alphas)
     rows = list(zip(*(c.tolist() for c in cols)))
     for row in rows:

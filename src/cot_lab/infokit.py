@@ -305,6 +305,8 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
     gamma=None drops the cost constraint entirely; a budget at the
     cheapest cost pins the input to the cheapest symbols.
     """
+    if gamma is not None and not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     W = ch.matrix
     cost = ch.cost
     min_cost = float(np.min(cost))
@@ -437,6 +439,8 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     rung reaches d*, the answer is d* with multiplier 0. A walk that leaves
     the ladder without a crossing raises SinkhornDivergence.
     """
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate!r}")
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
     c = finite_array(cost, "cost matrix")

@@ -114,6 +114,21 @@ def test_samples_out_of_range_rejected_before_sampling(capsys, workdir):
     assert os.listdir(".") == []
 
 
+def test_codebooks_out_of_range_rejected_before_any_draw(capsys, workdir):
+    # 10^8 codebooks at n = 4 would run for about 40 h
+    for codebooks in ("0", "100000000"):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "simulate", "block-hybrid", "--rho",
+                           "0.25", "--delta", "0.2", "--theta", "0.005",
+                           "--rate", "0.6", "--n", "4", "--codebooks",
+                           codebooks, "--seed", "7", "--samples", "16",
+                           "--out", "r.json")
+        assert code == 1, codebooks
+        assert "--codebooks" in err
+        assert time.perf_counter() - t0 < 1.0
+    assert os.listdir(".") == []
+
+
 def test_block_samples_over_byte_budget_rejected(capsys, workdir):
     # 2^22 blocks of 8 int64 symbols are 256 MiB per sample array
     t0 = time.perf_counter()
@@ -190,6 +205,76 @@ def test_non_finite_channel_rejected_before_solving(capsys, workdir):
         code, _, err = run(capsys, "capacity", "--channel", "ch.json")
         assert code == 1, bad
         assert "channel matrix has non-finite entries" in err
+
+
+# every JSON-writing command with valid arguments, and its float flags
+_FLOAT_FLAGS = {
+    "binary-curves": (["binary-curves", "--rho", "0.25", "--points", "8",
+                       "--json", "--out", "c.csv"],
+                      ["--rho", "--theta-min", "--theta-max"]),
+    "binary-thresholds": (["binary-thresholds", "--rho", "0.25", "--points",
+                           "256", "--out", "t.json"],
+                          ["--rho", "--theta-min", "--theta-max"]),
+    "gaussian-curves": (["gaussian-curves", "--lambdas", "1.5,0.5",
+                         "--points", "8", "--json", "--out", "g.csv"],
+                        ["--lambdas", "--gamma-min", "--gamma-max"]),
+    "gamma-star": (["gamma-star", "--lambdas", "1.5,0.5", "--out", "s.json"],
+                   ["--lambdas"]),
+    "capacity": (["capacity", "--channel", "ch.json", "--gamma", "0.5",
+                  "--out", "cap.json"], ["--gamma"]),
+    "rl-ot": (["rl-ot", "--source", "p.json", "--target", "p.json", "--cost",
+               "cost.json", "--rate", "0.1", "--out", "r.json"], ["--rate"]),
+    "uncoded-binary": (["simulate", "uncoded-binary", "--rho", "0.25",
+                        "--theta", "0.1", "--decoder", "0.03,0.1", "--seed",
+                        "1", "--samples", "64", "--out", "u.json"],
+                       ["--rho", "--theta", "--decoder"]),
+    "uncoded-gaussian": (["simulate", "uncoded-gaussian", "--lambdas",
+                          "1.5,0.5", "--gamma", "2", "--seed", "1",
+                          "--samples", "64", "--out", "u.json"],
+                         ["--lambdas", "--gamma"]),
+    "genie-hybrid": (["simulate", "genie-hybrid", "--rho", "0.25", "--theta",
+                      "0.1", "--delta1", "0.05", "--seed", "1", "--samples",
+                      "64", "--out", "u.json"],
+                     ["--rho", "--theta", "--delta1"]),
+    "block-hybrid": (["simulate", "block-hybrid", "--rho", "0.25", "--delta",
+                      "0.2", "--theta", "0.005", "--rate", "0.6", "--n", "4",
+                      "--codebooks", "1", "--seed", "1", "--samples", "64",
+                      "--out", "u.json"],
+                     ["--rho", "--delta", "--theta", "--rate", "--typ-delta"]),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cmd,flag", [(cmd, flag) for cmd, (_, flags)
+                                      in _FLOAT_FLAGS.items()
+                                      for flag in flags])
+def test_non_finite_float_flags_fail_or_write_strict_json(capsys, workdir,
+                                                          cmd, flag, value):
+    write_bsc("ch.json", 0.1)
+    write_marginal("p.json", [0.75, 0.25])
+    write_cost("cost.json", [[0, 1], [1, 0]])
+    argv, _ = _FLOAT_FLAGS[cmd]
+    # lists take the value as their first entry
+    text = value + ",0.5" if flag in ("--lambdas", "--decoder") else value
+    # flag=value, since argparse would read a bare -inf as an option
+    if flag in argv:
+        i = argv.index(flag)
+        argv = argv[:i] + argv[i + 2:]
+    argv = argv + [f"{flag}={text}"]
+    inputs = set(os.listdir("."))
+    code, _, _ = run(capsys, *argv)
+    assert code in (0, 1), argv
+    written = set(os.listdir(".")) - inputs
+    if code == 1:
+        assert written == set(), argv
+    for name in sorted(written):
+        if name.endswith(".json"):
+            with open(name, encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=_reject_constant)
 
 
 def test_bad_lambda_list_rejected(capsys, workdir):

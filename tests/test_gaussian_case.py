@@ -3,9 +3,11 @@
 Root-returning operations are checked by plugging roots back into their
 defining equations, and each curve is cross-checked against a route that
 shares no code with the implementation: the converse against a direct grid
-optimization of the per-component rate split, the waterfilling level
-against a piecewise closed form walked by active-set size, and the hybrid
-tail against the multiplicity-aware plateau expression.
+optimization of the per-component rate split, and the hybrid tail against
+the multiplicity-aware plateau expression. The waterfilling levels come in
+closed form, walked by active-set size as the `waterfill_closed` oracle is,
+so their independent route is the product and rate residual tests, which
+plug each level back into the equation it solves.
 """
 
 import math
@@ -212,6 +214,18 @@ def test_d_sep_values():
     assert d_sep(CFG, 1e6) < 1e-2
 
 
+def test_d_sep_matches_closed_form_on_spread_eigenvalues():
+    # a root solve on the level pins d_sep only to about 1e-11 relative
+    # here; the closed form lands within rounding of the oracle
+    lams = (2.0, 1.0, 1.0, 0.3, 0.05)
+    cfg = GaussianConfig(lams, (0.0,))
+    gammas = np.linspace(0.0, 500.0, 4096)
+    for gamma, val in zip(gammas.tolist(), d_sep(cfg, gammas).tolist()):
+        omega = waterfill_closed(lams, 0.5 * math.log2(gamma + 1.0))
+        want = 2.0 * math.fsum(min(omega, lam) for lam in lams)
+        assert val == pytest.approx(want, rel=1e-13)
+
+
 def test_d_sep_equal_eigenvalue_plateau():
     # with all eigenvalues tied the level has a closed power form
     cfg = GaussianConfig((1.0, 1.0), (0.0,))
@@ -324,8 +338,8 @@ def test_d_hybrid_at_full_digital_is_finite_and_above_floor():
         assert val >= d_lower(CFG, gamma) - 1e-9
 
 
-def test_hybrid_root_and_closed_paths_agree():
-    # the optimizer's piecewise evaluation against the root-solved one
+def test_hybrid_scan_never_worse_than_fixed_split():
+    # the optimized cost against the cost at a random fixed split
     rng = np.random.default_rng(19)
     for _ in range(30):
         lams = sorted(rng.uniform(0.05, 4.0, size=rng.integers(2, 6)),
@@ -333,9 +347,9 @@ def test_hybrid_root_and_closed_paths_agree():
         cfg = GaussianConfig(tuple(lams), (0.0,))
         gamma = float(rng.uniform(0.0, 20.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        via_root = d_hybrid_at(cfg, gamma, alpha)
+        fixed = d_hybrid_at(cfg, gamma, alpha)
         val, arg = d_hybrid(cfg, gamma)
-        assert val <= via_root + 1e-9
+        assert val <= fixed + 1e-9
         # spot agreement at the returned argmin
         assert d_hybrid_at(cfg, gamma, arg) == pytest.approx(val, abs=1e-9)
 

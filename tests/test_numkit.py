@@ -1,5 +1,6 @@
 import decimal
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import optimize
 
+import cot_lab
 from cot_lab.numkit import (BracketError, MaxIterError, Tolerance, bconv,
                             binary_entropy, binary_entropy_inv, find_root,
                             minimize_1d)
@@ -324,8 +326,10 @@ def test_find_root_bit_identical_to_brentq(family):
 def test_numkit_imports_no_scipy():
     code = ("import sys, cot_lab.numkit; "
             "print('scipy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
 
 
