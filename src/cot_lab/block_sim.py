@@ -39,9 +39,13 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
-# largest blocks x messages float64 table of the exact path (encoder weights,
-# decoder log-likelihoods); a few such tables are alive at once
+# largest blocks x messages float64 table: the exact path's encoder weights,
+# decoder tables and contractions, or the sampled encoder weights of all
+# threads together; a few such tables are alive at once
 _ENUM_BYTES = 2 ** 28
+# most sampled blocks one decoder call takes; longer lists are decoded in
+# slices, since the log-likelihood lanes keep several tables alive
+_DECODE_ROWS = 1 << 12
 # proposals the plug-in coupling may draw for one residual sample
 _PLUGIN_TRIES = 100000
 # largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
@@ -133,6 +137,12 @@ def _chunks(total: int):
         start += _CHUNK
 
 
+def _pool_size(sim: SimConfig) -> int:
+    """Threads that run the chunks: past the chunk or core count they would
+    only wait."""
+    return min(sim.workers, -(-sim.samples // _CHUNK), os.cpu_count() or 1)
+
+
 def _run_chunks(fn, sim: SimConfig, stream: int) -> List[tuple]:
     """Evaluate fn(rng, count) for every chunk; results come back in chunk
     order regardless of the worker count."""
@@ -142,8 +152,7 @@ def _run_chunks(fn, sim: SimConfig, stream: int) -> List[tuple]:
         idx, count = job
         return fn(_rng(sim.seed, stream, idx), count)
 
-    # threads past the chunk or core count would only wait
-    threads = min(sim.workers, len(jobs), os.cpu_count() or 1)
+    threads = _pool_size(sim)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(work, jobs))
@@ -480,35 +489,104 @@ def _encoder_weights(cfg: BlockCodeConfig, code: np.ndarray,
     return weights
 
 
-def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
-                   pvz: np.ndarray, v_blocks: np.ndarray):
-    """Typicality decoder with maximum-likelihood fallback.
+def _pairwise_sum(term, n: int):
+    """term(0) + ... + term(n - 1), added elementwise in the order numpy's
+    pairwise summation adds a contiguous row of n values, so the result
+    equals stacking the terms on a last axis and calling .sum(axis=-1):
+    in sequence below 8 terms, in 8 interleaved lanes up to 128, and by
+    halves (cut at a multiple of 8) past that."""
+    if n < 8:
+        total = term(0)
+        for t in range(1, n):
+            total = total + term(t)
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return (_pairwise_sum(term, half)
+                + _pairwise_sum(lambda t: term(half + t), n - half))
+    full = n - n % 8
 
-    Returns the decoded message of every received block (row of v_blocks)
-    and whether typicality failed to single out one message for it."""
+    def lane(k):
+        acc = term(k)
+        for t in range(k + 8, full, 8):
+            acc = acc + term(t)
+        return acc
+
+    total = (((lane(0) + lane(1)) + (lane(2) + lane(3)))
+             + ((lane(4) + lane(5)) + (lane(6) + lane(7))))
+    for t in range(full, n):
+        total = total + term(t)
+    return total
+
+
+def _sum_rows(table: np.ndarray) -> np.ndarray:
+    """Rows of a 2-D table added one after another, as a running total
+    adds them (numpy would sum a single column pairwise)."""
+    if table.shape[1] > 1:
+        return table.sum(axis=0)
+    return np.cumsum(table[:, 0])[-1:]
+
+
+def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
+                   pvz: np.ndarray, v_blocks: Optional[np.ndarray] = None):
+    """Typicality decoder with maximum-likelihood fallback, over every
+    message at once.
+
+    Returns the decoded message of every received block (row of v_blocks,
+    or every output block in enumeration order when v_blocks is None) and
+    whether typicality failed to single out one message for it."""
+    if v_blocks is not None and len(v_blocks) > _DECODE_ROWS:
+        # blocks decode independently; slices bound the messages x blocks
+        # tables the log-likelihood lanes keep alive
+        parts = [_decode_tables(cfg, code, pvz, v_blocks[i:i + _DECODE_ROWS])
+                 for i in range(0, len(v_blocks), _DECODE_ROWS)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     n = cfg.n
     msgs = code.shape[0]
     nz, nv = pvz.shape
-    nblocks = v_blocks.shape[0]
-    npairs = nz * nv
-    rows = np.arange(nblocks)
+    enumerated = v_blocks is None
+    if enumerated:
+        v_blocks = _enumerate_blocks(n, nv)
 
-    typical = np.empty((msgs, nblocks), dtype=bool)
-    loglik = np.empty((msgs, nblocks))
-    with np.errstate(divide="ignore"):
-        logpvz = np.log(pvz)
+    # joint-type counts of every (message, block) pair as one-hot products;
+    # they are exact integers in float64, so the deviation is the same as
+    # from integer counts
     flat_target = (cfg.code_marginal.probs[:, None] * pvz).ravel()
-    for m in range(msgs):
-        pair = code[m][None, :] * nv + v_blocks  # (nblocks, n)
-        counts = np.bincount(
-            (rows[:, None] * npairs + pair).ravel(),
-            minlength=nblocks * npairs).reshape(nblocks, npairs)
-        dev = np.abs(counts / n - flat_target[None, :]).max(axis=1)
-        typical[m] = dev <= cfg.typ_delta
-        loglik[m] = logpvz[code[m][None, :], v_blocks].sum(axis=1)
+    v_hot = [(v_blocks == v).T.astype(float) for v in range(nv)]
+    dev = np.zeros((msgs, v_blocks.shape[0]))
+    counts = np.empty_like(dev)
+    for z in range(nz):
+        z_hot = (code == z).astype(float)
+        for v in range(nv):
+            np.matmul(z_hot, v_hot[v], out=counts)
+            counts /= n
+            counts -= flat_target[z * nv + v]
+            np.abs(counts, out=counts)
+            np.maximum(dev, counts, out=dev)
+    del counts
+    typical = dev <= cfg.typ_delta
+    del dev
     matches = typical.sum(axis=0)
     first = typical.argmax(axis=0)
-    fallback = loglik.argmax(axis=0)
+    del typical
+
+    # log-likelihood summed over positions in the order a row sum adds
+    # them. On the enumeration each position's term broadcasts over its own
+    # block axis; the axes run from the last position to the first, so the
+    # late, large sums add long contiguous runs
+    with np.errstate(divide="ignore"):
+        logpvz = np.log(pvz)
+    if enumerated:
+        def term(t):
+            return logpvz[code[:, t]].reshape(
+                (msgs,) + (1,) * (n - 1 - t) + (nv,) + (1,) * t)
+    else:
+        def term(t):
+            return logpvz[code[:, t]][:, v_blocks[:, t]]
+    fallback = _pairwise_sum(term, n).reshape(msgs, -1).argmax(axis=0)
+    if enumerated:
+        # back to enumeration order, first position most significant
+        fallback = fallback.reshape((nv,) * n).T.ravel()
     typ_fail = matches != 1
     decode = np.where(typ_fail, fallback, first)
     return decode, typ_fail
@@ -516,7 +594,8 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
 
 def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     """Exact decode map, block laws, total variation, and error probability
-    for one codebook, by axis-at-a-time tensor contraction."""
+    for one codebook, contracting one block axis at a time for every
+    message at once."""
     n = cfg.n
     msgs = code.shape[0]
     nx = len(cfg.source)
@@ -524,41 +603,59 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     ny = len(cfg.target)
 
     qv, pvz = _symbol_kernels(cfg)
-    x_blocks = _enumerate_blocks(n, nx)
-    v_blocks = _enumerate_blocks(n, nv)
+    decode, typ_fail = _decode_tables(cfg, code, pvz)
 
-    decode, typ_fail = _decode_tables(cfg, code, pvz, v_blocks)
-
-    # encoder posterior weights over the whole source space; the sum over
-    # messages runs on a messages-major copy so it adds them in order
-    px_n = _product_law(cfg.source.probs, x_blocks)
-    w = np.ascontiguousarray(_encoder_weights(cfg, code, x_blocks).T)
-    wtot = w.sum(axis=0)
+    # encoder posterior over the whole source space, messages x blocks.
+    # Each position appends a block axis one symbol at a time, so the
+    # factors multiply in position order as the sampled encoder's do; the
+    # sum over messages adds them in order
+    table = np.ones((msgs, 1))
+    for t in range(n):
+        factor = cfg.x_given_z[code[:, t]]
+        wider = np.empty((msgs, table.shape[1], nx))
+        for j in range(nx):
+            np.multiply(table, factor[:, j:j + 1], out=wider[:, :, j])
+        table = wider.reshape(msgs, -1)
+    px_n = _product_law(cfg.source.probs, _enumerate_blocks(n, nx))
+    wtot = table.sum(axis=0)
     uncovered = wtot <= 0.0
+    table *= px_n
+    table /= np.where(uncovered, 1.0, wtot)
     # blocks no codeword can produce get the uniform message, matching the
     # sampling path's convention
-    beta = np.where(uncovered[None, :], px_n[None, :] / msgs,
-                    px_n[None, :] * w / np.where(uncovered, 1.0, wtot))
+    table[:, uncovered] = px_n[uncovered] / msgs
 
-    p_v = np.zeros(v_blocks.shape[0])
+    # each step maps the leading source axis of every message's tensor to
+    # a trailing output axis, as tensordot over axis 0 would
+    kernels = np.swapaxes(qv, 0, 1)[code]
+    if nv == 1:
+        # each kernel is then a BLAS vector, and gemv adds a strided vector
+        # in another order than a contiguous one; read every kernel at the
+        # stride its slice of qv has, as a per-message contraction would
+        strided = np.zeros(kernels.shape[:-1] + (qv.shape[1],))
+        strided[..., :1] = kernels
+        kernels = strided[..., :1]
+    for t in range(n):
+        table = np.matmul(table.reshape(msgs, nx, -1).transpose(0, 2, 1),
+                          kernels[:, t])
+    table = table.reshape(msgs, -1)
+    p_v = _sum_rows(table)
     msg_error = 0.0
     for m in range(msgs):
-        tensor = beta[m].reshape((nx,) * n)
-        for t in range(n):
-            tensor = np.tensordot(tensor, qv[:, code[m, t], :], axes=(0, 0))
-        flat = tensor.reshape(-1)
-        p_v += flat
         # the fallback defines the decoder output, so only a wrong final
         # message counts as an error
-        msg_error += float(flat[decode != m].sum())
+        msg_error += float(table[m][decode != m].sum())
+    del table
 
-    p_yhat = np.zeros(ny ** n)
-    for mhat in np.unique(decode):
-        masked = np.where(decode == mhat, p_v, 0.0).reshape((nv,) * n)
-        for t in range(n):
-            masked = np.tensordot(masked, cfg.dec_cond[code[mhat, t]],
-                                  axes=(0, 0))
-        p_yhat += masked.reshape(-1)
+    mhats = np.unique(decode)
+    table = np.where(decode == mhats[:, None], p_v, 0.0)
+    kernels = cfg.dec_cond[code[mhats]]
+    for t in range(n):
+        table = np.matmul(
+            table.reshape(len(mhats), nv, -1).transpose(0, 2, 1),
+            kernels[:, t])
+    p_yhat = _sum_rows(table.reshape(len(mhats), -1))
+    del table
 
     p_target = _product_law(cfg.target.probs, _enumerate_blocks(n, ny))
 
@@ -701,7 +798,9 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     exact = all(cfg.n * math.log2(k) <= _ENUM_BITS + 1e-9
                 for k in (nx, nv, ny))
     msgs = cfg.codebook_size
-    table = 8 * msgs * max(nx, nv) ** cfg.n if exact else 0
+    # the exact laws run every message at once over the source, output and
+    # reconstruction spaces
+    table = 8 * msgs * max(nx, nv, ny) ** cfg.n if exact else 0
     if table > _ENUM_BYTES:
         raise BudgetExceeded(
             f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
@@ -712,6 +811,15 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
         raise BudgetExceeded(
             f"{sim.samples} blocks of length {cfg.n} exceed the "
             f"{_ENUM_BYTES / 2 ** 20:.0f} MiB sample budget")
+    # each thread draws a chunk's messages from a chunk x messages table of
+    # encoder weights (and its running sums), on either path
+    rows = min(sim.samples, _CHUNK)
+    weights = 8 * msgs * rows * _pool_size(sim)
+    if weights > _ENUM_BYTES:
+        raise BudgetExceeded(
+            f"sampling needs {weights / 2 ** 20:.0f} MiB of encoder weights "
+            f"({rows} blocks x {msgs} messages per thread), over the "
+            f"{_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 
     draws = []

@@ -14,6 +14,7 @@ failures (lost brackets, iteration overflow, solver divergence).
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -32,8 +33,11 @@ MAX_POINTS = 2 ** 14
 # most samples of one simulation: about 30,000 chunks of 2^15
 MAX_SAMPLES = 10 ** 9
 # most codebooks of one block-hybrid run: each is one exact-law enumeration,
-# about 0.4 s at n = 12, so a run stays under about 7 min there
+# about 0.08 s at n = 12, so a run's laws take under about 1.5 min there
 MAX_CODEBOOKS = 2 ** 10
+# longest block-hybrid blocklength: the 24-bit enumeration budget over the
+# 4-symbol codeword alphabet of the binary separation candidate
+MAX_BLOCK_N = 12
 
 
 class _UsageError(Exception):
@@ -130,9 +134,19 @@ def _emit_result(result: dict, args, argv, inputs: dict, t0, seed=None,
 
 # ----------------------------------------------------------- subcommands
 
+def _check_finite(args, *names):
+    """Refuse non-finite grid bounds before numpy builds a grid from them."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+
+
 def _cmd_binary_curves(args, argv, t0):
     import numpy as np
     from .binary_case import BinaryConfig, binary_curves
+    _check_finite(args, "theta_min", "theta_max")
     grid = np.linspace(args.theta_min, args.theta_max, args.points)
     table = binary_curves(BinaryConfig(args.rho, tuple(grid)))
     inputs = {"rho": args.rho, "theta_min": args.theta_min,
@@ -143,6 +157,7 @@ def _cmd_binary_curves(args, argv, t0):
 def _cmd_binary_thresholds(args, argv, t0):
     import numpy as np
     from .binary_case import BinaryConfig, thresholds
+    _check_finite(args, "theta_min", "theta_max")
     grid = np.linspace(args.theta_min, args.theta_max, args.points)
     events = thresholds(BinaryConfig(args.rho, tuple(grid)))
     result = {"rho": args.rho,
@@ -159,11 +174,14 @@ def _cmd_gaussian_curves(args, argv, t0):
     import numpy as np
     from .gaussian_case import GaussianConfig, gaussian_curves
     lams = _parse_floats(args.lambdas)
+    _check_finite(args, "gamma_min", "gamma_max")
     if args.linear_grid:
         grid = np.linspace(args.gamma_min, args.gamma_max, args.points)
     else:
-        if args.gamma_min <= 0.0:
-            raise ValueError("gamma-min must be positive on a log grid")
+        for flag in ("gamma_min", "gamma_max"):
+            if getattr(args, flag) <= 0.0:
+                raise ValueError(f"{flag.replace('_', '-')} must be positive "
+                                 "on a log grid")
         grid = np.logspace(np.log10(args.gamma_min),
                            np.log10(args.gamma_max), args.points)
     table = gaussian_curves(GaussianConfig(tuple(lams), tuple(grid)))
@@ -528,7 +546,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--theta", type=float, required=True)
     q.add_argument("--rate", type=float, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int_in(1, MAX_BLOCK_N), required=True)
     q.add_argument("--typ-delta", type=float, default=0.1)
     q.add_argument("--codebooks", type=_int_in(1, MAX_CODEBOOKS),
                    default=32)

@@ -2,10 +2,12 @@
 
 Sampled means are compared against the closed-form curves they estimate;
 exact per-codebook laws are checked against a brute-force enumeration that
-shares no code with the tensor-contraction route. Every simulator is also
-checked for bit-identical output across worker counts.
+shares no code with the tensor-contraction route, and bit for bit against a
+per-message loop that contracts one message at a time. Every simulator is
+also checked for bit-identical output across worker counts.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -20,7 +22,12 @@ from cot_lab.block_sim import (
     SimConfig,
     SimReport,
     _codebook_laws,
+    _decode_tables,
+    _enumerate_blocks,
     _generate_phase,
+    _pairwise_sum,
+    _product_law,
+    _symbol_kernels,
     binary_separation_block_config,
     sim_block_hybrid,
     sim_genie_hybrid_binary,
@@ -431,6 +438,165 @@ def test_exact_laws_match_brute_force_enumeration():
     assert abs(laws.msg_error - err) < 1e-12
 
 
+def _loop_decode_tables(cfg, code, pvz, v_blocks):
+    """Reference decoder, one message at a time: integer joint-type counts
+    by bincount and a row-summed log-likelihood per message."""
+    n = cfg.n
+    msgs = code.shape[0]
+    nz, nv = pvz.shape
+    nblocks = v_blocks.shape[0]
+    npairs = nz * nv
+    rows = np.arange(nblocks)
+    typical = np.empty((msgs, nblocks), dtype=bool)
+    loglik = np.empty((msgs, nblocks))
+    with np.errstate(divide="ignore"):
+        logpvz = np.log(pvz)
+    flat_target = (cfg.code_marginal.probs[:, None] * pvz).ravel()
+    for m in range(msgs):
+        pair = code[m][None, :] * nv + v_blocks
+        counts = np.bincount(
+            (rows[:, None] * npairs + pair).ravel(),
+            minlength=nblocks * npairs).reshape(nblocks, npairs)
+        dev = np.abs(counts / n - flat_target[None, :]).max(axis=1)
+        typical[m] = dev <= cfg.typ_delta
+        loglik[m] = logpvz[code[m][None, :], v_blocks].sum(axis=1)
+    typ_fail = typical.sum(axis=0) != 1
+    decode = np.where(typ_fail, loglik.argmax(axis=0),
+                      typical.argmax(axis=0))
+    return decode, typ_fail
+
+
+def _loop_codebook_laws(cfg, code):
+    """Reference exact laws: each message's tensor is contracted on its own
+    with tensordot and the messages are added one after another."""
+    n = cfg.n
+    msgs = code.shape[0]
+    nx = len(cfg.source)
+    nv = len(cfg.channel.output_alphabet)
+    ny = len(cfg.target)
+    qv, pvz = _symbol_kernels(cfg)
+    x_blocks = _enumerate_blocks(n, nx)
+    v_blocks = _enumerate_blocks(n, nv)
+    decode, typ_fail = _loop_decode_tables(cfg, code, pvz, v_blocks)
+
+    px_n = _product_law(cfg.source.probs, x_blocks)
+    w = np.ones((msgs, x_blocks.shape[0]))
+    for t in range(n):
+        w *= cfg.x_given_z[code[:, t]][:, x_blocks[:, t]]
+    wtot = w.sum(axis=0)
+    uncovered = wtot <= 0.0
+    beta = np.where(uncovered[None, :], px_n[None, :] / msgs,
+                    px_n[None, :] * w / np.where(uncovered, 1.0, wtot))
+
+    p_v = np.zeros(v_blocks.shape[0])
+    msg_error = 0.0
+    for m in range(msgs):
+        tensor = beta[m].reshape((nx,) * n)
+        for t in range(n):
+            tensor = np.tensordot(tensor, qv[:, code[m, t], :], axes=(0, 0))
+        flat = tensor.reshape(-1)
+        p_v += flat
+        msg_error += float(flat[decode != m].sum())
+
+    p_yhat = np.zeros(ny ** n)
+    for mhat in np.unique(decode):
+        masked = np.where(decode == mhat, p_v, 0.0).reshape((nv,) * n)
+        for t in range(n):
+            masked = np.tensordot(masked, cfg.dec_cond[code[mhat, t]],
+                                  axes=(0, 0))
+        p_yhat += masked.reshape(-1)
+    p_target = _product_law(cfg.target.probs, _enumerate_blocks(n, ny))
+    tv = 0.5 * float(np.abs(p_yhat - p_target).sum())
+    return decode, typ_fail, p_v, p_yhat, tv, msg_error
+
+
+def assert_laws_equal_loop(cfg, code):
+    laws = _codebook_laws(cfg, code)
+    decode, typ_fail, p_v, p_yhat, tv, msg_error = \
+        _loop_codebook_laws(cfg, code)
+    assert np.array_equal(laws.decode_map, decode)
+    assert np.array_equal(laws.typ_fail, typ_fail)
+    assert np.array_equal(laws.p_v, p_v)
+    assert np.array_equal(laws.p_yhat, p_yhat)
+    assert laws.tv_to_target == tv
+    assert laws.msg_error == msg_error
+
+
+def _random_config(rng, nx, nz, nu, nv, ny, n, rate):
+    """Random exact-path configuration; cubed entries put some kernel
+    probabilities near zero."""
+    def stochastic(shape):
+        a = rng.random(shape) ** 3
+        return a / a.sum(axis=-1, keepdims=True)
+
+    def names(k, prefix):
+        return tuple(f"{prefix}{i}" for i in range(k))
+
+    pz = stochastic((nz,))
+    xz = stochastic((nz, nx))
+    return BlockCodeConfig(
+        n=n, rate=rate, source=DiscreteDistribution(names(nx, "x"), pz @ xz),
+        code_marginal=DiscreteDistribution(names(nz, "z"), pz),
+        x_given_z=xz, u_given_xz=stochastic((nx, nz, nu)),
+        channel=DiscreteChannel(names(nu, "u"), names(nv, "v"),
+                                stochastic((nu, nv))),
+        dec_cond=stochastic((nz, nv, ny)),
+        target=DiscreteDistribution(names(ny, "y"), stochastic((ny,))),
+        dist=rng.random((nx, ny)), typ_delta=float(rng.uniform(0.05, 0.4)))
+
+
+@pytest.mark.parametrize("n", list(range(1, 25)) + [129, 136, 300])
+def test_pairwise_sum_matches_numpy_row_sum(n):
+    # the decoder's fallback argmax depends on the last bit of each
+    # log-likelihood, so the lane order must be numpy's own
+    rng = np.random.default_rng(n)
+    rows = (rng.standard_normal((400, n))
+            * 10.0 ** rng.integers(-8, 9, (400, n)))
+    rows[rng.random((400, n)) < 0.03] = -np.inf
+    assert np.array_equal(_pairwise_sum(lambda t: rows[:, t], n),
+                          rows.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batched_laws_equal_per_message_loop(n):
+    cfg = candidate(n, codebooks=1)
+    code = np.random.default_rng(n).integers(0, 4, (cfg.codebook_size, n))
+    assert_laws_equal_loop(cfg, code)
+
+
+@pytest.mark.parametrize("sizes", [
+    (3, 2, 3, 5, 3, 3), (5, 3, 2, 4, 2, 2), (2, 3, 2, 2, 5, 4),
+    # one channel output: every kernel is a column vector
+    (5, 4, 2, 1, 3, 3),
+    # one target symbol: the reconstruction law has a single entry
+    (2, 4, 2, 3, 1, 3)])
+def test_batched_laws_equal_loop_on_wide_alphabets(sizes):
+    nx, nz, nu, nv, ny, n = sizes
+    rng = np.random.default_rng(sum(sizes))
+    cfg = _random_config(rng, nx, nz, nu, nv, ny, n, 2.0)
+    code = rng.integers(0, nz, (cfg.codebook_size, n))
+    assert cfg.codebook_size > 8
+    assert_laws_equal_loop(cfg, code)
+
+
+def test_decoder_routes_agree_on_every_block(monkeypatch):
+    # the enumeration broadcasts each position's term over its block axis,
+    # sampled rows gather it and are decoded in slices; all three agree
+    cfg = candidate(10, codebooks=1, typ=0.1)
+    code = block_sim._cdf_draw(
+        np.random.default_rng(3).random((cfg.codebook_size, 10)),
+        np.cumsum(cfg.code_marginal.probs))
+    _, pvz = _symbol_kernels(cfg)
+    blocks = _enumerate_blocks(10, 2)
+    enumerated = _decode_tables(cfg, code, pvz)
+    rows = _decode_tables(cfg, code, pvz, blocks)
+    monkeypatch.setattr(block_sim, "_DECODE_ROWS", 100)
+    sliced = _decode_tables(cfg, code, pvz, blocks)
+    for got in (rows, sliced):
+        assert all(np.array_equal(a, b) for a, b in zip(enumerated, got))
+    assert enumerated[1].any() and not enumerated[1].all()
+
+
 def test_decode_routes_agree():
     # the tabulated decode map and decoding each sampled block directly are
     # one decoder, so the sampled phase must not depend on the route
@@ -458,6 +624,7 @@ def test_exact_laws_conserve_mass_and_handle_uncovered_blocks():
         target=src, dist=1.0 - np.eye(2))
     code = np.array([[0, 0], [0, 0]])
     laws = _codebook_laws(cfg, code)
+    assert_laws_equal_loop(cfg, code)
     assert abs(laws.p_v.sum() - 1.0) < 1e-12
     assert abs(laws.p_yhat.sum() - 1.0) < 1e-12
     assert 0.0 <= laws.msg_error <= 1.0
@@ -634,3 +801,59 @@ def test_block_byte_budget_stops_before_any_table(monkeypatch):
     assert cfg.codebook_size == 1024
     with pytest.raises(BudgetExceeded, match="8192 MiB"):
         sim_block_hybrid(cfg, SimConfig(0, 16))
+
+
+def _forbid_codebook_draws(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("codebook drawn")
+
+    monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
+
+
+def test_block_sample_weights_budget_stops_before_any_codebook(monkeypatch):
+    # the sampled phase holds a chunk x messages table of encoder weights
+    # per thread; the gate counts it before the first codebook is drawn
+    _forbid_codebook_draws(monkeypatch)
+    cfg = candidate(8, codebooks=1)
+    weights = 8 * cfg.codebook_size * 1000
+    # the exact table and the sample rows fit either budget below
+    assert max(8 * 1000 * 8, 8 * cfg.codebook_size * 2 ** 8) < weights - 1
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", weights)
+    with pytest.raises(AssertionError, match="codebook drawn"):
+        sim_block_hybrid(cfg, SimConfig(0, 1000))
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", weights - 1)
+    with pytest.raises(BudgetExceeded, match="encoder weights"):
+        sim_block_hybrid(cfg, SimConfig(0, 1000))
+
+
+def test_block_sample_weights_budget_counts_threads(monkeypatch):
+    _forbid_codebook_draws(monkeypatch)
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 4)
+    cfg = candidate(8, codebooks=1)
+    chunk = block_sim._CHUNK
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * cfg.codebook_size * chunk)
+    with pytest.raises(AssertionError, match="codebook drawn"):
+        sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, 1))
+    with pytest.raises(BudgetExceeded, match="encoder weights"):
+        sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, 2))
+    # one chunk runs on one thread whatever the worker count
+    with pytest.raises(AssertionError, match="codebook drawn"):
+        sim_block_hybrid(cfg, SimConfig(0, chunk, 2))
+
+
+def test_block_plugin_path_sample_weights_budget(monkeypatch):
+    # the plug-in path has no exact table, so this gate alone bounds its
+    # messages, which rate sets without an upper limit
+    _forbid_codebook_draws(monkeypatch)
+    cfg = dataclasses.replace(_wide_alphabet_config(), rate=1.0)
+    assert cfg.codebook_size == 512
+    with pytest.raises(AssertionError, match="codebook drawn"):
+        sim_block_hybrid(cfg, SimConfig(0, 1000))
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 512 * 1000 - 1)
+    with pytest.raises(BudgetExceeded, match="encoder weights"):
+        sim_block_hybrid(cfg, SimConfig(0, 1000))
+    # 2^40 messages: 8 TiB of weights for a 16-sample chunk
+    huge = dataclasses.replace(_wide_alphabet_config(), rate=40 / 9)
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 2 ** 28)
+    with pytest.raises(BudgetExceeded, match="encoder weights"):
+        sim_block_hybrid(huge, SimConfig(0, 16))

@@ -2,16 +2,18 @@
 contents, rerun determinism, JSON side files, and the plot-script layouts."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import cot_lab
-from cot_lab import __version__, block_sim, infokit, numkit
+from cot_lab import __version__, block_sim, cli, infokit, numkit
 from cot_lab.binary_case import CURVE_COLUMNS, d_uncoded
 from cot_lab.cli import emit_plot_script, main
 from cot_lab.gaussian_case import GAUSSIAN_COLUMNS
@@ -140,6 +142,67 @@ def test_block_samples_over_byte_budget_rejected(capsys, workdir):
     assert "MiB" in err
     assert time.perf_counter() - t0 < 1.0
     assert os.listdir(".") == []
+
+
+def test_block_n_out_of_range_rejected_at_parse_time(capsys, workdir):
+    # 12 symbols of the 4-letter codeword alphabet fill the 24-bit budget
+    assert cli.MAX_BLOCK_N == block_sim._ENUM_BITS / math.log2(4)
+    for n in ("0", "-3", "13"):
+        code, _, err = run(capsys, "simulate", "block-hybrid", "--rho",
+                           "0.25", "--delta", "0.2", "--theta", "0.005",
+                           "--rate", "0.6", "--n", n, "--seed", "7",
+                           "--samples", "16", "--out", "r.json")
+        assert code == 1, n
+        assert "--n" in err and "[1, 12]" in err
+    assert os.listdir(".") == []
+
+
+def test_block_sample_weights_over_budget_rejected(capsys, workdir,
+                                                   monkeypatch):
+    # 3770 messages at n = 12: a full chunk of encoder weights is 942 MiB
+    def no_draws(*args):
+        raise AssertionError("codebook drawn past the weights budget")
+
+    monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
+    code, _, err = run(capsys, "simulate", "block-hybrid", "--rho", "0.25",
+                       "--delta", "0.2", "--theta", "0.0001", "--rate",
+                       "0.99", "--n", "12", "--codebooks", "1", "--seed",
+                       "7", "--samples", str(2 ** 15), "--out", "r.json")
+    assert code == 1
+    assert "942 MiB of encoder weights" in err
+    assert os.listdir(".") == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["binary-curves", "--rho", "0.25", "--out", "c.csv"], "--theta-min"),
+    (["binary-curves", "--rho", "0.25", "--out", "c.csv"], "--theta-max"),
+    (["binary-thresholds", "--rho", "0.25"], "--theta-min"),
+    (["binary-thresholds", "--rho", "0.25"], "--theta-max"),
+    (["gaussian-curves", "--lambdas", "1.5,0.5", "--out", "g.csv"],
+     "--gamma-min"),
+    (["gaussian-curves", "--lambdas", "1.5,0.5", "--out", "g.csv"],
+     "--gamma-max"),
+    (["gaussian-curves", "--lambdas", "1.5,0.5", "--linear-grid", "--out",
+      "g.csv"], "--gamma-max")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_grid_bounds_rejected_before_the_grid(
+        capsys, workdir, argv, flag, value):
+    # numpy would warn while building a grid from them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 1
+    assert f"{flag} must be finite" in err
+    assert os.listdir(".") == []
+
+
+def test_log_grid_needs_positive_upper_budget(capsys, workdir):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "gaussian-curves", "--lambdas", "1.5,0.5",
+                           "--gamma-max", "0", "--out", "g.csv")
+    assert code == 1
+    assert "gamma-max must be positive" in err
 
 
 def test_numerical_failure_maps_to_exit_2(capsys, workdir, monkeypatch):
