@@ -21,7 +21,7 @@ class BracketError(ValueError):
 
 
 class MaxIterError(RuntimeError):
-    """Iteration budget exhausted before reaching the requested tolerance."""
+    """Step budget exhausted before the solver's stopping rule was met."""
 
 
 class SinkhornDivergence(RuntimeError):

@@ -13,13 +13,12 @@ schemes. Scalar helpers cover the mismatched single-component case.
 
 Means play no role in any curve: with matched source and reconstruction
 laws the mean terms cancel from the squared loss, so everything here is
-zero-mean and the covariance ingestion helper simply discards the mean
-after checking its shape.
+zero-mean and the covariance ingestion helper takes no mean.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +53,6 @@ def _check_gamma(gamma):
     if np.any(np.isinf(g)):
         raise ValueError("gamma must be finite")
     return float_or_array(g)
-
-
-def _check_alpha(alpha) -> float:
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    return a
 
 
 def _budget_rate(gamma):
@@ -255,22 +247,6 @@ def d_uncoded(config: GaussianConfig, gamma):
 
 # --------------------------------------------------------------- hybrid
 
-def omega_hybrid(config: GaussianConfig, gamma: float,
-                 alpha: float) -> Tuple[float, List[float]]:
-    """Waterfilling level for the digitally coded tail of the hybrid scheme.
-
-    With fraction alpha of the power assigned to the digital part, omega is
-    the unique level in (0, lambda_2] where the tail product
-    prod_{l>=2} lam_l / (omega ^ lam_l) meets (gamma+1)/((1-alpha)*gamma+1).
-    Returns omega and the per-component tail distortions.
-    """
-    g = _check_gamma(gamma)
-    a = _check_alpha(alpha)
-    tail = config.lambdas[1:]
-    omega, _ = _waterfill(tail, (g + 1.0) / ((1.0 - a) * g + 1.0))
-    return float(omega), np.minimum(omega, tail).tolist()
-
-
 def _hybrid_grid(lams: Sequence[float], gamma, alphas) -> np.ndarray:
     """Hybrid cost at every (gamma, alpha) pair, broadcasting the two: the
     analog head term plus the closed-form waterfilling of the coded tail."""
@@ -278,14 +254,6 @@ def _hybrid_grid(lams: Sequence[float], gamma, alphas) -> np.ndarray:
     head = (1.0 - np.sqrt(x / (x + 1.0))) * lams[0]
     _, total = _waterfill(lams[1:], (gamma + 1.0) / (x + 1.0))
     return 2.0 * (head + total)
-
-
-def d_hybrid_at(config: GaussianConfig, gamma: float, alpha: float) -> float:
-    """Hybrid cost at a fixed digital power fraction: analog head term plus
-    twice the coded-tail distortions of omega_hybrid."""
-    g = _check_gamma(gamma)
-    a = _check_alpha(alpha)
-    return float(_hybrid_grid(config.lambdas, g, a))
 
 
 def d_hybrid(config: GaussianConfig, gamma):
@@ -380,25 +348,16 @@ def toy_gaussian_sep(gamma: float, mu_x: float = 0.0, sigma_x: float = 1.0,
 
 # ------------------------------------------------------- matrix ingestion
 
-def config_from_covariance(cov, gamma_grid,
-                           mean: Optional[Sequence[float]] = None
-                           ) -> GaussianConfig:
+def config_from_covariance(cov, gamma_grid) -> GaussianConfig:
     """Build a config from a full covariance matrix.
 
     The matrix must be symmetric (infinity-norm asymmetry at most 1e-9) and
     positive definite; its eigenvalues, sorted descending, become the config.
-    A mean vector is accepted for interface completeness and only checked
-    for shape: matched source and reconstruction laws make the mean cancel
-    from every curve.
     """
     sig = np.asarray(cov, dtype=float)
     if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
         raise ValueError("covariance must be a square matrix")
     if float(np.max(np.abs(sig - sig.T))) > 1e-9:
         raise ValueError("covariance must be symmetric")
-    if mean is not None:
-        mvec = np.asarray(mean, dtype=float)
-        if mvec.shape != (sig.shape[0],):
-            raise ValueError("mean length must match covariance size")
     vals = np.linalg.eigvalsh(sig)[::-1]
     return GaussianConfig(tuple(float(v) for v in vals), tuple(gamma_grid))

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import MaxIterError, SinkhornDivergence
-from .numkit import Tolerance, find_root
+from .numkit import find_root
 
 _PROB_TOL = 1e-9
 _MARGINAL_TOL = 1e-8
@@ -219,9 +219,12 @@ def maximal_coupling(p: DiscreteDistribution,
 
 # ---------------------------------------------------------------- capacity
 
-# the multiplier of a budgeted step is pinned to float precision, so a tilted
-# input law spends its budget to within rounding
-_MULTIPLIER_TOL = Tolerance(abs_tol=1e-300, rel_tol=1e-300)
+# Blahut-Arimoto's stop: this dual gap within _BA_MAX_ITER steps, which are
+# cheap but contract slowly near the optimum
+_BA_GAP = 1e-12 + 1e-10
+_BA_MAX_ITER = 20000
+# most doublings of the cost multiplier's bracket
+_MAX_DOUBLINGS = 200
 
 
 def _tilt(a, cost, s):
@@ -232,31 +235,33 @@ def _tilt(a, cost, s):
     return p / p.sum()
 
 
-def _budget_multiplier(a, cost, gamma, tol):
+def _budget_multiplier(a, cost, gamma):
     """Smallest s >= 0 whose tilt _tilt(a, cost, s) spends at most gamma:
     0 when s = 0 already does, else the root of E[c] = gamma. The spend
-    falls in s, so doubling from 1 brackets the root."""
+    falls in s, so doubling from 1 brackets the root. The root is pinned to
+    float precision, so a tilted input law spends its budget to within
+    rounding."""
     def over(s):
         return _tilt(a, cost, s) @ cost - gamma
 
     if over(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_DOUBLINGS):
         if over(hi) <= 0.0:
-            return float(find_root(over, lo, hi, _MULTIPLIER_TOL))
+            return float(find_root(over, lo, hi, xtol=1e-300, rtol=1e-300))
         lo, hi = hi, 2.0 * hi
     raise MaxIterError("cost multiplier bracket did not close")
 
 
-def _ba_inner(W, cost, gamma, tol):
+def _ba_inner(W, cost, gamma):
     """Alternating maximization of I(p) over the input laws p with
     E[c] <= gamma (every p when gamma is None).
 
     Each step tilts p by 2^(D_u - s c_u), D_u = D(W_u || pW), with the
     multiplier s of _budget_multiplier (always 0 without a budget). It stops
     when the dual bound max_u(D_u - s c_u) + s gamma on the capacity is
-    within the tolerance of I(p) = p.D; the bound certifies p only once p
+    within _BA_GAP of I(p) = p.D; the bound certifies p only once p
     meets the budget, which every tilted p does. Returns (p, mi_bits).
     """
     n_in = W.shape[0]
@@ -264,11 +269,8 @@ def _ba_inner(W, cost, gamma, tol):
     np.log2(W, out=logW, where=W > 0.0)
     p = np.full(n_in, 1.0 / n_in)
     feasible = gamma is None or float(p @ cost) <= gamma
-    gap_tol = tol.abs_tol + tol.rel_tol
     s = 0.0
-    # the alternating maximization contracts slowly near the optimum; the
-    # per-round cost is tiny, so trade iterations for the tight default gap
-    for _ in range(max(tol.max_iter, 20000)):
+    for _ in range(_BA_MAX_ITER):
         r = p @ W
         logr = np.full_like(r, -np.inf)
         np.log2(r, out=logr, where=r > 0.0)
@@ -280,10 +282,10 @@ def _ba_inner(W, cost, gamma, tol):
         D = terms.sum(axis=1)
         a = np.log2(np.clip(p, 1e-300, None)) + D
         if gamma is not None:
-            s = _budget_multiplier(a, cost, gamma, tol)
+            s = _budget_multiplier(a, cost, gamma)
         bound = float(np.max(D - s * cost)) + (s * gamma if s else 0.0)
         gap = bound - float(p @ D)
-        if feasible and gap <= gap_tol:
+        if feasible and gap <= _BA_GAP:
             break
         p = _tilt(a, cost, s)
         feasible = True
@@ -292,8 +294,7 @@ def _ba_inner(W, cost, gamma, tol):
     return p, float(p @ D)
 
 
-def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
-                   tol: Tolerance = Tolerance()
+def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None
                    ) -> Tuple[float, DiscreteDistribution]:
     """Channel capacity max I(U;V) subject to E[c(U)] <= gamma.
 
@@ -303,7 +304,8 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
     over the multiplier runs. On two inputs the budget line holds a single
     law, so a binding budget is solved by the first step that reaches it.
     gamma=None drops the cost constraint entirely; a budget at the
-    cheapest cost pins the input to the cheapest symbols.
+    cheapest cost pins the input to the cheapest symbols. Raises
+    MaxIterError if the dual gap is above 1e-12 + 1e-10 after 20,000 steps.
     """
     if gamma is not None and not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
@@ -320,17 +322,24 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None,
         sub = DiscreteChannel(
             tuple(a for a, k in zip(ch.input_alphabet, keep) if k),
             ch.output_alphabet, W[keep])
-        cap, psub = blahut_arimoto(sub, None, tol)
+        cap, psub = blahut_arimoto(sub, None)
         p = np.zeros(len(ch.input_alphabet))
         p[np.flatnonzero(keep)] = psub.probs
         return cap, DiscreteDistribution(ch.input_alphabet, p)
-    p, mi = _ba_inner(W, cost, gamma, tol)
+    p, mi = _ba_inner(W, cost, gamma)
     return mi, DiscreteDistribution(ch.input_alphabet, p)
 
 
 # ------------------------------------------------------- optimal transport
 
 _SIZE_LIMIT = 10 ** 6
+# Sinkhorn's stop: both marginals met to this within _MAX_SWEEPS sweeps (it
+# contracts slowly at intermediate lam, ~2e4 sweeps on skewed binary laws)
+_MARGINAL_ERR = 1e-9
+_MAX_SWEEPS = 40000
+# smallest positive rate rate_limited_ot resolves: below it the root solve
+# works on the rounding noise of I(lam) near the product plan
+_MIN_RATE = 1e-12
 
 
 def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
@@ -392,15 +401,15 @@ def _logsumexp(a, axis):
 
 def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
                   cost: np.ndarray, lam: float,
-                  tol: Tolerance = Tolerance(),
                   warm: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """Sinkhorn solution of min <cost, pi> + lam * KL(pi || row x col).
 
     Log-domain scaling of the kernel p_i q_j exp(-c_ij / lam) (Cuturi 2013);
-    converged when the worst marginal violation drops below 1e-9. Each
-    half-step is one _logsumexp, which matches scipy's bit for bit, so the
-    plans are scipy's without importing it. Returns (plan, f, g) with the
-    dual potentials for warm starts.
+    converged when the worst marginal violation drops below 1e-9, and
+    SinkhornDivergence after 40,000 sweeps without that. Each half-step is
+    one _logsumexp, which matches scipy's bit for bit, so the plans are
+    scipy's without importing it. Returns (plan, f, g) with the dual
+    potentials for warm starts.
     """
     c = np.asarray(cost, dtype=float)
     f = np.zeros(len(row)) if warm is None else warm[0].copy()
@@ -411,21 +420,20 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
         logp = np.log(row.probs)
         logq = np.log(col.probs)
         base = -c / lam
-        for _ in range(max(tol.max_iter, 200)):
+        for _ in range(_MAX_SWEEPS):
             f = -_logsumexp(base + (g + logq)[None, :], axis=1)
             g = -_logsumexp(base + (f + logp)[:, None], axis=0)
             plan = np.exp((f + logp)[:, None] + (g + logq)[None, :] + base)
             err = max(float(np.abs(plan.sum(axis=1) - row.probs).max()),
                       float(np.abs(plan.sum(axis=0) - col.probs).max()))
-            if err < 1e-9:
+            if err < _MARGINAL_ERR:
                 return plan, f, g
     raise SinkhornDivergence(
         f"no convergence at lambda={lam} (marginal error {err:.3e})")
 
 
 def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
-                    cost: np.ndarray, rate: float,
-                    tol: Tolerance = Tolerance()) -> RDPoint:
+                    cost: np.ndarray, rate: float) -> RDPoint:
     """Minimum expected cost over couplings of (row, col) with I(X;Y) <= rate.
 
     The Lagrangian at multiplier lam is exactly entropic OT against the
@@ -433,16 +441,22 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     point (I, D) on the frontier, and I falls as lam grows. Warm-started
     solves walk lam down the ladder scale * logspace(4, -4, 64) (up, at the
     same spacing, for rates below its first rung) until I crosses the rate;
-    Brent's method on log lam then solves I = rate in that cell to `tol`.
+    Brent's method on log lam then solves I = rate in that cell, to
+    find_root's default stop.
     The distortion is D at the root, clamped at the exact optimum d*, and
     multiplier is lam at the root. When the LP plan meets the rate or a
     rung reaches d*, the answer is d* with multiplier 0. A walk that leaves
-    the ladder without a crossing raises SinkhornDivergence.
+    the ladder without a crossing raises SinkhornDivergence. Rate 0 is
+    answered in closed form; a positive rate below 1e-12 raises ValueError,
+    since I(lam) there is solved on rounding noise.
     """
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
     if rate < 0.0:
         raise ValueError("rate must be nonnegative")
+    if 0.0 < rate < _MIN_RATE:
+        raise ValueError(f"rate {rate!r} is below the resolvable floor "
+                         f"{_MIN_RATE:g}; use 0 for the independent coupling")
     c = finite_array(cost, "cost matrix")
     e_indep = float(row.probs @ c @ col.probs)
     if rate == 0.0:
@@ -460,10 +474,6 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
             or mutual_information(lp.table) <= rate:
         return RDPoint(rate, d_star, 0.0)
 
-    # the scaling loop contracts slowly at intermediate lam (observed ~2e4
-    # sweeps to reach 1e-9 on skewed binary marginals); give the inner
-    # solves room while keeping the caller's accuracy targets
-    sink_tol = Tolerance(tol.abs_tol, tol.rel_tol, max(tol.max_iter, 40000))
     solved = {}
     warm = None
 
@@ -471,8 +481,7 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
         """(I, D) at lam = e^u, warm-started from the previous solve."""
         nonlocal warm
         if u not in solved:
-            plan, f, g = entropic_plan(row, col, c, math.exp(u), sink_tol,
-                                       warm)
+            plan, f, g = entropic_plan(row, col, c, math.exp(u), warm)
             warm = (f, g)
             solved[u] = (mutual_information(plan), float(np.sum(plan * c)))
         return solved[u]
@@ -496,5 +505,5 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
             f"rate {rate!r} below I at lambda={math.exp(u):.3g}" if up else
             f"rate {rate!r} not reached by lambda down to {math.exp(u):.3g}")
     root = float(find_root(lambda v: frontier(float(v))[0] - rate,
-                           min(prev, u), max(prev, u), tol))
+                           min(prev, u), max(prev, u)))
     return RDPoint(rate, max(frontier(root)[1], d_star), math.exp(root))

@@ -2,13 +2,17 @@
 
 Each routine has one vectorized implementation for floats and arrays; the
 solvers solve every lane of their input in one call, as each would alone.
+Each solver has one stopping rule, fixed here: Brent stops at
+xtol + rtol |x| (1e-12 and 1e-10 unless the caller pins a root tighter) and
+raises MaxIterError after _MAX_ITER steps; golden-section refinement stops
+at b - a <= 1e-12 + 1e-10 (|a| + |b|) or after _MAX_ITER steps, behind a
+_SCAN-point scan.
 
 Everything here is a pure function of its arguments; no shared state, safe to
 call from any number of threads.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -23,24 +27,10 @@ _LN4 = math.log(4.0)
 _LOG2E = 1.0 / math.log(2.0)
 _TINY = np.finfo(float).smallest_subnormal
 
+# step budget of every Brent and golden-section solve
+_MAX_ITER = 200
+
 ArrayLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence knobs shared by the solvers in this package."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 def float_or_array(x) -> ArrayLike:
@@ -114,20 +104,21 @@ def _residual(f, x):
 
 
 def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
-              hi: ArrayLike, tol: Tolerance = Tolerance()) -> ArrayLike:
+              hi: ArrayLike, xtol: float = 1e-12,
+              rtol: float = 1e-10) -> ArrayLike:
     """Root of f in every lane [lo, hi] of the broadcast brackets, at once.
 
     f maps the array of lane abscissas to the array of lane residuals, each
     lane on its own, so every lane gets the root it would get alone. This is
     Brent's method (Brent 1973, ch. 4) stepped exactly as scipy.optimize's
-    Brent solver steps it, with xtol = abs_tol and rtol = max(rel_tol,
-    4 eps), so the roots are bit-identical to scipy's; converged lanes stay
-    frozen. Not Chandrupatla: a root is pinned only to ~1e-10 relative, so
-    other iterates would move the curves past their 1e-12 reference.
+    Brent solver steps it, with rtol raised to at least 4 eps, so the roots
+    are bit-identical to scipy's; converged lanes stay frozen. Not
+    Chandrupatla: a root is pinned only to ~1e-10 relative, so other
+    iterates would move the curves past their 1e-12 reference.
 
     Float brackets give a float root. Raises ValueError for lo >= hi or a
     NaN residual, BracketError for a lane without a sign change, and
-    MaxIterError for a lane still open after max_iter steps.
+    MaxIterError for a lane still open after _MAX_ITER steps.
     """
     xpre, xcur = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                      np.asarray(hi, dtype=float))
@@ -142,8 +133,8 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
             f"f(lo)={fpre[same][0]:.6g}, f(hi)={fcur[same][0]:.6g}")
     xcur = np.where(fpre == 0.0, xpre, xcur)
     xblk = fblk = spre = scur = np.zeros(xcur.shape)
-    rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
-    for _ in range(tol.max_iter):
+    rtol = max(rtol, 4.0 * np.finfo(float).eps)
+    for _ in range(_MAX_ITER):
         # [xblk, xcur] is the bracket and xcur the better end; xpre is the
         # previous iterate, spre and scur the last two step lengths
         flip = (fpre != 0.0) & (fcur != 0.0) & (
@@ -156,7 +147,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
         xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
         xcur, fcur = np.where(swap, xblk, xcur), np.where(swap, fblk, fcur)
         xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
-        delta = (tol.abs_tol + rtol * np.abs(xcur)) / 2.0
+        delta = (xtol + rtol * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         live &= (fcur != 0.0) & ~(np.abs(sbis) < delta)
         if not live.any():
@@ -178,13 +169,15 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
         step = np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
         xcur = np.where(live, xcur + step, xcur)
         fcur = np.where(live, _residual(f, xcur), fcur)
-    raise MaxIterError(f"no convergence in {tol.max_iter} iterations")
+    raise MaxIterError(f"no convergence in {_MAX_ITER} iterations")
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # most values one objective call may see; bounds the temporaries of a batch
 _MAX_VALUES = 2 ** 14
+# points of the coarse scan in front of the golden-section polish
+_SCAN = 512
 
 
 def _evaluate(f, p, x):
@@ -198,15 +191,15 @@ def _evaluate(f, p, x):
     return out
 
 
-def _golden(f, p, a, b, tol):
+def _golden(f, p, a, b):
     """Golden-section descent on all cells [a, b] in lockstep; returns
     (x, f(x)) at each cell's final midpoint. Each cell takes exactly the
     steps it would take alone: a converged cell stays frozen."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = _evaluate(f, p, c), _evaluate(f, p, d)
-    for _ in range(tol.max_iter):
-        done = b - a <= tol.abs_tol + tol.rel_tol * (np.abs(a) + np.abs(b))
+    for _ in range(_MAX_ITER):
+        done = b - a <= 1e-12 + 1e-10 * (np.abs(a) + np.abs(b))
         live = ~done
         if not live.any():
             break
@@ -225,15 +218,14 @@ def _golden(f, p, a, b, tol):
 
 
 def minimize_1d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                lo: float, hi: float, params, grid: int = 512,
-                tol: Tolerance = Tolerance()) -> Tuple[np.ndarray, np.ndarray]:
+                lo: float, hi: float, params) -> Tuple[np.ndarray, np.ndarray]:
     """Global scan + local polish on [lo, hi], one problem per parameter.
 
     `f(p, x)` is vectorized: p is a (k, 1) column of `params` entries, x a
-    (grid,) row or a (k, 3) array, and it returns f at the broadcast pairs.
+    (_SCAN,) row or a (k, 3) array, and it returns f at the broadcast pairs.
     Returns (argmins, minima) arrays, one entry per parameter; each entry is
     what the parameter would get alone. Each problem gets a coarse scan over
-    `grid` points, then golden-section refinement inside the best grid cell
+    _SCAN points, then golden-section refinement inside the best grid cell
     and inside each boundary cell (the objectives this serves have argmin
     plateaus that end exactly at the interval edges). The result is never
     worse than the best scanned point. Ties within a few ulps go to the
@@ -241,17 +233,15 @@ def minimize_1d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """
     if not lo < hi:
         raise ValueError("minimize_1d needs lo < hi")
-    if grid < 16:
-        raise ValueError("grid must be at least 16 points")
     p = np.asarray(params, dtype=float).reshape(-1, 1)
 
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, _SCAN)
     fs = _evaluate(f, p, xs)
     best = np.argmin(fs, axis=1)[:, None]
     # cells [xs[i], xs[j]]: around the best grid point, then the two edges
-    i = np.maximum(best - 1, 0) * [1, 0, 0] + [0, 0, grid - 2]
-    j = np.minimum(best + 1, grid - 1) * [1, 0, 0] + [0, 1, grid - 1]
-    gx, gf = _golden(f, p, xs[i], xs[j], tol)
+    i = np.maximum(best - 1, 0) * [1, 0, 0] + [0, 0, _SCAN - 2]
+    j = np.minimum(best + 1, _SCAN - 1) * [1, 0, 0] + [0, 1, _SCAN - 1]
+    gx, gf = _golden(f, p, xs[i], xs[j])
 
     fmin = np.minimum(fs.min(axis=1), gf.min(axis=1))
     fuzz = 64.0 * np.finfo(float).eps * (1.0 + np.abs(fmin))

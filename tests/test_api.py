@@ -1,0 +1,38 @@
+"""Guard on the public API: the solvers carry their stopping rules as
+constants, so no public function or method takes a tolerance, scan-size or
+step-budget parameter. `find_root` keeps `xtol`/`rtol`, which its callers
+set differently."""
+
+import importlib
+import inspect
+import pkgutil
+
+import cot_lab
+
+KNOBS = {"tol", "grid", "max_iter", "abs_tol", "rel_tol"}
+
+
+def public_callables():
+    for info in pkgutil.iter_modules(cot_lab.__path__):
+        mod = importlib.import_module(f"cot_lab.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__",
+                                               None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and (
+                            attr == "__init__" or not attr.startswith("_")):
+                        yield f"{mod.__name__}.{name}.{attr}", member
+
+
+def test_no_public_callable_takes_a_solver_knob():
+    seen = dict(public_callables())
+    assert "cot_lab.numkit.find_root" in seen
+    assert "cot_lab.infokit.DiscreteChannel.__init__" in seen
+    offenders = sorted(
+        f"{qual}({param})" for qual, fn in seen.items()
+        for param in inspect.signature(fn).parameters if param in KNOBS)
+    assert offenders == []

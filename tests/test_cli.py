@@ -503,6 +503,18 @@ def test_rate_capped_transport_interpolates(capsys, workdir):
     assert doc["distortion"] < 0.5
 
 
+def test_rate_capped_transport_refuses_rates_below_the_floor(capsys,
+                                                          workdir):
+    write_marginal("s.json", [0.75, 0.25])
+    write_cost("c.json", [[0.0, 1.0], [1.0, 0.0]])
+    code, out, err = run(capsys, "rl-ot", "--source", "s.json", "--target",
+                         "s.json", "--cost", "c.json", "--rate", "1e-13",
+                         "--json")
+    assert code == 1
+    assert out == ""
+    assert "floor" in err and "Traceback" not in err
+
+
 def test_rate_capped_transport_constant_cost(capsys, workdir):
     write_marginal("s.json", [0.5, 0.5])
     write_cost("c.json", [[1.0, 1.0], [1.0, 1.0]])

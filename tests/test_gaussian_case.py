@@ -19,9 +19,10 @@ from cot_lab.gaussian_case import (
     GAUSSIAN_COLUMNS,
     GaussianConfig,
     GaussianCurveRow,
+    _hybrid_grid,
+    _waterfill,
     config_from_covariance,
     d_hybrid,
-    d_hybrid_at,
     d_lower,
     d_sep,
     d_uncoded,
@@ -29,7 +30,6 @@ from cot_lab.gaussian_case import (
     gaussian_curves,
     kappa_gammas,
     linear_bound,
-    omega_hybrid,
     toy_gaussian_lower,
     toy_gaussian_sep,
     waterfill_sep,
@@ -66,6 +66,12 @@ def waterfill_closed(lams, rate):
         if nxt <= omega <= lams[k - 1]:
             return omega
     raise AssertionError("no active set bracketed the level")
+
+
+def tail_target(gamma, alpha):
+    """Waterfilling product the hybrid scheme's coded tail must meet when
+    fraction alpha of the power goes to the digital part."""
+    return (gamma + 1.0) / ((1.0 - alpha) * gamma + 1.0)
 
 
 def tail_plateau_omega(lams, gamma, alpha):
@@ -269,19 +275,21 @@ def test_low_power_gap_rate():
 
 
 # ------------------------------------------------------------------ hybrid
+# omega_hybrid: the coded tail's waterfilling level at a fixed split alpha;
+# d_hybrid_at: the hybrid cost at a fixed split
 
 def test_omega_hybrid_zero_alpha():
-    omega, deltas = omega_hybrid(CFG, 3.0, 0.0)
+    omega, total = _waterfill(LAMS[1:], tail_target(3.0, 0.0))
     assert omega == 0.5
-    assert deltas == [0.5]
+    assert total == 0.5
 
 
 def test_omega_hybrid_hand_value():
     # tail budget (gamma+1)/((1-alpha)gamma+1) = 4/3 on the single tail
     # component gives level lambda_2 * 3/4
-    omega, deltas = omega_hybrid(CFG, 3.0, 1.0 / 3.0)
+    omega, total = _waterfill(LAMS[1:], tail_target(3.0, 1.0 / 3.0))
     assert omega == pytest.approx(0.375, abs=1e-12)
-    assert deltas == [omega]
+    assert total == omega
 
 
 def test_omega_hybrid_product_residual():
@@ -292,17 +300,12 @@ def test_omega_hybrid_product_residual():
         cfg = GaussianConfig(tuple(lams), (0.0,))
         gamma = float(rng.uniform(0.0, 30.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        omega, deltas = omega_hybrid(cfg, gamma, alpha)
+        omega, total = _waterfill(lams[1:], tail_target(gamma, alpha))
+        deltas = np.minimum(omega, lams[1:])
         prod = math.prod(l / d for l, d in zip(lams[1:], deltas))
-        rhs = (gamma + 1.0) / ((1.0 - alpha) * gamma + 1.0)
-        assert prod == pytest.approx(rhs, rel=1e-9)
+        assert prod == pytest.approx(tail_target(gamma, alpha), rel=1e-9)
+        assert total == pytest.approx(deltas.sum(), rel=1e-12)
         assert 0.0 < omega <= lams[1]
-
-
-def test_omega_hybrid_rejects_bad_alpha():
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            omega_hybrid(CFG, 1.0, bad)
 
 
 def test_omega_hybrid_matches_multiplicity_plateau():
@@ -315,25 +318,25 @@ def test_omega_hybrid_matches_multiplicity_plateau():
     for lams, gamma, alpha in cases:
         expected = tail_plateau_omega(lams, gamma, alpha)
         assert expected is not None
-        cfg = GaussianConfig(lams, (0.0,))
-        omega, _ = omega_hybrid(cfg, gamma, alpha)
+        omega, _ = _waterfill(lams[1:], tail_target(gamma, alpha))
         assert omega == pytest.approx(expected, rel=1e-9)
 
 
 def test_d_hybrid_at_reduces_to_uncoded():
     for gamma in (0.0, 0.7, 3.0, 12.0):
-        assert d_hybrid_at(CFG, gamma, 0.0) == pytest.approx(
+        assert _hybrid_grid(LAMS, gamma, 0.0) == pytest.approx(
             d_uncoded(CFG, gamma), abs=1e-12)
 
 
 def test_d_hybrid_at_hand_value():
     want = 2.0 * ((1.0 - math.sqrt(2.0 / 3.0)) * 1.5 + 0.375)
-    assert d_hybrid_at(CFG, 3.0, 1.0 / 3.0) == pytest.approx(want, abs=1e-12)
+    assert _hybrid_grid(LAMS, 3.0, 1.0 / 3.0) == pytest.approx(want,
+                                                               abs=1e-12)
 
 
 def test_d_hybrid_at_full_digital_is_finite_and_above_floor():
     for gamma in (0.5, 3.0, 20.0):
-        val = d_hybrid_at(CFG, gamma, 1.0)
+        val = float(_hybrid_grid(LAMS, gamma, 1.0))
         assert math.isfinite(val)
         assert val >= d_lower(CFG, gamma) - 1e-9
 
@@ -347,11 +350,11 @@ def test_hybrid_scan_never_worse_than_fixed_split():
         cfg = GaussianConfig(tuple(lams), (0.0,))
         gamma = float(rng.uniform(0.0, 20.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        fixed = d_hybrid_at(cfg, gamma, alpha)
+        fixed = _hybrid_grid(lams, gamma, alpha)
         val, arg = d_hybrid(cfg, gamma)
         assert val <= fixed + 1e-9
         # spot agreement at the returned argmin
-        assert d_hybrid_at(cfg, gamma, arg) == pytest.approx(val, abs=1e-9)
+        assert _hybrid_grid(lams, gamma, arg) == pytest.approx(val, abs=1e-9)
 
 
 def test_d_hybrid_batch_equals_per_budget_calls():
@@ -407,7 +410,7 @@ def test_d_hybrid_beats_separation_at_matched_split():
         alpha = 1.0 - ((gamma + 1.0) / tail_prod - 1.0) / gamma
         assert -1e-12 <= alpha <= 1.0
         alpha = max(alpha, 0.0)
-        assert d_hybrid_at(CFG, gamma, alpha) < d_sep(CFG, gamma)
+        assert _hybrid_grid(LAMS, gamma, alpha) < d_sep(CFG, gamma)
         val, _ = d_hybrid(CFG, gamma)
         assert val < d_sep(CFG, gamma)
 
@@ -555,11 +558,3 @@ def test_covariance_ingestion_rejects_bad_matrices():
         config_from_covariance(np.array([[1.0, 0.5], [0.0, 1.0]]), (0.0,))
     with pytest.raises(ValueError):
         config_from_covariance(np.diag([1.0, -0.5]), (0.0,))
-    with pytest.raises(ValueError):
-        config_from_covariance(np.diag([1.5, 0.5]), (0.0,), mean=(0.0,))
-
-
-def test_covariance_ingestion_accepts_matching_mean():
-    cfg = config_from_covariance(np.diag([1.5, 0.5]), (1.0,),
-                                 mean=(3.0, -2.0))
-    assert cfg.lambdas == (1.5, 0.5)

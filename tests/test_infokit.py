@@ -41,7 +41,7 @@ from cot_lab.infokit import (
     rate_limited_ot,
     total_variation,
 )
-from cot_lab.numkit import Tolerance, bconv, binary_entropy
+from cot_lab.numkit import bconv, binary_entropy
 
 # H(0.11) to all printed digits, from a 50-digit decimal evaluation
 H_011 = 0.4999159581645280
@@ -490,8 +490,7 @@ def test_entropic_plan_marginals_within_tolerance():
     col = rand_dist(rng, 5)
     cost = rng.uniform(0.0, 2.0, (4, 5))
     for lam in (10.0, 1.0, 0.3, 0.05):
-        plan, _, _ = entropic_plan(row, col, cost, lam,
-                                   Tolerance(max_iter=20000))
+        plan, _, _ = entropic_plan(row, col, cost, lam)
         assert np.max(np.abs(plan.sum(axis=1) - row.probs)) < 1e-8
         assert np.max(np.abs(plan.sum(axis=0) - col.probs)) < 1e-8
 
@@ -506,8 +505,7 @@ def test_entropic_plan_limits():
     np.testing.assert_allclose(plan, np.outer(row.probs, col.probs),
                                atol=1e-6)
     d_star, _ = ot_min_cost(row, col, cost)
-    plan, _, _ = entropic_plan(row, col, cost, 0.02,
-                               Tolerance(max_iter=50000))
+    plan, _, _ = entropic_plan(row, col, cost, 0.02)
     assert float(np.sum(plan * cost)) <= d_star + 0.02
 
 
@@ -520,8 +518,7 @@ def test_entropic_frontier_is_monotone_in_lam():
     warm = None
     mis, costs = [], []
     for lam in lams:
-        plan, f, g = entropic_plan(row, col, cost, lam,
-                                   Tolerance(max_iter=20000), warm)
+        plan, f, g = entropic_plan(row, col, cost, lam, warm)
         warm = (f, g)
         mis.append(mutual_information(plan))
         costs.append(float(np.sum(plan * cost)))
@@ -645,8 +642,7 @@ def test_rate_limited_small_rates_match_closed_form(rate):
 def test_rate_limited_reports_lambda_at_the_root():
     b = bern(0.25)
     pt = rate_limited_ot(b, b, 1.0 - np.eye(2), 0.3)
-    plan, _, _ = entropic_plan(b, b, 1.0 - np.eye(2), pt.multiplier,
-                               Tolerance(max_iter=40000))
+    plan, _, _ = entropic_plan(b, b, 1.0 - np.eye(2), pt.multiplier)
     assert mutual_information(plan) == pytest.approx(0.3, abs=1e-9)
 
 
@@ -697,3 +693,11 @@ def test_rate_limited_raises_past_the_ladder(monkeypatch):
 def test_rate_limited_rejects_negative_rate():
     with pytest.raises(ValueError):
         rate_limited_ot(bern(0.5), bern(0.5), 1.0 - np.eye(2), -0.2)
+
+
+@pytest.mark.parametrize("rate", [1e-13, 1e-20])
+def test_rate_limited_refuses_rates_below_the_floor(rate):
+    # below 1e-12 the root solve works on the rounding noise of I(lam): at
+    # 1e-16 it returned 2.75e-9 below d_hat with no error
+    with pytest.raises(ValueError, match="floor"):
+        rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), rate)

@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 from scipy import optimize
 
 import cot_lab
-from cot_lab.numkit import (BracketError, MaxIterError, Tolerance, bconv,
-                            binary_entropy, binary_entropy_inv, find_root,
-                            minimize_1d)
+from cot_lab import numkit
+from cot_lab.numkit import (BracketError, MaxIterError, bconv, binary_entropy,
+                            binary_entropy_inv, find_root, minimize_1d)
 
 
 # ---------------------------------------------------------------- oracles
@@ -265,10 +265,11 @@ def test_find_root_no_sign_change():
         find_root(lambda x: x * x - [0.5, 2.0], np.zeros(2), 1.0)
 
 
-def test_find_root_max_iter():
+def test_find_root_max_iter(monkeypatch):
+    monkeypatch.setattr(numkit, "_MAX_ITER", 2)
     with pytest.raises(MaxIterError):
         find_root(lambda x: np.tanh(1e6 * (x - 0.123456789)),
-                  0.0, 1.0, Tolerance(abs_tol=1e-14, max_iter=2))
+                  0.0, 1.0, xtol=1e-14)
 
 
 def test_find_root_residual_on_monotone_family():
@@ -313,13 +314,11 @@ def test_find_root_bit_identical_to_brentq(family):
     cs = rng.uniform(c_lo, c_hi, 100)
     # upper ends up to 1% short of the family's, still above every root
     his = hi - (hi - lo) * rng.uniform(0.0, 0.01, 100)
-    tol = Tolerance()
-    roots = find_root(lambda x: f(cs, x), lo, his, tol)
-    rtol = max(tol.rel_tol, 4.0 * np.finfo(float).eps)
+    roots = find_root(lambda x: f(cs, x), lo, his)
     for c, b, r in zip(cs, his, roots):
         want = optimize.brentq(lambda x: float(f(np.array(c), np.array(x))),
-                               lo, b, xtol=tol.abs_tol, rtol=rtol,
-                               maxiter=tol.max_iter)
+                               lo, b, xtol=1e-12, rtol=1e-10,
+                               maxiter=numkit._MAX_ITER)
         assert r == want
 
 
@@ -331,13 +330,6 @@ def test_numkit_imports_no_scipy():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(max_iter=0)
 
 
 # ------------------------------------------------------------ minimize_1d
@@ -383,15 +375,14 @@ def test_minimize_never_worse_than_grid():
     for c in coeffs:
         f = lambda t, c=c: (c[0] * np.sin(3.0 * t) + c[1] * t ** 2
                             + c[2] * t + c[3] * np.cos(5.0 * t))
-        (x,), (fx,) = minimize_1d(lambda _, t: f(t), -1.0, 2.0, [0.0],
-                                  grid=64)
-        xs = np.linspace(-1.0, 2.0, 64)
+        (x,), (fx,) = minimize_1d(lambda _, t: f(t), -1.0, 2.0, [0.0])
+        xs = np.linspace(-1.0, 2.0, numkit._SCAN)
         assert fx <= float(np.min(f(xs))) + 1e-12
         assert -1.0 <= x <= 2.0
 
 
 def test_minimize_batch_equals_single_solves():
-    # 40 problems at grid=512 span two scan chunks of 2**14 values
+    # 40 problems on the 512-point scan span two chunks of 2**14 values
     shifts = np.linspace(-0.3, 1.4, 40)
 
     def f(p, t):
@@ -407,5 +398,3 @@ def test_minimize_batch_equals_single_solves():
 def test_minimize_validation():
     with pytest.raises(ValueError):
         minimize_1d(lambda _, t: t, 1.0, 0.0, [0.0])
-    with pytest.raises(ValueError):
-        minimize_1d(lambda _, t: t, 0.0, 1.0, [0.0], grid=8)
