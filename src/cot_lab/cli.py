@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every subcommand that writes a data file also writes a run manifest next to
-it (<out>.manifest.json) recording the command line, a hash of the numeric
-inputs, the library version, the seed if any, the list of output files, and
-the wall-clock time. Data artifacts (CSV/JSON) contain no timestamps, so a
-rerun with the same inputs is byte-identical; only the manifest's clock
-field varies.
+it (<out>.manifest.json) recording the command line, a hash of the parsed
+inputs (_config_hash), the library version, the seed if any, the list of
+output files, and the wall-clock time. Data artifacts (CSV/JSON) are strict
+JSON and contain no timestamps, so a rerun with the same inputs is
+byte-identical; only the manifest's clock field varies.
 
 Exit codes: 0 on success, 1 on validation or usage errors, 2 on numerical
 failures (lost brackets, iteration overflow, solver divergence).
@@ -41,9 +41,7 @@ MAX_BLOCK_N = 12
 
 
 class _UsageError(Exception):
-    def __init__(self, usage: str, message: str):
-        super().__init__(message)
-        self.usage = usage
+    """A refused command line; its text is the usage and the error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
     can map them to exit code 1 instead of argparse's default 2."""
 
     def error(self, message):
-        raise _UsageError(self.format_usage(), message)
+        raise _UsageError(f"{self.format_usage()}error: {message}\n")
 
 
 # ------------------------------------------------------------- utilities
@@ -66,14 +64,29 @@ def _int_in(lo: int, hi: int):
     return integer
 
 
-def _parse_floats(text: str) -> list:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise ValueError("expected at least one number")
-    return values
+def _floats(count: int = None):
+    """argparse type for comma-separated numbers: exactly `count` of them,
+    or one or more when count is None."""
+    def floats(text: str) -> list:
+        try:
+            values = [float(v) for v in text.split(",") if v.strip() != ""]
+        except ValueError:
+            values = []
+        if not values or count not in (None, len(values)):
+            raise argparse.ArgumentTypeError(
+                f"expected {count or 'one or more'} comma-separated numbers, "
+                f"got {text!r}")
+        return values
+    return floats
+
+
+class _InputFile(str):
+    """argparse type of a flag that names an input file: config_hash covers
+    the file's SHA-256, not its path."""
+
+
+# flags that say where and how results go, not what is computed
+_UNHASHED = ("out", "json", "workers", "handler")
 
 
 def _write_text(path: str, text: str):
@@ -82,7 +95,8 @@ def _write_text(path: str, text: str):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError before any write
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _file_sha256(path: str) -> str:
@@ -92,43 +106,51 @@ def _file_sha256(path: str) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # nested past the parser's stack
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _write_manifest(anchor: str, argv, inputs: dict, seed, outputs, t0):
+def _config_hash(args) -> str:
+    """SHA-256 over every parsed input (command and scheme names included),
+    input files by content; order-free, and blind to _UNHASHED."""
+    inputs = {name: _file_sha256(value) if isinstance(value, _InputFile)
+              else value
+              for name, value in vars(args).items() if name not in _UNHASHED}
+    return hashlib.sha256(
+        json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _write_manifest(anchor: str, argv, args, outputs, t0):
     manifest = {
         "command_line": ["cot-lab"] + list(argv),
-        "config_hash": hashlib.sha256(
-            json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest(),
+        "config_hash": _config_hash(args),
         "library_version": __version__,
-        "seed": seed,
-        "outputs": list(outputs),
+        "seed": getattr(args, "seed", None),
+        "outputs": outputs,
         "wall_clock_s": round(time.time() - t0, 6),
     }
     _write_text(anchor + ".manifest.json", _dump_json(manifest))
 
 
-def _emit_table(table, args, argv, inputs: dict, t0, seed=None):
-    outputs = [args.out]
-    _write_text(args.out, table.to_csv())
+def _emit_table(table, args, argv, t0):
+    files = [(args.out, table.to_csv())]
     if args.json:
-        jpath = os.path.splitext(args.out)[0] + ".json"
-        _write_text(jpath, _dump_json(table.to_json_obj()))
-        outputs.append(jpath)
-    _write_manifest(args.out, argv, inputs, seed, outputs, t0)
+        files.append((os.path.splitext(args.out)[0] + ".json",
+                      _dump_json(table.to_json_obj())))
+    for path, text in files:
+        _write_text(path, text)
+    _write_manifest(args.out, argv, args, [path for path, _ in files], t0)
     return 0
 
 
-def _emit_result(result: dict, args, argv, inputs: dict, t0, seed=None,
-                 human=None):
+def _emit_result(result: dict, args, argv, t0, human):
+    text = _dump_json(result)
     if args.out:
-        _write_text(args.out, _dump_json(result))
-        _write_manifest(args.out, argv, inputs, seed, [args.out], t0)
-    if args.json:
-        sys.stdout.write(_dump_json(result))
-    elif human:
-        for line in human:
-            print(line)
+        _write_text(args.out, text)
+        _write_manifest(args.out, argv, args, [args.out], t0)
+    sys.stdout.write(text if args.json else "\n".join(human) + "\n")
     return 0
 
 
@@ -143,37 +165,33 @@ def _check_finite(args, *names):
             raise ValueError(f"{flag} must be finite, got {value!r}")
 
 
-def _cmd_binary_curves(args, argv, t0):
+def _binary_config(args):
     import numpy as np
-    from .binary_case import BinaryConfig, binary_curves
+    from .binary_case import BinaryConfig
     _check_finite(args, "theta_min", "theta_max")
     grid = np.linspace(args.theta_min, args.theta_max, args.points)
-    table = binary_curves(BinaryConfig(args.rho, tuple(grid)))
-    inputs = {"rho": args.rho, "theta_min": args.theta_min,
-              "theta_max": args.theta_max, "points": args.points}
-    return _emit_table(table, args, argv, inputs, t0)
+    return BinaryConfig(args.rho, tuple(grid))
+
+
+def _cmd_binary_curves(args, argv, t0):
+    from .binary_case import binary_curves
+    return _emit_table(binary_curves(_binary_config(args)), args, argv, t0)
 
 
 def _cmd_binary_thresholds(args, argv, t0):
-    import numpy as np
-    from .binary_case import BinaryConfig, thresholds
-    _check_finite(args, "theta_min", "theta_max")
-    grid = np.linspace(args.theta_min, args.theta_max, args.points)
-    events = thresholds(BinaryConfig(args.rho, tuple(grid)))
+    from .binary_case import thresholds
+    events = thresholds(_binary_config(args))
     result = {"rho": args.rho,
               "thresholds": [{"theta": t, "switch": label}
                              for t, label in events]}
-    inputs = {"rho": args.rho, "theta_min": args.theta_min,
-              "theta_max": args.theta_max, "points": args.points}
     human = [f"theta={t:.6f}  {label}" for t, label in events] or \
         ["no mode switches on this grid"]
-    return _emit_result(result, args, argv, inputs, t0, human=human)
+    return _emit_result(result, args, argv, t0, human)
 
 
 def _cmd_gaussian_curves(args, argv, t0):
     import numpy as np
     from .gaussian_case import GaussianConfig, gaussian_curves
-    lams = _parse_floats(args.lambdas)
     _check_finite(args, "gamma_min", "gamma_max")
     if args.linear_grid:
         grid = np.linspace(args.gamma_min, args.gamma_max, args.points)
@@ -184,20 +202,15 @@ def _cmd_gaussian_curves(args, argv, t0):
                                  "on a log grid")
         grid = np.logspace(np.log10(args.gamma_min),
                            np.log10(args.gamma_max), args.points)
-    table = gaussian_curves(GaussianConfig(tuple(lams), tuple(grid)))
-    inputs = {"lambdas": lams, "gamma_min": args.gamma_min,
-              "gamma_max": args.gamma_max, "points": args.points,
-              "log_grid": not args.linear_grid}
-    return _emit_table(table, args, argv, inputs, t0)
+    table = gaussian_curves(GaussianConfig(tuple(args.lambdas), tuple(grid)))
+    return _emit_table(table, args, argv, t0)
 
 
 def _cmd_gamma_star(args, argv, t0):
     from .gaussian_case import gamma_star
-    lams = _parse_floats(args.lambdas)
-    value = gamma_star(lams)
-    result = {"lambdas": lams, "gamma_star": value}
-    return _emit_result(result, args, argv, {"lambdas": lams}, t0,
-                        human=[f"gamma_star = {value!r}"])
+    value = gamma_star(args.lambdas)
+    return _emit_result({"lambdas": args.lambdas, "gamma_star": value},
+                        args, argv, t0, [f"gamma_star = {value!r}"])
 
 
 def _cmd_capacity(args, argv, t0):
@@ -207,57 +220,45 @@ def _cmd_capacity(args, argv, t0):
     cap, opt = blahut_arimoto(ch, args.gamma)
     result = {"capacity_bits": cap, "gamma": args.gamma,
               "optimal_input": distribution_to_json(opt)}
-    inputs = {"channel_sha256": _file_sha256(args.channel),
-              "gamma": args.gamma}
-    return _emit_result(result, args, argv, inputs, t0,
-                        human=[f"capacity = {cap!r} bits"])
+    return _emit_result(result, args, argv, t0, [f"capacity = {cap!r} bits"])
+
+
+def _transport_inputs(args):
+    """Source and target marginals and the cost matrix of ot and rl-ot."""
+    from .infokit import distribution_from_json, json_numbers
+    return (distribution_from_json(_load_json(args.source)),
+            distribution_from_json(_load_json(args.target)),
+            json_numbers(_load_json(args.cost), "cost matrix"))
 
 
 def _cmd_rl_ot(args, argv, t0):
-    import numpy as np
-    from .infokit import distribution_from_json, rate_limited_ot
-    row = distribution_from_json(_load_json(args.source))
-    col = distribution_from_json(_load_json(args.target))
-    cost = np.asarray(_load_json(args.cost), dtype=float)
-    point = rate_limited_ot(row, col, cost, args.rate)
+    from .infokit import rate_limited_ot
+    point = rate_limited_ot(*_transport_inputs(args), args.rate)
+    # rate 0 binds at an infinite multiplier, which strict JSON writes null
     result = {"rate": point.rate, "distortion": point.distortion,
-              "multiplier": point.multiplier}
-    inputs = {"source_sha256": _file_sha256(args.source),
-              "target_sha256": _file_sha256(args.target),
-              "cost_sha256": _file_sha256(args.cost), "rate": args.rate}
-    return _emit_result(
-        result, args, argv, inputs, t0,
-        human=[f"distortion = {point.distortion!r} at rate {point.rate!r}"])
+              "multiplier": point.multiplier
+              if math.isfinite(point.multiplier) else None}
+    human = [f"distortion = {point.distortion!r} at rate {point.rate!r}"]
+    return _emit_result(result, args, argv, t0, human)
 
 
 def _cmd_ot(args, argv, t0):
-    import numpy as np
-    from .infokit import distribution_from_json, ot_min_cost
-    row = distribution_from_json(_load_json(args.source))
-    col = distribution_from_json(_load_json(args.target))
-    cost = np.asarray(_load_json(args.cost), dtype=float)
-    d_star, plan = ot_min_cost(row, col, cost)
+    from .infokit import ot_min_cost
+    d_star, plan = ot_min_cost(*_transport_inputs(args))
     result = {"d_star": d_star, "plan": plan.table.tolist()}
-    inputs = {"source_sha256": _file_sha256(args.source),
-              "target_sha256": _file_sha256(args.target),
-              "cost_sha256": _file_sha256(args.cost)}
-    return _emit_result(result, args, argv, inputs, t0,
-                        human=[f"d_star = {d_star!r}"])
+    return _emit_result(result, args, argv, t0, [f"d_star = {d_star!r}"])
 
 
 def _cmd_hybrid_eval(args, argv, t0):
     from .hybrid_bound import evaluate, hybrid_spec_from_json, report_to_json
-    spec = hybrid_spec_from_json(_load_json(args.spec))
-    report = evaluate(spec)
-    result = report_to_json(report)
-    inputs = {"spec_sha256": _file_sha256(args.spec)}
+    report = evaluate(hybrid_spec_from_json(_load_json(args.spec)))
     human = [f"feasible = {report.feasible}",
              f"E[d] = {report.e_dist!r}",
              f"E[cost] = {report.e_cost!r}",
              f"I(X;Z) = {report.i_xz!r}",
              f"I(Y;Z) = {report.i_yz!r}",
              f"I(Z;V) = {report.i_zv!r}"]
-    return _emit_result(result, args, argv, inputs, t0, human=human)
+    return _emit_result(report_to_json(report), args, argv, t0, human)
 
 
 def _report_to_json(rep) -> dict:
@@ -287,67 +288,27 @@ def _report_to_json(rep) -> dict:
     return out
 
 
-def _sim_config(args):
-    from .block_sim import SimConfig
-    return SimConfig(seed=args.seed, samples=args.samples,
-                     workers=args.workers)
-
-
-def _cmd_sim_uncoded_binary(args, argv, t0):
-    from .block_sim import sim_uncoded_binary
-    a, b = (_parse_floats(args.decoder) + [0.0, 0.0])[:2]
-    rep = sim_uncoded_binary(args.rho, args.theta, (a, b), _sim_config(args))
-    inputs = {"scheme": "uncoded-binary", "rho": args.rho,
-              "theta": args.theta, "decoder": [a, b], "seed": args.seed,
-              "samples": args.samples}
-    return _emit_result(_report_to_json(rep), args, argv, inputs, t0,
-                        seed=args.seed,
-                        human=[f"distortion = {rep.mean_distortion!r} "
-                               f"+/- {rep.std_error!r}"])
-
-
-def _cmd_sim_uncoded_gaussian(args, argv, t0):
-    from .block_sim import sim_uncoded_gaussian
-    lams = _parse_floats(args.lambdas)
-    rep = sim_uncoded_gaussian(lams, args.gamma, _sim_config(args))
-    inputs = {"scheme": "uncoded-gaussian", "lambdas": lams,
-              "gamma": args.gamma, "seed": args.seed,
-              "samples": args.samples}
-    return _emit_result(_report_to_json(rep), args, argv, inputs, t0,
-                        seed=args.seed,
-                        human=[f"distortion = {rep.mean_distortion!r} "
-                               f"+/- {rep.std_error!r}"])
-
-
-def _cmd_sim_genie_hybrid(args, argv, t0):
-    from .block_sim import sim_genie_hybrid_binary
-    rep = sim_genie_hybrid_binary(args.rho, args.theta, args.delta1,
-                                  _sim_config(args))
-    inputs = {"scheme": "genie-hybrid", "rho": args.rho,
-              "theta": args.theta, "delta1": args.delta1,
-              "seed": args.seed, "samples": args.samples}
-    return _emit_result(_report_to_json(rep), args, argv, inputs, t0,
-                        seed=args.seed,
-                        human=[f"distortion = {rep.mean_distortion!r} "
-                               f"+/- {rep.std_error!r}"])
-
-
-def _cmd_sim_block_hybrid(args, argv, t0):
-    from .block_sim import binary_separation_block_config, sim_block_hybrid
-    cfg = binary_separation_block_config(
-        args.rho, args.delta, args.theta, args.rate, args.n,
-        typ_delta=args.typ_delta, codebooks=args.codebooks)
-    rep = sim_block_hybrid(cfg, _sim_config(args))
-    inputs = {"scheme": "block-hybrid", "rho": args.rho,
-              "delta": args.delta, "theta": args.theta, "rate": args.rate,
-              "n": args.n, "typ_delta": args.typ_delta,
-              "codebooks": args.codebooks, "seed": args.seed,
-              "samples": args.samples}
-    human = [f"distortion = {rep.mean_distortion!r} +/- {rep.std_error!r}",
-             f"median msg_error_rate = {rep.msg_error_rate!r}",
-             f"median tv_to_target = {rep.tv_to_target!r}"]
-    return _emit_result(_report_to_json(rep), args, argv, inputs, t0,
-                        seed=args.seed, human=human)
+def _cmd_simulate(args, argv, t0):
+    from . import block_sim
+    sim = block_sim.SimConfig(args.seed, args.samples, args.workers)
+    if args.scheme == "uncoded-binary":
+        rep = block_sim.sim_uncoded_binary(args.rho, args.theta, args.decoder,
+                                           sim)
+    elif args.scheme == "uncoded-gaussian":
+        rep = block_sim.sim_uncoded_gaussian(args.lambdas, args.gamma, sim)
+    elif args.scheme == "genie-hybrid":
+        rep = block_sim.sim_genie_hybrid_binary(args.rho, args.theta,
+                                                args.delta1, sim)
+    else:
+        cfg = block_sim.binary_separation_block_config(
+            args.rho, args.delta, args.theta, args.rate, args.n,
+            typ_delta=args.typ_delta, codebooks=args.codebooks)
+        rep = block_sim.sim_block_hybrid(cfg, sim)
+    human = [f"distortion = {rep.mean_distortion!r} +/- {rep.std_error!r}"]
+    if args.scheme == "block-hybrid":
+        human += [f"median msg_error_rate = {rep.msg_error_rate!r}",
+                  f"median tv_to_target = {rep.tv_to_target!r}"]
+    return _emit_result(_report_to_json(rep), args, argv, t0, human)
 
 
 # ----------------------------------------------------------- plot script
@@ -422,16 +383,14 @@ def _cmd_emit_plot(args, argv, t0):
     text = emit_plot_script(args.csv, args.figure,
                             script_dir=os.path.dirname(out) or ".")
     _write_text(out, text)
-    inputs = {"csv_sha256": _file_sha256(args.csv), "figure": args.figure}
-    _write_manifest(out, argv, inputs, None, [out], t0)
+    _write_manifest(out, argv, args, [out], t0)
     return 0
 
 
 # --------------------------------------------------------------- parser
 
 def _add_out_json(p, out_required=False):
-    p.add_argument("--out", required=out_required, default=None,
-                   help="output file path")
+    p.add_argument("--out", required=out_required, help="output file path")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
 
@@ -443,27 +402,26 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser,
                                 required=True)
 
-    p = sub.add_parser("binary-curves", help="distortion curves for the "
-                       "biased-bit source over a symmetric channel")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--theta-max", type=float, default=0.5)
-    p.add_argument("--points", type=_int_in(2, MAX_POINTS), default=512)
+    grid = _Parser(add_help=False)
+    grid.add_argument("--rho", type=float, required=True)
+    grid.add_argument("--theta-min", type=float, default=0.0)
+    grid.add_argument("--theta-max", type=float, default=0.5)
+    grid.add_argument("--points", type=_int_in(2, MAX_POINTS), default=512)
+
+    p = sub.add_parser("binary-curves", parents=[grid], help="distortion "
+                       "curves for the biased-bit source over a symmetric "
+                       "channel")
     _add_out_json(p, out_required=True)
     p.set_defaults(handler=_cmd_binary_curves)
 
-    p = sub.add_parser("binary-thresholds",
+    p = sub.add_parser("binary-thresholds", parents=[grid],
                        help="mode-switch noise levels of the hybrid scheme")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--theta-max", type=float, default=0.5)
-    p.add_argument("--points", type=_int_in(2, MAX_POINTS), default=512)
     _add_out_json(p)
     p.set_defaults(handler=_cmd_binary_thresholds)
 
     p = sub.add_parser("gaussian-curves", help="distortion curves for the "
                        "diagonal Gaussian source over a unit-noise channel")
-    p.add_argument("--lambdas", required=True,
+    p.add_argument("--lambdas", type=_floats(), required=True,
                    help="comma-separated eigenvalues, descending")
     p.add_argument("--gamma-min", type=float, default=0.01)
     p.add_argument("--gamma-max", type=float, default=100.0)
@@ -475,37 +433,42 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gamma-star",
                        help="budget where the optimal analog share leaves 0")
-    p.add_argument("--lambdas", required=True)
+    p.add_argument("--lambdas", type=_floats(), required=True)
     _add_out_json(p)
     p.set_defaults(handler=_cmd_gamma_star)
 
     p = sub.add_parser("capacity", help="constrained capacity of a JSON "
                        "channel by alternating maximization")
-    p.add_argument("--channel", required=True, help="channel JSON file")
+    p.add_argument("--channel", type=_InputFile, required=True,
+                   help="channel JSON file")
     p.add_argument("--gamma", type=float, default=None,
                    help="input cost budget (omit for unconstrained)")
     _add_out_json(p)
     p.set_defaults(handler=_cmd_capacity)
 
-    p = sub.add_parser("rl-ot", help="minimum transport cost under a "
-                       "mutual-information rate cap")
-    p.add_argument("--source", required=True, help="marginal JSON file")
-    p.add_argument("--target", required=True, help="marginal JSON file")
-    p.add_argument("--cost", required=True, help="cost matrix JSON file")
+    transport = _Parser(add_help=False)
+    transport.add_argument("--source", type=_InputFile, required=True,
+                           help="marginal JSON file")
+    transport.add_argument("--target", type=_InputFile, required=True,
+                           help="marginal JSON file")
+    transport.add_argument("--cost", type=_InputFile, required=True,
+                           help="cost matrix JSON file")
+
+    p = sub.add_parser("rl-ot", parents=[transport], help="minimum transport "
+                       "cost under a mutual-information rate cap")
     p.add_argument("--rate", type=float, required=True)
     _add_out_json(p)
     p.set_defaults(handler=_cmd_rl_ot)
 
-    p = sub.add_parser("ot", help="exact unconstrained transport LP")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--cost", required=True)
+    p = sub.add_parser("ot", parents=[transport],
+                       help="exact unconstrained transport LP")
     _add_out_json(p)
     p.set_defaults(handler=_cmd_ot)
 
     p = sub.add_parser("hybrid-eval",
                        help="feasibility report for a candidate spec")
-    p.add_argument("--spec", required=True, help="spec JSON file")
+    p.add_argument("--spec", type=_InputFile, required=True,
+                   help="spec JSON file")
     _add_out_json(p)
     p.set_defaults(handler=_cmd_hybrid_eval)
 
@@ -519,27 +482,25 @@ def _build_parser() -> _Parser:
                        required=True)
         q.add_argument("--workers", type=int, default=1)
         _add_out_json(q)
+        q.set_defaults(handler=_cmd_simulate)
 
     q = simsub.add_parser("uncoded-binary")
     q.add_argument("--rho", type=float, required=True)
     q.add_argument("--theta", type=float, required=True)
-    q.add_argument("--decoder", default="0,0",
+    q.add_argument("--decoder", type=_floats(2), default="0,0",
                    help="flip probabilities 'a,b' of the output map")
     sim_flags(q)
-    q.set_defaults(handler=_cmd_sim_uncoded_binary)
 
     q = simsub.add_parser("uncoded-gaussian")
-    q.add_argument("--lambdas", required=True)
+    q.add_argument("--lambdas", type=_floats(), required=True)
     q.add_argument("--gamma", type=float, required=True)
     sim_flags(q)
-    q.set_defaults(handler=_cmd_sim_uncoded_gaussian)
 
     q = simsub.add_parser("genie-hybrid")
     q.add_argument("--rho", type=float, required=True)
     q.add_argument("--theta", type=float, required=True)
     q.add_argument("--delta1", type=float, required=True)
     sim_flags(q)
-    q.set_defaults(handler=_cmd_sim_genie_hybrid)
 
     q = simsub.add_parser("block-hybrid")
     q.add_argument("--rho", type=float, required=True)
@@ -551,15 +512,13 @@ def _build_parser() -> _Parser:
     q.add_argument("--codebooks", type=_int_in(1, MAX_CODEBOOKS),
                    default=32)
     sim_flags(q)
-    q.set_defaults(handler=_cmd_sim_block_hybrid)
 
     p = sub.add_parser("emit-plot",
                        help="gnuplot script for a curve CSV")
-    p.add_argument("--csv", required=True)
+    p.add_argument("--csv", type=_InputFile, required=True)
     p.add_argument("--figure", required=True,
                    help="layout id, fig1 through fig6")
-    p.add_argument("--out", default=None,
-                   help="script path (default: CSV stem + .gp)")
+    p.add_argument("--out", help="script path (default: CSV stem + .gp)")
     p.set_defaults(handler=_cmd_emit_plot)
 
     return parser
@@ -571,19 +530,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        sys.stderr.write(exc.usage)
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(str(exc))
         return 1
     t0 = time.time()
     try:
-        if getattr(args, "workers", None) is not None:
-            cap = os.environ.get("COT_LAB_THREADS")
-            if cap is not None:
-                try:
-                    cap = int(cap)
-                except ValueError:
-                    raise ValueError("COT_LAB_THREADS must be an integer")
-                args.workers = max(1, min(args.workers, cap))
         return args.handler(args, argv, t0)
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"{exc}\n")

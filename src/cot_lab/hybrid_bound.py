@@ -22,6 +22,9 @@ from .infokit import (
     distribution_from_json,
     distribution_to_json,
     finite_array,
+    json_labels,
+    json_numbers,
+    json_object,
     mutual_information,
     stochastic_array,
     total_variation,
@@ -175,16 +178,20 @@ def hybrid_spec_to_json(spec: HybridSpec) -> dict:
 
 
 def hybrid_spec_from_json(obj: dict) -> HybridSpec:
+    obj = json_object(obj, "spec")
     target = obj.get("target_y")
+    gamma = json_numbers(obj["gamma"], "gamma")
+    if gamma.ndim:
+        raise ValueError("gamma must be a number")
     return HybridSpec(
         distribution_from_json(obj["p_x"]),
-        tuple(obj["z_alphabet"]),
-        np.asarray(obj["enc"], dtype=float),
+        json_labels(obj, "z_alphabet"),
+        json_numbers(obj["enc"], "enc"),
         channel_from_json(obj["channel"]),
-        np.asarray(obj["dec"], dtype=float),
-        tuple(obj["y_alphabet"]),
-        np.asarray(obj["dist"], dtype=float),
-        float(obj["gamma"]),
+        json_numbers(obj["dec"], "dec"),
+        json_labels(obj, "y_alphabet"),
+        json_numbers(obj["dist"], "dist"),
+        float(gamma),
         None if target is None else distribution_from_json(target),
     )
 

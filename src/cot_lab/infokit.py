@@ -11,9 +11,12 @@ JSON schema (shared with hybrid_bound and the CLI):
     cost matrix   nested list, row index = row alphabet, column = col alphabet
 
 `distribution_from_json` and friends convert between these dicts and the
-dataclasses below; file handling lives in the CLI.
+dataclasses below, and raise ValueError naming the field when a document
+is not an object, an alphabet not a list, or a number not a JSON number;
+file handling lives in the CLI.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -147,8 +150,43 @@ def distribution_to_json(d: DiscreteDistribution) -> dict:
     return {"alphabet": list(d.alphabet), "probs": [float(p) for p in d.probs]}
 
 
+def json_object(obj, what: str) -> dict:
+    """obj itself; ValueError naming `what` unless it is a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return obj
+
+
+def json_labels(obj: dict, key: str) -> tuple:
+    """The alphabet obj[key] as a tuple; ValueError naming `key` unless it
+    is a JSON list (a string is not split into letters)."""
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{key} must be a JSON list of labels")
+    return tuple(obj[key])
+
+
+def json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array. Raises
+    ValueError naming `what` on any other leaf (null, string, boolean,
+    object) and on ragged nesting."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{what} must hold only numbers, found "
+                             f"{json.dumps(item)[:40]}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def distribution_from_json(obj: dict) -> DiscreteDistribution:
-    return DiscreteDistribution(tuple(obj["alphabet"]), obj["probs"])
+    obj = json_object(obj, "distribution")
+    return DiscreteDistribution(json_labels(obj, "alphabet"),
+                                json_numbers(obj["probs"], "probs"))
 
 
 def channel_to_json(ch: DiscreteChannel) -> dict:
@@ -159,8 +197,12 @@ def channel_to_json(ch: DiscreteChannel) -> dict:
 
 
 def channel_from_json(obj: dict) -> DiscreteChannel:
-    return DiscreteChannel(tuple(obj["inputs"]), tuple(obj["outputs"]),
-                           obj["matrix"], obj.get("cost"))
+    obj = json_object(obj, "channel")
+    cost = obj.get("cost")  # absent or null: every input is free
+    return DiscreteChannel(
+        json_labels(obj, "inputs"), json_labels(obj, "outputs"),
+        json_numbers(obj["matrix"], "matrix"),
+        None if cost is None else json_numbers(cost, "cost"))
 
 
 # --------------------------------------------------- information measures

@@ -1,16 +1,22 @@
 """Exercises the command-line surface in process: exit codes, manifest
 contents, rerun determinism, JSON side files, and the plot-script layouts."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cot_lab
 from cot_lab import __version__, block_sim, cli, infokit, numkit
@@ -346,6 +352,32 @@ def test_bad_lambda_list_rejected(capsys, workdir):
     assert "comma-separated" in err
 
 
+def test_decoder_takes_exactly_two_numbers(capsys, workdir):
+    for text in ("0.03", "0.03,0.1,0.7"):
+        code, _, err = run(capsys, "simulate", "uncoded-binary", "--rho",
+                           "0.25", "--theta", "0.1", "--decoder", text,
+                           "--seed", "1", "--samples", "64", "--out",
+                           "u.json")
+        assert code == 1, text
+        assert "--decoder" in err and "expected 2" in err
+    assert os.listdir(".") == []
+
+
+def test_non_finite_result_writes_nothing(capsys, workdir, monkeypatch):
+    real = infokit.blahut_arimoto
+
+    def nan_capacity(ch, gamma=None):
+        return math.nan, real(ch, gamma)[1]
+
+    monkeypatch.setattr(infokit, "blahut_arimoto", nan_capacity)
+    write_bsc("ch.json", 0.1)
+    code, out, err = run(capsys, "capacity", "--channel", "ch.json",
+                         "--json", "--out", "cap.json")
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    assert os.listdir(".") == ["ch.json"]
+
+
 # ------------------------------------------------- curves and manifests
 
 def test_binary_curves_writes_csv_json_and_manifest(capsys, workdir):
@@ -388,6 +420,39 @@ def test_config_hash_tracks_numeric_inputs(capsys, workdir):
     ma = json.load(open("a.csv.manifest.json", encoding="utf-8"))
     mb = json.load(open("b.csv.manifest.json", encoding="utf-8"))
     assert ma["config_hash"] != mb["config_hash"]
+
+
+def config_hash(capsys, *argv):
+    """config_hash of one run that writes r.json (or r.csv)."""
+    out = "r.csv" if argv[0] == "binary-curves" else "r.json"
+    assert run(capsys, *argv, "--out", out)[0] == 0
+    with open(out + ".manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)["config_hash"]
+
+
+def test_config_hash_tells_commands_apart(capsys, workdir):
+    flags = ("--rho", "0.25", "--points", "256")
+    assert config_hash(capsys, "binary-curves", *flags) != \
+        config_hash(capsys, "binary-thresholds", *flags)
+
+
+def test_config_hash_ignores_workers_and_flag_order(capsys, workdir):
+    sim = ["simulate", "uncoded-binary", "--rho", "0.25", "--theta", "0.1",
+           "--seed", "1", "--samples", "64"]
+    one = config_hash(capsys, *sim, "--workers", "1")
+    assert config_hash(capsys, *sim, "--workers", "2") == one
+    assert config_hash(capsys, *sim[:2], "--samples", "64", "--seed", "1",
+                       "--theta", "0.1", "--rho", "0.25") == one
+    assert config_hash(capsys, *sim[:-1], "65") != one
+
+
+def test_config_hash_reads_input_files_by_content(capsys, workdir):
+    write_bsc("a.json", 0.1)
+    write_bsc("b.json", 0.1)
+    write_bsc("c.json", 0.2)
+    hashes = [config_hash(capsys, "capacity", "--channel", name)
+              for name in ("a.json", "b.json", "c.json")]
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_csv_is_locale_independent(capsys, workdir):
@@ -525,6 +590,22 @@ def test_rate_capped_transport_constant_cost(capsys, workdir):
     assert json.loads(out)["distortion"] == 1.0
 
 
+def test_rate_zero_writes_a_null_multiplier(capsys, workdir):
+    # rate 0 binds at an infinite multiplier
+    write_marginal("s.json", [0.75, 0.25])
+    write_marginal("t.json", [0.5, 0.5])
+    write_cost("c.json", [[0.0, 1.0], [1.0, 0.0]])
+    code, out, _ = run(capsys, "rl-ot", "--source", "s.json", "--target",
+                       "t.json", "--cost", "c.json", "--rate", "0",
+                       "--json", "--out", "r.json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["multiplier"] is None
+    assert doc["distortion"] == pytest.approx(0.5, abs=1e-12)
+    with open("r.json", encoding="utf-8") as fh:
+        assert json.loads(fh.read(), parse_constant=_reject_constant) == doc
+
+
 # identity reconstruction over a noisy channel: it shifts the output
 # marginal away from the source
 IDENTITY_SPEC = {
@@ -552,6 +633,140 @@ def test_hybrid_eval_reports_feasibility(capsys, workdir):
     assert doc["feasible"] is False
     assert doc["marginal_ok"] is False
     assert doc["e_dist"] == pytest.approx(0.1, abs=1e-12)
+
+
+MARGINAL = {"alphabet": ["0", "1"], "probs": [0.5, 0.5]}
+TRANSPORT = ["ot", "--source", "p.json", "--target", "q.json", "--cost",
+             "c.json"]
+SPEC = ["hybrid-eval", "--spec", "p.json"]
+CHANNEL = ["capacity", "--channel", "p.json"]
+
+
+@pytest.mark.parametrize("argv,name,doc,field", [
+    (TRANSPORT, "p.json", {"alphabet": None, "probs": [0.5, 0.5]},
+     "alphabet"),
+    (TRANSPORT, "p.json", {"alphabet": "01", "probs": [0.5, 0.5]},
+     "alphabet"),
+    (TRANSPORT, "p.json", [MARGINAL], "distribution"),
+    (TRANSPORT, "q.json", {"alphabet": ["0", "1"], "probs": [0.5, "0.5"]},
+     "probs"),
+    (TRANSPORT, "c.json", [[0.0, None], [1.0, 0.0]], "cost matrix"),
+    (TRANSPORT, "c.json", [[0.0, 1.0], [1.0]], "cost matrix"),
+    (SPEC, "p.json", "hello", "spec"),
+    (SPEC, "p.json", dict(IDENTITY_SPEC, gamma=None), "gamma"),
+    (SPEC, "p.json", dict(IDENTITY_SPEC, gamma=[1.0]), "gamma"),
+    (SPEC, "p.json", dict(IDENTITY_SPEC, z_alphabet="z"), "z_alphabet"),
+    (SPEC, "p.json", dict(IDENTITY_SPEC, dec=True), "dec"),
+    (CHANNEL, "p.json", dict(IDENTITY_SPEC["channel"], inputs="01"),
+     "inputs"),
+    (CHANNEL, "p.json", dict(IDENTITY_SPEC["channel"], cost=[0, False]),
+     "cost"),
+])
+def test_json_inputs_of_the_wrong_structure_exit_1(capsys, workdir, argv,
+                                                   name, doc, field):
+    files = {"p.json": MARGINAL, "q.json": MARGINAL,
+             "c.json": [[0.0, 1.0], [1.0, 0.0]], name: doc}
+    for fname, content in files.items():
+        with open(fname, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+    code, _, err = run(capsys, *argv, "--out", "r.json")
+    assert code == 1
+    assert err.startswith(field) and "Traceback" not in err
+    assert sorted(os.listdir(".")) == sorted(files)
+
+
+def test_deeply_nested_json_exits_1(capsys, workdir):
+    # past the depth that json.load can parse on the interpreter stack
+    with open("p.json", "w", encoding="utf-8") as fh:
+        fh.write("[" * 100000 + "]" * 100000)
+    write_cost("c.json", [[0.0, 1.0], [1.0, 0.0]])
+    code, _, err = run(capsys, "ot", "--source", "p.json", "--target",
+                       "p.json", "--cost", "c.json")
+    assert code == 1
+    assert err.strip() == "p.json: JSON nested too deeply"
+
+
+# valid inputs of each JSON-reading command, at most 3 x 3
+_P3 = {"alphabet": ["a", "b", "c"], "probs": [0.5, 0.3, 0.2]}
+_TRANSPORT_DOCS = {"p.json": _P3, "q.json": MARGINAL,
+                   "c.json": [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]}
+_FUZZ_CASES = {
+    "capacity": (["capacity", "--channel", "ch.json", "--gamma", "0.5"],
+                 {"ch.json": {"inputs": ["0", "1"],
+                              "outputs": ["0", "1", "2"],
+                              "matrix": [[0.8, 0.1, 0.1], [0.1, 0.2, 0.7]],
+                              "cost": [0.0, 1.0]}}),
+    "ot": (TRANSPORT, _TRANSPORT_DOCS),
+    "rl-ot": (["rl-ot"] + TRANSPORT[1:] + ["--rate", "0.1"], _TRANSPORT_DOCS),
+    "hybrid-eval": (["hybrid-eval", "--spec", "spec.json"],
+                    {"spec.json": IDENTITY_SPEC}),
+}
+_MUTATIONS = ("drop", "null", "string", "number", "boolean", "object",
+              "wrap", "append", "nan", "inf", "-inf")
+
+
+def _locations(doc, path=()):
+    """Every location in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _mutate(doc, path, kind):
+    """A copy of doc with the value at path dropped or replaced; dropping
+    the whole document leaves null."""
+    box = [copy.deepcopy(doc)]
+    parent = box
+    path = (0,) + path
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if kind == "drop":
+        del parent[path[-1]]
+        return box[0] if box else None
+    parent[path[-1]] = {
+        "null": None, "number": 1.5, "boolean": True, "object": {},
+        "wrap": [old], "append": old + [0.5] if isinstance(old, list)
+        else [old, 0.5],
+        # a string where a list or number stood, "01" for ["0", "1"]
+        "string": "".join(map(str, old)) if isinstance(old, list)
+        else str(old),
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
+    return box[0]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_json_inputs_exit_cleanly_with_strict_json(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_CASES)))
+    argv, docs = _FUZZ_CASES[command]
+    docs = dict(docs)
+    for _ in range(data.draw(st.integers(1, 2))):
+        name = data.draw(st.sampled_from(sorted(docs)))
+        path = data.draw(st.sampled_from(list(_locations(docs[name]))))
+        docs[name] = _mutate(docs[name], path,
+                             data.draw(st.sampled_from(_MUTATIONS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)  # NaN and Infinity as JS literals
+        argv = [os.path.join(tmp, a) if a in docs else a for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--json", "--out",
+                                os.path.join(tmp, "r.json")])
+        assert code in (0, 1, 2)
+        texts = [stdout.getvalue()] if stdout.getvalue() else []
+        for name in set(os.listdir(tmp)) - set(docs):
+            with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                texts.append(fh.read())
+        if code:
+            assert texts == []
+        for text in texts:
+            json.loads(text, parse_constant=_reject_constant)
 
 
 # ----------------------------------------------------------- simulators
@@ -619,32 +834,6 @@ def test_simulate_rejects_bad_rate(capsys, workdir):
                        "64")
     assert code == 1
     assert "must lie strictly between" in err
-
-
-def test_thread_env_caps_workers(capsys, workdir, monkeypatch):
-    seen = {}
-    real = block_sim.sim_uncoded_binary
-
-    def spy(rho, theta, decoder, sim):
-        seen["workers"] = sim.workers
-        return real(rho, theta, decoder, sim)
-
-    monkeypatch.setattr(block_sim, "sim_uncoded_binary", spy)
-    monkeypatch.setenv("COT_LAB_THREADS", "2")
-    code, _, _ = run(capsys, "simulate", "uncoded-binary", "--rho", "0.25",
-                     "--theta", "0.1", "--seed", "1", "--samples", "1000",
-                     "--workers", "8")
-    assert code == 0
-    assert seen["workers"] == 2
-
-
-def test_thread_env_must_be_integer(capsys, workdir, monkeypatch):
-    monkeypatch.setenv("COT_LAB_THREADS", "many")
-    code, _, err = run(capsys, "simulate", "uncoded-binary", "--rho",
-                       "0.25", "--theta", "0.1", "--seed", "1",
-                       "--samples", "1000")
-    assert code == 1
-    assert "COT_LAB_THREADS" in err
 
 
 # ------------------------------------------------------- import footprint
