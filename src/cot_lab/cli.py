@@ -20,8 +20,7 @@ import sys
 import time
 
 # numpy and the numerics are imported inside each handler, so a command
-# loads only what it runs: emit-plot needs neither numpy nor scipy, and
-# only ot and rl-ot load scipy
+# loads only what it runs: emit-plot needs no numpy
 from . import BracketError, MaxIterError, SinkhornDivergence, __version__
 from .tables import CURVE_COLUMNS, GAUSSIAN_COLUMNS
 

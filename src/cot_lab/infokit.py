@@ -375,6 +375,11 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None
 # ------------------------------------------------------- optimal transport
 
 _SIZE_LIMIT = 10 ** 6
+# largest cost entry the transport solvers take. A simplex potential is an
+# alternating sum of at most |A| + |B| <= 1e6 + 1 entries, the ladder's top
+# rung is lambda = 1e4 times the cost range, and <plan, cost> is at most the
+# largest entry, so below 1e100 none of them comes near overflow (1.8e308)
+_MAX_COST = 1e100
 # Sinkhorn's stop: both marginals met to this within _MAX_SWEEPS sweeps (it
 # contracts slowly at intermediate lam, ~2e4 sweeps on skewed binary laws)
 _MARGINAL_ERR = 1e-9
@@ -384,38 +389,37 @@ _MAX_SWEEPS = 40000
 _MIN_RATE = 1e-12
 
 
+def _transport_cost(row: DiscreteDistribution, col: DiscreteDistribution,
+                    cost) -> np.ndarray:
+    """cost as a float |row| x |col| array; ValueError unless its entries
+    are finite, nonnegative and at most _MAX_COST and it has at most
+    _SIZE_LIMIT cells."""
+    c = finite_array(cost, "cost matrix")
+    if c.shape != (len(row), len(col)):
+        raise ValueError("cost matrix shape mismatch")
+    if np.any(c < 0.0):
+        raise ValueError("cost matrix must be nonnegative")
+    if np.any(c > _MAX_COST):
+        raise ValueError(f"cost matrix entries must be at most {_MAX_COST:g}")
+    if c.size > _SIZE_LIMIT:
+        raise ValueError("size limit exceeded: |A|*|B| must be <= 1e6")
+    return c
+
+
 def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
                 cost: np.ndarray) -> Tuple[float, Coupling]:
     """Exact minimum of <plan, cost> over couplings of (row, col).
 
-    Solved as the transport LP; the returned plan attains d_star. Plans are
-    not unique in general — only d_star is contract-bearing.
+    Solved by the transportation simplex of cot_lab.transport, imported
+    here so that commands without a transport LP do not load it; the
+    returned plan is an optimal vertex and d_star is its cost. Plans are
+    not unique in general — only d_star is contract-bearing. Working
+    memory is a few copies of the cost matrix.
     """
-    c = finite_array(cost, "cost matrix")
-    n, m = len(row), len(col)
-    if c.shape != (n, m):
-        raise ValueError("cost matrix shape mismatch")
-    if np.any(c < 0.0):
-        raise ValueError("cost matrix must be nonnegative")
-    if n * m > _SIZE_LIMIT:
-        raise ValueError("size limit exceeded: |A|*|B| must be <= 1e6")
-
-    a_rows = np.zeros((n, n * m))
-    for i in range(n):
-        a_rows[i, i * m:(i + 1) * m] = 1.0
-    a_cols = np.zeros((m, n * m))
-    for j in range(m):
-        a_cols[j, j::m] = 1.0
-    from scipy.optimize import linprog
-    res = linprog(
-        c.ravel(),
-        A_eq=np.vstack([a_rows, a_cols]),
-        b_eq=np.concatenate([row.probs, col.probs]),
-        bounds=(0.0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = np.clip(res.x.reshape(n, m), 0.0, None)
-    return float(res.fun), Coupling(row, col, plan, c)
+    from .transport import transport_simplex
+    c = _transport_cost(row, col, cost)
+    plan = Coupling(row, col, transport_simplex(row.probs, col.probs, c), c)
+    return plan.expected_cost(), plan
 
 
 def _logsumexp(a, axis):
@@ -499,7 +503,7 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     if 0.0 < rate < _MIN_RATE:
         raise ValueError(f"rate {rate!r} is below the resolvable floor "
                          f"{_MIN_RATE:g}; use 0 for the independent coupling")
-    c = finite_array(cost, "cost matrix")
+    c = _transport_cost(row, col, cost)
     e_indep = float(row.probs @ c @ col.probs)
     if rate == 0.0:
         return RDPoint(0.0, e_indep, float("inf"))

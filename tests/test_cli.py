@@ -580,6 +580,21 @@ def test_rate_capped_transport_refuses_rates_below_the_floor(capsys,
     assert "floor" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["ot"], ["rl-ot", "--rate", "0.1"],
+                                  ["rl-ot", "--rate", "0"]])
+def test_transport_costs_above_the_limit_exit_1(capsys, workdir, argv):
+    # entries this large would overflow the potentials and the lambda ladder
+    write_marginal("s.json", [0.75, 0.25])
+    write_cost("c.json", [[0.0, 1e308], [1e308, 0.0]])
+    code, out, err = run(capsys, *argv[:1], "--source", "s.json", "--target",
+                         "s.json", "--cost", "c.json", *argv[1:], "--out",
+                         "r.json")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "cost matrix entries must be at most 1e+100"
+    assert sorted(os.listdir(".")) == ["c.json", "s.json"]
+
+
 def test_rate_capped_transport_constant_cost(capsys, workdir):
     write_marginal("s.json", [0.5, 0.5])
     write_cost("c.json", [[1.0, 1.0], [1.0, 1.0]])
@@ -702,7 +717,8 @@ _FUZZ_CASES = {
                     {"spec.json": IDENTITY_SPEC}),
 }
 _MUTATIONS = ("drop", "null", "string", "number", "boolean", "object",
-              "wrap", "append", "nan", "inf", "-inf")
+              "wrap", "append", "nan", "inf", "-inf", "huge", "-huge",
+              "tiny")
 
 
 def _locations(doc, path=()):
@@ -733,7 +749,9 @@ def _mutate(doc, path, kind):
         # a string where a list or number stood, "01" for ["0", "1"]
         "string": "".join(map(str, old)) if isinstance(old, list)
         else str(old),
-        "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
+        "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+        # finite numbers at the ends of the float range
+        "huge": 1e308, "-huge": -1e308, "tiny": 5e-324}[kind]
     return box[0]
 
 
@@ -876,9 +894,11 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         ("uncoded-binary", ["simulate", "uncoded-binary", "--rho", "0.25",
                             "--theta", "0.1", "--seed", "1", "--samples",
                             "1000", "--out", "s.json"]),
-        # the exact transport LP is the one that needs scipy
         ("ot", ["ot", "--source", "p.json", "--target", "p.json", "--cost",
                 "cost.json", "--out", "ot.json"]),
+        ("rl-ot", ["rl-ot", "--source", "p.json", "--target", "p.json",
+                   "--cost", "cost.json", "--rate", "0.3", "--out",
+                   "rl.json"]),
     ]
     src = os.path.dirname(os.path.dirname(cot_lab.__file__))
     proc = subprocess.run(
@@ -889,8 +909,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen.pop("import") == []
     assert seen.pop("emit-plot") == [0]
-    assert seen.pop("ot") == [0, "numpy", "scipy"]
-    assert seen == {name: [0, "numpy"] for name, _ in commands[1:-1]}
+    assert seen == {name: [0, "numpy"] for name, _ in commands[1:]}
 
 
 def test_error_classes_are_shared_with_the_solvers():

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cot_lab
-from cot_lab import SinkhornDivergence, infokit
+from cot_lab import MaxIterError, SinkhornDivergence, infokit, transport
 from cot_lab.binary_case import d_hat
 from cot_lab.infokit import (
     Coupling,
@@ -115,6 +116,21 @@ def check_duality_certificate(plan, row, col, cost, objective):
     assert np.all(u[:, None] + v[None, :] <= cost + 1e-9)
     assert u @ row.probs + v @ col.probs == pytest.approx(objective, abs=1e-9)
     return True
+
+
+def highs_min_cost(a, b, cost):
+    """Minimum transport cost for row sums a and column sums b by HiGHS
+    (scipy, a test dependency) on the sparse transport LP: an LP solver
+    that shares no code with the transportation simplex."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+    n, m = cost.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0.0, None), method="highs")
+    assert res.success, res.message
+    return res.fun
 
 
 def grid_capacity(W, cost, gamma, points=200001):
@@ -482,6 +498,103 @@ def test_ot_identical_marginals_zero_cost_on_diagonal():
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
+def _oracle_problem(seed, shape, kind):
+    """Seeded marginals and cost of one oracle case: random, zero-mass
+    atoms, tied integer costs, a constant cost, uniform marginals under
+    tied costs (every basis degenerate), or marginals whose sums differ
+    by 1.8e-9 (each within the 1e-9 that validation allows)."""
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    cost = rng.uniform(0.0, 3.0, shape)
+    if kind == "zero-mass":
+        for w in (p, q):
+            w[1:][rng.random(len(w) - 1) < 0.4] = 0.0
+            w /= w.sum()
+    elif kind == "tied":
+        cost = rng.integers(0, 3, shape).astype(float)
+    elif kind == "constant":
+        cost = np.full(shape, 0.7)
+    elif kind == "uniform":
+        p, q = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        cost = rng.integers(0, 3, shape).astype(float)
+    elif kind == "imbalanced":
+        p *= (1.0 + 9e-10) / p.sum()
+        q *= (1.0 - 9e-10) / q.sum()
+    return p, q, cost
+
+
+@pytest.mark.parametrize("kind", ["random", "zero-mass", "tied", "constant",
+                                  "uniform", "imbalanced"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 8), (8, 3),
+                                   (25, 25), (40, 17), (90, 120)])
+def test_ot_matches_highs(shape, kind):
+    p, q, cost = _oracle_problem(sum(shape), shape, kind)
+    row = DiscreteDistribution(tuple(map(str, range(len(p)))), p)
+    col = DiscreteDistribution(tuple(map(str, range(len(q)))), q)
+    d_star, plan = ot_min_cost(row, col, cost)
+    table = plan.table
+    assert np.all(table >= 0.0)
+    assert np.max(np.abs(table.sum(axis=1) - p)) <= 1e-9
+    assert np.max(np.abs(table.sum(axis=0) - q)) <= 1e-9
+    assert d_star == float(np.sum(table * cost))
+    # optimal for the marginals it meets, to 1e-12 relative
+    exact = highs_min_cost(table.sum(axis=1), table.sum(axis=0), cost)
+    assert abs(d_star - exact) <= 1e-12 * exact + 1e-15 * np.max(cost)
+    # and for the given ones up to the mass that the two sums disagree by,
+    # which the simplex splits between the marginals and HiGHS puts on one
+    given = highs_min_cost(p, q, cost)
+    assert abs(d_star - given) <= (1e-12 * given + 1e-15 * np.max(cost)
+                                   + abs(p.sum() - q.sum()) * np.max(cost))
+
+
+def test_ot_working_memory_is_a_few_cost_matrices():
+    # a dense LP would build an (n + m) x n m constraint matrix, about
+    # 430 MB here; the simplex keeps the plan and one reduced-cost table.
+    # Points of the line under |x - y| with ten cells halved take some 600
+    # pivots
+    n = 300
+    rng = np.random.default_rng(3)
+    x, y = np.sort(rng.uniform(0.0, 1.0, n)), np.sort(rng.uniform(0.0, 1.0, n))
+    cost = np.abs(np.subtract.outer(x, y))
+    cost.flat[rng.choice(n * n, 10, replace=False)] *= 0.5
+    row, col = rand_dist(rng, n), rand_dist(rng, n)
+    tracemalloc.start()
+    try:
+        ot_min_cost(row, col, cost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cost.nbytes
+
+
+def test_ot_pivot_cap_raises_max_iter_error(monkeypatch):
+    rng = np.random.default_rng(8)
+    row, col = rand_dist(rng, 6), rand_dist(rng, 6)
+    cost = rng.uniform(0.0, 1.0, (6, 6))
+    monkeypatch.setattr(transport, "_MAX_PIVOTS", 1)
+    with pytest.raises(MaxIterError, match="1 pivots"):
+        ot_min_cost(row, col, cost)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_transport_refuses_costs_above_the_limit(rate):
+    huge = np.array([[0.0, 1.1e100], [1.1e100, 0.0]])
+    with pytest.raises(ValueError, match="at most 1e\\+100"):
+        ot_min_cost(bern(0.25), bern(0.5), huge)
+    with pytest.raises(ValueError, match="at most 1e\\+100"):
+        rate_limited_ot(bern(0.25), bern(0.5), huge, rate)
+
+
+def test_transport_at_the_cost_limit_scales_the_unit_answers():
+    ham = 1.0 - np.eye(2)
+    d_star, _ = ot_min_cost(bern(0.25), bern(0.5), 1e100 * ham)
+    assert d_star == pytest.approx(0.25e100, rel=1e-15)
+    pt = rate_limited_ot(bern(0.25), bern(0.25), 1e100 * ham, 0.3)
+    unit = rate_limited_ot(bern(0.25), bern(0.25), ham, 0.3)
+    assert pt.distortion == pytest.approx(1e100 * unit.distortion, rel=1e-9)
+
+
 # --------------------------------------------------------- entropic solver
 
 def test_entropic_plan_marginals_within_tolerance():
@@ -571,6 +684,30 @@ def test_entropic_plan_imports_no_scipy_special():
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.strip() == "False"
+
+
+def test_infokit_runs_with_scipy_hidden():
+    # scipy is a test dependency only: the transport LP and the
+    # rate-capped solve import none of it
+    code = ("import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy hidden')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "import numpy as np\n"
+            "from cot_lab.infokit import (DiscreteDistribution, ot_min_cost,\n"
+            "                             rate_limited_ot)\n"
+            "p = DiscreteDistribution(('0', '1'), [0.75, 0.25])\n"
+            "q = DiscreteDistribution(('0', '1'), [0.5, 0.5])\n"
+            "ham = 1.0 - np.eye(2)\n"
+            "print(ot_min_cost(p, q, ham)[0],\n"
+            "      rate_limited_ot(p, p, ham, 0.3).distortion > 0.0)")
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["0.25", "True"]
 
 
 # ------------------------------------------------------- rate-limited curve
