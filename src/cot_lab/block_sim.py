@@ -5,10 +5,10 @@ Single-letter schemes (uncoded binary/Gaussian, genie-aided hybrid) are
 sampled directly. The block harness draws random codebooks, runs the
 likelihood encoder, joint-typicality decoding with a maximum-likelihood
 fallback, symbolwise reconstruction, and the final maximal-coupling step
-against the product target law. When the alphabet powers fit the exact
-enumeration budget the per-codebook output law, its total variation to the
-target, and the message error probability are computed exactly by tensor
-contraction; otherwise a plug-in empirical law is used and flagged.
+against the product target law. The per-codebook output law, its total
+variation to the target, and the message error probability are computed
+exactly by tensor contraction over every block, so alphabet powers past the
+enumeration budget are refused.
 
 Reproducibility: every random draw comes from a counter-based generator
 keyed by (seed, stream, chunk). Chunk boundaries are fixed by the sample
@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import MaxIterError
 from .binary_case import hybrid_params
 from .gaussian_case import _check_gamma, _check_lambdas, linear_bound
 from .infokit import (
@@ -43,11 +42,6 @@ _ENUM_BITS = 24.0
 # decoder tables and contractions, or the sampled encoder weights of all
 # threads together; a few such tables are alive at once
 _ENUM_BYTES = 2 ** 28
-# most sampled blocks one decoder call takes; longer lists are decoded in
-# slices, since the log-likelihood lanes keep several tables alive
-_DECODE_ROWS = 1 << 12
-# proposals the plug-in coupling may draw for one residual sample
-_PLUGIN_TRIES = 100000
 # largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
 # sums square lambda and u^2 scales with gamma, so larger ones overflow to inf
 _MAX_GAUSSIAN_SCALE = 1e100
@@ -80,17 +74,13 @@ class CodebookDraw:
     """Per-codebook outcome of the block harness.
 
     tv_to_target is the total variation between the pre-coupling
-    reconstruction law and the product target; exact_law says whether that
-    law (and msg_error_rate) was enumerated exactly or estimated from the
-    samples, in which case est_sigma gives the concentration scale of the
-    estimate."""
+    reconstruction law and the product target; it and msg_error_rate are
+    enumerated exactly."""
 
     size: int
     msg_error_rate: float
     tv_to_target: float
     degenerate: bool
-    exact_law: bool
-    est_sigma: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -409,8 +399,8 @@ class BlockCodeConfig:
             raise ValueError("n must be at least 1")
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
-        if not self.typ_delta > 0.0:
-            raise ValueError("typ_delta must be positive")
+        if not 0.0 < self.typ_delta < math.inf:
+            raise ValueError("typ_delta must be positive and finite")
         if self.codebooks < 1:
             raise ValueError("codebooks must be at least 1")
         nx, nz = len(self.source), len(self.code_marginal)
@@ -528,25 +518,16 @@ def _sum_rows(table: np.ndarray) -> np.ndarray:
 
 
 def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
-                   pvz: np.ndarray, v_blocks: Optional[np.ndarray] = None):
+                   pvz: np.ndarray):
     """Typicality decoder with maximum-likelihood fallback, over every
     message at once.
 
-    Returns the decoded message of every received block (row of v_blocks,
-    or every output block in enumeration order when v_blocks is None) and
-    whether typicality failed to single out one message for it."""
-    if v_blocks is not None and len(v_blocks) > _DECODE_ROWS:
-        # blocks decode independently; slices bound the messages x blocks
-        # tables the log-likelihood lanes keep alive
-        parts = [_decode_tables(cfg, code, pvz, v_blocks[i:i + _DECODE_ROWS])
-                 for i in range(0, len(v_blocks), _DECODE_ROWS)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+    Returns the decoded message of every output block in enumeration order
+    and whether typicality failed to single out one message for it."""
     n = cfg.n
     msgs = code.shape[0]
     nz, nv = pvz.shape
-    enumerated = v_blocks is None
-    if enumerated:
-        v_blocks = _enumerate_blocks(n, nv)
+    v_blocks = _enumerate_blocks(n, nv)
 
     # joint-type counts of every (message, block) pair as one-hot products;
     # they are exact integers in float64, so the deviation is the same as
@@ -571,22 +552,19 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
     del typical
 
     # log-likelihood summed over positions in the order a row sum adds
-    # them. On the enumeration each position's term broadcasts over its own
-    # block axis; the axes run from the last position to the first, so the
-    # late, large sums add long contiguous runs
+    # them. Each position's term broadcasts over its own block axis; the
+    # axes run from the last position to the first, so the late, large sums
+    # add long contiguous runs
     with np.errstate(divide="ignore"):
         logpvz = np.log(pvz)
-    if enumerated:
-        def term(t):
-            return logpvz[code[:, t]].reshape(
-                (msgs,) + (1,) * (n - 1 - t) + (nv,) + (1,) * t)
-    else:
-        def term(t):
-            return logpvz[code[:, t]][:, v_blocks[:, t]]
+
+    def term(t):
+        return logpvz[code[:, t]].reshape(
+            (msgs,) + (1,) * (n - 1 - t) + (nv,) + (1,) * t)
+
     fallback = _pairwise_sum(term, n).reshape(msgs, -1).argmax(axis=0)
-    if enumerated:
-        # back to enumeration order, first position most significant
-        fallback = fallback.reshape((nv,) * n).T.ravel()
+    # back to enumeration order, first position most significant
+    fallback = fallback.reshape((nv,) * n).T.ravel()
     typ_fail = matches != 1
     decode = np.where(typ_fail, fallback, first)
     return decode, typ_fail
@@ -665,18 +643,16 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
 
 
 def _generate_phase(cfg: BlockCodeConfig, code: np.ndarray,
-                    decode_map: Optional[np.ndarray],
-                    sim: SimConfig, stream: int):
+                    decode_map: np.ndarray, sim: SimConfig, stream: int):
     """Run sampled source blocks through encoder, channel, decoder and
     reconstruction; returns per-chunk (x, yhat, message error) arrays.
 
-    decode_map, when given, is the decoder tabulated over every output
-    block; otherwise each chunk's received blocks are decoded directly."""
+    decode_map is the decoder tabulated over every output block in
+    enumeration order."""
     n = cfg.n
     nv = len(cfg.channel.output_alphabet)
     src_cdf = np.cumsum(cfg.source.probs)
     vpow = nv ** np.arange(n - 1, -1, -1)
-    _, pvz = _symbol_kernels(cfg)
 
     def chunk(rng, count):
         x = _cdf_draw(rng.random((count, n)), src_cdf)
@@ -684,10 +660,7 @@ def _generate_phase(cfg: BlockCodeConfig, code: np.ndarray,
         z = code[m]
         u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
         v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])
-        if decode_map is not None:
-            mhat = decode_map[(v * vpow).sum(axis=1)]
-        else:
-            mhat, _ = _decode_tables(cfg, code, pvz, v)
+        mhat = decode_map[(v * vpow).sum(axis=1)]
         yhat = _row_draw(rng.random((count, n)),
                          cfg.dec_cond[code[mhat], v])
         return x, yhat, mhat != m
@@ -725,59 +698,6 @@ def _couple_exact(cfg, laws, gen_parts, sim, stream):
     return out
 
 
-def _couple_plugin(cfg, gen_parts, sim, stream):
-    """Coupling against the empirical reconstruction law.
-
-    Returns the coupled parts plus the plug-in total variation estimate and
-    its concentration scale.
-    """
-    n = cfg.n
-    ny = len(cfg.target)
-    allyhat = np.concatenate([p[1] for p in gen_parts], axis=0)
-    total = allyhat.shape[0]
-    urows, inverse, counts = np.unique(allyhat, axis=0, return_inverse=True,
-                                       return_counts=True)
-    phat = counts / total
-    pt_u = _product_law(cfg.target.probs, urows)
-    tv = float(np.maximum(phat - pt_u, 0.0).sum())
-    sigma = math.sqrt(urows.shape[0] / (4.0 * total))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        keep = np.minimum(phat, pt_u) / phat
-    lookup = {row.tobytes(): k for k, row in enumerate(urows)}
-    tgt_cdf = np.cumsum(cfg.target.probs)
-
-    out = []
-    offset = 0
-    for idx, (x, yhat, err) in enumerate(gen_parts):
-        rng = _rng(sim.seed, stream, idx)
-        count = x.shape[0]
-        inv = inverse[offset:offset + count]
-        offset += count
-        y = yhat.copy()
-        reject = rng.random(count) >= keep[inv]
-        need = np.flatnonzero(reject)
-        # rejection-sample the residual: propose from the product target,
-        # accept with probability 1 - min(1, phat/pt)
-        for pos in need:
-            for _ in range(_PLUGIN_TRIES):
-                cand = _cdf_draw(rng.random(n), tgt_cdf)
-                k = lookup.get(cand.astype(np.int64).tobytes())
-                if k is None:
-                    break
-                ptc = pt_u[k]
-                if ptc <= 0.0:
-                    continue
-                if rng.random() < max(0.0, 1.0 - phat[k] / ptc):
-                    break
-            else:
-                raise MaxIterError(
-                    f"plug-in coupling rejected {_PLUGIN_TRIES} proposals "
-                    "for one residual sample")
-            y[pos] = cand
-        out.append((x, y, err))
-    return out, tv, sigma
-
-
 def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     """Random-coding hybrid scheme at small blocklength.
 
@@ -786,21 +706,23 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     encoder, channel, typicality decoder with maximum-likelihood fallback,
     symbolwise reconstruction, maximal coupling to the product target), and
     pools the distortion samples. msg_error_rate and tv_to_target are
-    medians of the per-codebook values, which are exact when the alphabet
-    powers fit the enumeration budget and plug-in estimates otherwise; the
-    per-codebook detail sits in codebook_draws.
+    medians of the exact per-codebook values; the per-codebook detail sits
+    in codebook_draws. BudgetExceeded is raised before any codebook is drawn
+    when the codeword, source, channel output or reconstruction space has
+    more than 2^24 blocks of length n, or a table passes its byte budget.
     """
     nz = len(cfg.code_marginal)
     nx, nv = len(cfg.source), len(cfg.channel.output_alphabet)
     ny = len(cfg.target)
-    if cfg.n * math.log2(nz) > _ENUM_BITS + 1e-9:
-        raise BudgetExceeded("codeword space exceeds the enumeration budget")
-    exact = all(cfg.n * math.log2(k) <= _ENUM_BITS + 1e-9
-                for k in (nx, nv, ny))
+    for space, size in (("codeword", nz), ("source", nx),
+                        ("channel output", nv), ("reconstruction", ny)):
+        if cfg.n * math.log2(size) > _ENUM_BITS + 1e-9:
+            raise BudgetExceeded(
+                f"{space} space exceeds the enumeration budget")
     msgs = cfg.codebook_size
     # the exact laws run every message at once over the source, output and
     # reconstruction spaces
-    table = 8 * msgs * max(nx, nv, ny) ** cfg.n if exact else 0
+    table = 8 * msgs * max(nx, nv, ny) ** cfg.n
     if table > _ENUM_BYTES:
         raise BudgetExceeded(
             f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
@@ -812,7 +734,7 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
             f"{sim.samples} blocks of length {cfg.n} exceed the "
             f"{_ENUM_BYTES / 2 ** 20:.0f} MiB sample budget")
     # each thread draws a chunk's messages from a chunk x messages table of
-    # encoder weights (and its running sums), on either path
+    # encoder weights (and its running sums)
     rows = min(sim.samples, _CHUNK)
     weights = 8 * msgs * rows * _pool_size(sim)
     if weights > _ENUM_BYTES:
@@ -825,46 +747,35 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     draws = []
     moment_parts = []
     y_counts = np.zeros(ny)
-    err_totals = []
     for d in range(cfg.codebooks):
         rng = _rng(sim.seed, 4 * d + 1, 0)
         code = _cdf_draw(rng.random((msgs, cfg.n)), z_cdf)
         degenerate = bool((code == code[0]).all())
 
-        if exact:
-            laws = _codebook_laws(cfg, code)
-            gen = _generate_phase(cfg, code, laws.decode_map, sim,
-                                  stream=4 * d + 2)
-            coupled = _couple_exact(cfg, laws, gen, sim, stream=4 * d + 3)
-            tv, err_rate, sigma = laws.tv_to_target, laws.msg_error, None
-        else:
-            gen = _generate_phase(cfg, code, None, sim, stream=4 * d + 2)
-            coupled, tv, sigma = _couple_plugin(cfg, gen, sim,
-                                                stream=4 * d + 3)
-            err_rate = sum(int(p[2].sum()) for p in gen) / sim.samples
+        laws = _codebook_laws(cfg, code)
+        gen = _generate_phase(cfg, code, laws.decode_map, sim,
+                              stream=4 * d + 2)
+        coupled = _couple_exact(cfg, laws, gen, sim, stream=4 * d + 3)
 
         for x, y, err in coupled:
             dist_rows = cfg.dist[x, y].mean(axis=1)
             moment_parts.append((x.shape[0], float(dist_rows.sum()),
                                  float((dist_rows * dist_rows).sum())))
             y_counts += np.bincount(y.ravel(), minlength=ny)
-        err_totals.append(err_rate)
-        draws.append(CodebookDraw(msgs, float(err_rate), float(tv),
-                                  degenerate, exact, sigma))
+        draws.append(CodebookDraw(msgs, float(laws.msg_error),
+                                  float(laws.tv_to_target), degenerate))
 
     mean, se, n_total = _pooled_moments(moment_parts)
     marginal = DiscreteDistribution(cfg.target.alphabet,
                                     y_counts / y_counts.sum())
-    note = ("exact per-codebook law" if exact
-            else "plug-in per-codebook law estimated from samples")
     return SimReport(
         mean, se, marginal,
         float(np.median([dr.tv_to_target for dr in draws])),
         n_total,
-        msg_error_rate=float(np.median(err_totals)),
+        msg_error_rate=float(np.median([dr.msg_error_rate for dr in draws])),
         codebook_draws=tuple(draws),
         notes=("typicality test: max deviation of the empirical "
-               "(codeword, output) pair law", note))
+               "(codeword, output) pair law", "exact per-codebook law"))
 
 
 def binary_separation_block_config(rho: float, delta: float, theta: float,

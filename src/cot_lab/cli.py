@@ -280,7 +280,8 @@ def _report_to_json(rep) -> dict:
         out["codebook_draws"] = [
             {"size": d.size, "msg_error_rate": d.msg_error_rate,
              "tv_to_target": d.tv_to_target, "degenerate": d.degenerate,
-             "exact_law": d.exact_law, "est_sigma": d.est_sigma}
+             # every law is enumerated; the keys keep the report schema
+             "exact_law": True, "est_sigma": None}
             for d in rep.codebook_draws]
     if rep.notes:
         out["notes"] = list(rep.notes)
@@ -537,8 +538,11 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"{exc}\n")
+        return 1
+    except KeyError as exc:  # a JSON input without a required field
+        sys.stderr.write(f"missing field {exc}\n")
         return 1
 
 

@@ -127,6 +127,9 @@ class DiscreteChannel:
                 raise ValueError("channel cost vector shape mismatch")
             if np.any(self.cost < 0.0):
                 raise ValueError("channel costs must be nonnegative")
+            if np.any(self.cost > _MAX_COST):
+                raise ValueError(
+                    f"channel cost entries must be at most {_MAX_COST:g}")
 
 
 @dataclass(frozen=True)
@@ -375,10 +378,11 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None
 # ------------------------------------------------------- optimal transport
 
 _SIZE_LIMIT = 10 ** 6
-# largest cost entry the transport solvers take. A simplex potential is an
-# alternating sum of at most |A| + |B| <= 1e6 + 1 entries, the ladder's top
-# rung is lambda = 1e4 times the cost range, and <plan, cost> is at most the
-# largest entry, so below 1e100 none of them comes near overflow (1.8e308)
+# largest cost entry the transport solvers and channels take. A simplex
+# potential is an alternating sum of at most |A| + |B| <= 1e6 + 1 entries,
+# the ladder's top rung is lambda = 1e4 times the cost range, and <plan,
+# cost> is at most the largest entry, so below 1e100 none of them comes near
+# overflow (1.8e308); a channel's spend E[c] stays finite the same way
 _MAX_COST = 1e100
 # Sinkhorn's stop: both marginals met to this within _MAX_SWEEPS sweeps (it
 # contracts slowly at intermediate lam, ~2e4 sweeps on skewed binary laws)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from cot_lab import MaxIterError, block_sim
+from cot_lab import block_sim
 from cot_lab.binary_case import d_hybrid, d_uncoded, hybrid_distortion
 from cot_lab.block_sim import (
     BlockCodeConfig,
@@ -22,7 +22,6 @@ from cot_lab.block_sim import (
     SimConfig,
     SimReport,
     _codebook_laws,
-    _decode_tables,
     _enumerate_blocks,
     _generate_phase,
     _pairwise_sum,
@@ -356,6 +355,9 @@ def test_block_config_validation():
                         x_given_z=cfg.x_given_z, u_given_xz=cfg.u_given_xz,
                         channel=cfg.channel, dec_cond=cfg.dec_cond,
                         target=cfg.target, dist=cfg.dist)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="typ_delta"):
+            dataclasses.replace(cfg, typ_delta=bad)
 
 
 def test_codebook_size_is_exact_ceiling():
@@ -579,37 +581,19 @@ def test_batched_laws_equal_loop_on_wide_alphabets(sizes):
     assert_laws_equal_loop(cfg, code)
 
 
-def test_decoder_routes_agree_on_every_block(monkeypatch):
-    # the enumeration broadcasts each position's term over its block axis,
-    # sampled rows gather it and are decoded in slices; all three agree
-    cfg = candidate(10, codebooks=1, typ=0.1)
-    code = block_sim._cdf_draw(
-        np.random.default_rng(3).random((cfg.codebook_size, 10)),
-        np.cumsum(cfg.code_marginal.probs))
-    _, pvz = _symbol_kernels(cfg)
-    blocks = _enumerate_blocks(10, 2)
-    enumerated = _decode_tables(cfg, code, pvz)
-    rows = _decode_tables(cfg, code, pvz, blocks)
-    monkeypatch.setattr(block_sim, "_DECODE_ROWS", 100)
-    sliced = _decode_tables(cfg, code, pvz, blocks)
-    for got in (rows, sliced):
-        assert all(np.array_equal(a, b) for a, b in zip(enumerated, got))
-    assert enumerated[1].any() and not enumerated[1].all()
-
-
-def test_decode_routes_agree():
-    # the tabulated decode map and decoding each sampled block directly are
-    # one decoder, so the sampled phase must not depend on the route
+def test_sampled_message_error_matches_exact_law():
+    # the sampled phase looks each received block up in the decode map by
+    # its enumeration index; reading the map in another order decodes other
+    # blocks and moves the sampled error far from the exact one
     cfg = candidate(8, codebooks=1)
     code = np.random.default_rng(0).integers(0, 4, (cfg.codebook_size, 8))
     laws = _codebook_laws(cfg, code)
-    sim = SimConfig(6, 40000)
-    tabled = _generate_phase(cfg, code, laws.decode_map, sim, stream=2)
-    direct = _generate_phase(cfg, code, None, sim, stream=2)
-    assert len(tabled) == len(direct) == 2
-    for a, b in zip(tabled, direct):
-        assert all(np.array_equal(u, w) for u, w in zip(a, b))
-    assert laws.typ_fail.any() and any(p[2].any() for p in tabled)
+    parts = _generate_phase(cfg, code, laws.decode_map, SimConfig(6, 40000),
+                            stream=2)
+    errors = np.concatenate([p[2] for p in parts])
+    assert errors.size == 40000 and laws.typ_fail.any()
+    se = math.sqrt(laws.msg_error * (1.0 - laws.msg_error) / errors.size)
+    assert abs(errors.mean() - laws.msg_error) <= 4.0 * se
 
 
 def test_exact_laws_conserve_mass_and_handle_uncovered_blocks():
@@ -650,7 +634,6 @@ def test_block_reduction_to_single_letter_uncoded():
     # hits the target law so the coupling never rewrites a symbol
     for draw in rep.codebook_draws:
         assert draw.degenerate
-        assert draw.exact_law
         assert draw.tv_to_target < 1e-12
     assert rep.tv_to_target < 1e-12
 
@@ -677,7 +660,6 @@ def test_block_trend_over_blocklength():
         rep = sim_block_hybrid(candidate(n), sim)
         errs.append(rep.msg_error_rate)
         tvs.append(rep.tv_to_target)
-        assert rep.codebook_draws[0].exact_law
     assert errs[0] >= errs[1] >= errs[2]
     assert tvs[0] >= tvs[1] >= tvs[2]
     assert errs[2] < 0.05 and tvs[2] < 0.08
@@ -708,7 +690,7 @@ def test_block_worker_invariance():
 
 def _wide_alphabet_config(codebooks=2):
     # |V| = 8 pushes n=9 past the enumeration budget for the channel
-    # output space while |Z| stays within it, forcing the plug-in path
+    # output space while |Z| stays within it
     nu = nv = 8
     xz = np.array([[0.9, 0.1], [0.1, 0.9]])
     u_rows = np.zeros((2, 2, nu))
@@ -730,28 +712,18 @@ def _wide_alphabet_config(codebooks=2):
         codebooks=codebooks)
 
 
-def test_block_plugin_path_flags_estimation():
-    rep = sim_block_hybrid(_wide_alphabet_config(), SimConfig(2, 3000))
-    for draw in rep.codebook_draws:
-        assert not draw.exact_law
-        assert draw.est_sigma is not None and draw.est_sigma > 0.0
-        assert 0.0 <= draw.tv_to_target <= 1.0
-    assert "plug-in" in " ".join(rep.notes)
-
-
-def test_block_plugin_path_worker_invariance():
-    cfg = _wide_alphabet_config()
-    one = sim_block_hybrid(cfg, SimConfig(2, 3000, 1))
-    three = sim_block_hybrid(cfg, SimConfig(2, 3000, 3))
-    assert reports_equal(one, three)
-
-
-def test_block_plugin_coupling_raises_when_proposals_run_out(monkeypatch):
-    # one proposal per residual sample: some proposal is rejected, and the
-    # coupling must say so rather than keep the rejected candidate
-    monkeypatch.setattr(block_sim, "_PLUGIN_TRIES", 1)
-    with pytest.raises(MaxIterError, match="1 proposals"):
-        sim_block_hybrid(_wide_alphabet_config(), SimConfig(2, 3000))
+def test_block_refuses_spaces_past_the_enumeration_budget(monkeypatch):
+    # 8 letters at n = 9 give 2^27 blocks; each space is named and refused
+    # before the first codebook is drawn
+    _forbid_codebook_draws(monkeypatch)
+    rng = np.random.default_rng(9)
+    cases = {"channel output": _wide_alphabet_config(),
+             "source": _random_config(rng, 8, 2, 2, 2, 2, 9, 0.3),
+             "reconstruction": _random_config(rng, 2, 2, 2, 2, 8, 9, 0.3)}
+    for space, cfg in cases.items():
+        with pytest.raises(BudgetExceeded,
+                           match=f"^{space} space exceeds the enumeration"):
+            sim_block_hybrid(cfg, SimConfig(0, 16))
 
 
 def _binary_code_config(n, rate):
@@ -773,7 +745,7 @@ def test_block_byte_budget_gate(monkeypatch):
     cfg = candidate(8, codebooks=1)
     table = 8 * cfg.codebook_size * 2 ** 8
     monkeypatch.setattr(block_sim, "_ENUM_BYTES", table)
-    assert sim_block_hybrid(cfg, SimConfig(0, 16)).codebook_draws[0].exact_law
+    sim_block_hybrid(cfg, SimConfig(0, 16))
     monkeypatch.setattr(block_sim, "_ENUM_BYTES", table - 1)
     with pytest.raises(BudgetExceeded, match="MiB"):
         sim_block_hybrid(cfg, SimConfig(0, 16))
@@ -792,15 +764,18 @@ def test_block_sample_budget_stops_before_any_codebook(monkeypatch):
 
 def test_block_byte_budget_stops_before_any_table(monkeypatch):
     # n = 20 bits fits the bit budget, but 2^20 blocks x 1024 messages of
-    # float64 is 8 GiB; the gate must fire before the laws are built
+    # float64 is 8 GiB; the gate must fire before the laws are built. Rate
+    # has no upper limit, so 2^40 messages at n = 16 must stop there too
     def no_tables(*args):
         raise AssertionError("exact laws built past the byte budget")
 
     monkeypatch.setattr(block_sim, "_codebook_laws", no_tables)
-    cfg = _binary_code_config(20, 0.5)
-    assert cfg.codebook_size == 1024
-    with pytest.raises(BudgetExceeded, match="8192 MiB"):
-        sim_block_hybrid(cfg, SimConfig(0, 16))
+    for n, rate, msgs, mib in ((20, 0.5, 2 ** 10, 2 ** 13),
+                               (16, 2.5, 2 ** 40, 2 ** 39)):
+        cfg = _binary_code_config(n, rate)
+        assert cfg.codebook_size == msgs
+        with pytest.raises(BudgetExceeded, match=f" {mib} MiB"):
+            sim_block_hybrid(cfg, SimConfig(0, 16))
 
 
 def _forbid_codebook_draws(monkeypatch):
@@ -842,18 +817,20 @@ def test_block_sample_weights_budget_counts_threads(monkeypatch):
 
 
 def test_block_plugin_path_sample_weights_budget(monkeypatch):
-    # the plug-in path has no exact table, so this gate alone bounds its
-    # messages, which rate sets without an upper limit
+    # over few blocks the exact table stays small, so the encoder weights
+    # gate alone bounds the messages, which rate sets without an upper limit
     _forbid_codebook_draws(monkeypatch)
-    cfg = dataclasses.replace(_wide_alphabet_config(), rate=1.0)
+    cfg = _binary_code_config(4, 2.25)
     assert cfg.codebook_size == 512
     with pytest.raises(AssertionError, match="codebook drawn"):
         sim_block_hybrid(cfg, SimConfig(0, 1000))
     monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 512 * 1000 - 1)
     with pytest.raises(BudgetExceeded, match="encoder weights"):
         sim_block_hybrid(cfg, SimConfig(0, 1000))
-    # 2^40 messages: 8 TiB of weights for a 16-sample chunk
-    huge = dataclasses.replace(_wide_alphabet_config(), rate=40 / 9)
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 2 ** 28)
+    # 2^40 messages: a budget that admits their 16-block exact table still
+    # refuses their 8000 TiB of weights for a 1000-block chunk
+    huge = _binary_code_config(4, 10.0)
+    assert huge.codebook_size == 2 ** 40
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 2 ** 40 * 2 ** 4)
     with pytest.raises(BudgetExceeded, match="encoder weights"):
-        sim_block_hybrid(huge, SimConfig(0, 16))
+        sim_block_hybrid(huge, SimConfig(0, 1000))

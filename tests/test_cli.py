@@ -137,6 +137,17 @@ def test_codebooks_out_of_range_rejected_before_any_draw(capsys, workdir):
     assert os.listdir(".") == []
 
 
+def test_non_finite_typ_delta_rejected_before_any_draw(capsys, workdir):
+    for value in ("inf", "nan"):
+        code, _, err = run(capsys, "simulate", "block-hybrid", "--rho",
+                           "0.25", "--delta", "0.2", "--theta", "0.005",
+                           "--rate", "0.6", "--n", "4", "--typ-delta", value,
+                           "--seed", "7", "--samples", "16", "--out", "r.json")
+        assert code == 1, value
+        assert "typ_delta must be positive and finite" in err
+    assert os.listdir(".") == []
+
+
 def test_block_samples_over_byte_budget_rejected(capsys, workdir):
     # 2^22 blocks of 8 int64 symbols are 256 MiB per sample array
     t0 = time.perf_counter()
@@ -274,6 +285,20 @@ def test_non_finite_channel_rejected_before_solving(capsys, workdir):
         code, _, err = run(capsys, "capacity", "--channel", "ch.json")
         assert code == 1, bad
         assert "channel matrix has non-finite entries" in err
+
+
+def test_channel_costs_above_the_limit_exit_1(capsys, workdir):
+    # a bounded spend is what lets the capacity solve name a failing input
+    with open("ch.json", "w", encoding="utf-8") as fh:
+        json.dump({"inputs": ["0", "1"], "outputs": ["0", "1"],
+                   "matrix": [[0.9, 0.1], [0.1, 0.9]],
+                   "cost": [0.0, 1e308]}, fh)
+    code, out, err = run(capsys, "capacity", "--channel", "ch.json",
+                         "--gamma", "0.5", "--out", "cap.json")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "channel cost entries must be at most 1e+100"
+    assert os.listdir(".") == ["ch.json"]
 
 
 # every JSON-writing command with valid arguments, and its float flags
@@ -676,6 +701,8 @@ CHANNEL = ["capacity", "--channel", "p.json"]
      "inputs"),
     (CHANNEL, "p.json", dict(IDENTITY_SPEC["channel"], cost=[0, False]),
      "cost"),
+    (CHANNEL, "p.json", {k: v for k, v in IDENTITY_SPEC["channel"].items()
+                         if k != "matrix"}, "missing field 'matrix'\n"),
 ])
 def test_json_inputs_of_the_wrong_structure_exit_1(capsys, workdir, argv,
                                                    name, doc, field):
@@ -842,6 +869,10 @@ def test_simulate_block_hybrid_reports_draws(capsys, workdir):
     doc = json.loads(out)
     assert len(doc["codebook_draws"]) == 4
     assert all(d["size"] == 6 for d in doc["codebook_draws"])
+    # every law is exact; the two keys stay in the report schema
+    assert all(d["exact_law"] is True and d["est_sigma"] is None
+               for d in doc["codebook_draws"])
+    assert "exact per-codebook law" in doc["notes"]
     assert "msg_error_rate" in doc
 
 

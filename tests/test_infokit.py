@@ -586,6 +586,14 @@ def test_transport_refuses_costs_above_the_limit(rate):
         rate_limited_ot(bern(0.25), bern(0.5), huge, rate)
 
 
+def test_channel_refuses_costs_above_the_limit():
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="channel cost .* at most 1e\\+100"):
+        DiscreteChannel(("0", "1"), ("0", "1"), bsc, np.array([0.0, 1.1e100]))
+    ch = DiscreteChannel(("0", "1"), ("0", "1"), bsc, np.array([0.0, 1e100]))
+    assert ch.cost[1] == 1e100
+
+
 def test_transport_at_the_cost_limit_scales_the_unit_answers():
     ham = 1.0 - np.eye(2)
     d_star, _ = ot_min_cost(bern(0.25), bern(0.5), 1e100 * ham)
