@@ -316,20 +316,17 @@ class LinearBoundReport:
     min_margin: float
 
 
-def verify_linear_bound(lambdas: Sequence[float], trials: int,
+def verify_linear_bound(lambdas: Sequence[float],
                         sim: SimConfig) -> LinearBoundReport:
-    """Randomized check of the linear-scheme floor.
+    """Randomized check of the linear-scheme floor over sim.samples trials.
 
     Each trial draws combining gains g and a random valid linear decoder:
     Y = h * u * (g'X + N) + independent Gaussian fill with the fill
     covariance chosen so Cov(Y) is exactly the source covariance. The
     mean squared cost has a closed form per trial (2 tr(S) - 2 w'S g), so
-    violations of the floor are decided without sampling noise. sim.samples
-    is unused here; the trial count is explicit.
+    violations of the floor are decided without sampling noise.
     """
     lams = np.asarray(_check_lambdas(lambdas))
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     dim = lams.size
     inv = 1.0 / lams
     trace2 = 2.0 * float(lams.sum())
@@ -348,10 +345,9 @@ def verify_linear_bound(lambdas: Sequence[float], trials: int,
         return (count, int(np.count_nonzero(margin < -1e-9)),
                 float(margin.min()))
 
-    probe = SimConfig(sim.seed, trials, sim.workers)
-    parts = _run_chunks(chunk, probe, stream=0)
+    parts = _run_chunks(chunk, sim, stream=0)
     return LinearBoundReport(
-        trials=trials,
+        trials=sim.samples,
         violations=sum(p[1] for p in parts),
         min_margin=min(p[2] for p in parts))
 

@@ -25,7 +25,7 @@ import numpy as np
 from .numkit import BracketError, find_root, float_or_array, minimize_1d
 from .tables import GAUSSIAN_COLUMNS, CurveTable, table_from_rows
 
-# slack for the per-row curve ordering; the curves come out of independent
+# slack for the curve ordering; the curves come out of independent
 # solvers, so exact float equality at coinciding points cannot be expected
 _ROW_SLACK = 1e-9
 # largest eigenvalue the curves take: the converse squares kappa * lambda
@@ -82,29 +82,6 @@ class GaussianConfig:
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise ValueError("gamma grid must be sorted ascending")
         object.__setattr__(self, "gamma_grid", grid)
-
-
-@dataclass(frozen=True)
-class GaussianCurveRow:
-    """One power budget with all four curves and the optimal digital power
-    fraction. Construction re-checks the curve ordering, so a row that
-    violates the sandwich d_lower <= d_hybrid <= min(d_sep, d_uncoded)
-    never silently enters a table."""
-
-    gamma: float
-    d_lower: float
-    d_sep: float
-    d_uncoded: float
-    d_hybrid: float
-    alpha_opt: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha_opt <= 1.0:
-            raise ValueError("alpha_opt must lie in [0, 1]")
-        if self.d_lower > self.d_hybrid + _ROW_SLACK:
-            raise ValueError("row violates d_lower <= d_hybrid")
-        if self.d_hybrid > min(self.d_sep, self.d_uncoded) + _ROW_SLACK:
-            raise ValueError("row violates d_hybrid <= min(d_sep, d_uncoded)")
 
 
 # ------------------------------------------------------------- converse
@@ -309,14 +286,24 @@ def linear_bound(lambdas: Sequence[float], g) -> float:
 # ------------------------------------------------------------ the table
 
 def gaussian_curves(config: GaussianConfig) -> CurveTable:
+    """The four curves and alpha_opt at every budget of the grid. Raises
+    ValueError naming the first budget whose alpha_opt leaves [0, 1] or
+    whose curves break d_lower <= d_hybrid <= min(d_sep, d_uncoded) by more
+    than _ROW_SLACK, so such a row never silently enters a table."""
     gs = np.array(config.gamma_grid)
     dhs, alphas = d_hybrid(config, gs)
-    cols = (gs, d_lower(config, gs), d_sep(config, gs),
-            d_uncoded(config, gs), dhs, alphas)
-    rows = list(zip(*(c.tolist() for c in cols)))
-    for row in rows:
-        GaussianCurveRow(*row)  # raises on a row that breaks the ordering
-    return table_from_rows(GAUSSIAN_COLUMNS, rows)
+    lower, sep = d_lower(config, gs), d_sep(config, gs)
+    unc = d_uncoded(config, gs)
+    for bad, rule in ((~((alphas >= 0.0) & (alphas <= 1.0)),
+                       "alpha_opt in [0, 1]"),
+                      (lower > dhs + _ROW_SLACK, "d_lower <= d_hybrid"),
+                      (dhs > np.minimum(sep, unc) + _ROW_SLACK,
+                       "d_hybrid <= min(d_sep, d_uncoded)")):
+        if bad.any():
+            raise ValueError(f"gamma {float(gs[bad][0])!r} violates {rule}")
+    cols = (gs, lower, sep, unc, dhs, alphas)
+    return table_from_rows(GAUSSIAN_COLUMNS,
+                           list(zip(*(c.tolist() for c in cols))))
 
 
 # ------------------------------------------------- scalar mismatched case

@@ -268,7 +268,7 @@ def maximal_coupling(p: DiscreteDistribution,
 # cheap but contract slowly near the optimum
 _BA_GAP = 1e-12 + 1e-10
 _BA_MAX_ITER = 20000
-# most doublings of the cost multiplier's bracket
+# the cost multiplier's bracket doubles up to 2^_MAX_DOUBLINGS at most
 _MAX_DOUBLINGS = 200
 
 
@@ -281,22 +281,38 @@ def _tilt(a, cost, s):
 
 
 def _budget_multiplier(a, cost, gamma):
-    """Smallest s >= 0 whose tilt _tilt(a, cost, s) spends at most gamma:
-    0 when s = 0 already does, else the root of E[c] = gamma. The spend
-    falls in s, so doubling from 1 brackets the root. The root is pinned to
-    float precision, so a tilted input law spends its budget to within
-    rounding."""
-    def over(s):
-        return _tilt(a, cost, s) @ cost - gamma
+    """The s >= 0 whose tilt _tilt(a, cost, s) spends gamma: 0 when s = 0
+    spends at most gamma, else the root of E_s[c] - gamma, of slope -ln 2
+    Var_s[c], bracketed by doubling from 1 / max c up to 2^_MAX_DOUBLINGS.
+    Newton steps close the bracket to 4 ulps or a spend of exactly gamma; a
+    step that leaves it or exceeds half the step before last bisects instead
+    (rtsafe's guard). The upper end is returned: no law overspends."""
+    def spend(s):
+        p = _tilt(a, cost, s)
+        mean = float(p @ cost)
+        return mean - gamma, math.log(2.0) * float(p @ (cost - mean) ** 2)
 
-    if over(0.0) <= 0.0:
+    if _tilt(a, cost, 0.0) @ cost <= gamma:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if over(hi) <= 0.0:
-            return float(find_root(over, lo, hi, xtol=1e-300, rtol=1e-300))
+    lo, hi = 0.0, 1.0 / float(np.max(cost))
+    over, slope = spend(hi)
+    while over > 0.0:
+        if hi >= 2.0 ** _MAX_DOUBLINGS:
+            raise MaxIterError("cost multiplier bracket did not close")
         lo, hi = hi, 2.0 * hi
-    raise MaxIterError("cost multiplier bracket did not close")
+        over, slope = spend(hi)
+    s, last, before = hi, math.inf, math.inf
+    while over != 0.0 and hi - lo > 4.0 * math.ulp(hi):
+        # at least an ulp, so that an iterate on the root closes the far end
+        step = max(abs(over / slope), math.ulp(hi)) if slope else math.inf
+        t = s + math.copysign(step, over)
+        if not lo < t < hi or step > 0.5 * before:
+            step = 0.5 * (hi - lo)
+            t = lo + step
+        s, last, before = t, step, last
+        over, slope = spend(s)
+        lo, hi = (s, hi) if over > 0.0 else (lo, s)
+    return hi
 
 
 def _ba_inner(W, cost, gamma):
@@ -427,26 +443,11 @@ def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
 
 
 def _logsumexp(a, axis):
-    """log(sum(exp(a))) along axis, computed step for step as
-    scipy.special.logsumexp computes it for real input, so the result is
-    bit-identical: the largest terms come out of the sum (m of them when m
-    tie), the rest are summed shifted, and the total goes through log1p.
-    Where that is not finite (a slice of all -inf or a +inf entry) the
-    plain log(sum(exp(a))) is used, again as scipy does. The caller keeps
-    the floating-point warnings of -inf arithmetic quiet."""
-    a_max = a.max(axis=axis, keepdims=True)
-    top = a == a_max
-    m = top.sum(axis=axis, keepdims=True, dtype=a.dtype)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=axis,
-                                                      keepdims=True)
-    # scipy's s = where(s == 0, s, s / m) and its sign fix-ups are no-ops
-    # here: m >= 1 wherever s is a number, and s >= 0 for real input
-    out = np.log1p(s / m) + np.log(m) + a_max
-    finite = np.isfinite(out)
-    if not finite.all():
-        out = np.where(finite, out,
-                       np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return out.squeeze(axis=axis)
+    """log(sum(exp(a))) along axis, each slice shifted by its max where that
+    is finite and by 0 otherwise; the caller keeps -inf arithmetic quiet."""
+    shift = a.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis)
 
 
 def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
@@ -457,15 +458,14 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
     Log-domain scaling of the kernel p_i q_j exp(-c_ij / lam) (Cuturi 2013);
     converged when the worst marginal violation drops below 1e-9, and
     SinkhornDivergence after 40,000 sweeps without that. Each half-step is
-    one _logsumexp, which matches scipy's bit for bit, so the plans are
-    scipy's without importing it. Returns (plan, f, g) with the dual
-    potentials for warm starts.
+    one shifted log-sum-exp (_logsumexp). Returns (plan, f, g) with the
+    dual potentials for warm starts.
     """
     c = np.asarray(cost, dtype=float)
     f = np.zeros(len(row)) if warm is None else warm[0].copy()
     g = np.zeros(len(col)) if warm is None else warm[1].copy()
-    # zero-mass atoms give log 0 = -inf, and an all -inf slice gives -inf
-    # minus -inf inside _logsumexp; both are handled, so keep numpy quiet
+    # zero-mass atoms give log 0 = -inf, and an all -inf slice gives log 0
+    # inside _logsumexp; both are handled, so keep numpy quiet
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logp = np.log(row.probs)
         logq = np.log(col.probs)
@@ -492,7 +492,7 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     solves walk lam down the ladder scale * logspace(4, -4, 64) (up, at the
     same spacing, for rates below its first rung) until I crosses the rate;
     Brent's method on log lam then solves I = rate in that cell, to
-    find_root's default stop.
+    find_root's fixed stop.
     The distortion is D at the root, clamped at the exact optimum d*, and
     multiplier is lam at the root. When the LP plan meets the rate or a
     rung reaches d*, the answer is d* with multiplier 0. A walk that leaves

@@ -2,10 +2,10 @@
 
 Each routine has one vectorized implementation for floats and arrays; the
 solvers solve every lane of their input in one call, as each would alone.
-Each solver has one stopping rule, fixed here: Brent stops at
-xtol + rtol |x| (1e-12 and 1e-10 unless the caller pins a root tighter) and
-raises MaxIterError after _MAX_ITER steps; golden-section refinement stops
-at b - a <= 1e-12 + 1e-10 (|a| + |b|) or after _MAX_ITER steps, behind a
+Each solver has one stopping rule, fixed here, and takes no tolerance:
+Brent stops at _XTOL + _RTOL |x| (1e-12 and 1e-10) and raises MaxIterError
+after _MAX_ITER steps; golden-section refinement stops at
+b - a <= 1e-12 + 1e-10 (|a| + |b|) or after _MAX_ITER steps, behind a
 _SCAN-point scan.
 
 Everything here is a pure function of its arguments; no shared state, safe to
@@ -29,6 +29,8 @@ _TINY = np.finfo(float).smallest_subnormal
 
 # step budget of every Brent and golden-section solve
 _MAX_ITER = 200
+# Brent's stop (scipy's xtol and rtol): the bracket within _XTOL + _RTOL |x|
+_XTOL, _RTOL = 1e-12, 1e-10
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -104,15 +106,14 @@ def _residual(f, x):
 
 
 def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
-              hi: ArrayLike, xtol: float = 1e-12,
-              rtol: float = 1e-10) -> ArrayLike:
+              hi: ArrayLike) -> ArrayLike:
     """Root of f in every lane [lo, hi] of the broadcast brackets, at once.
 
     f maps the array of lane abscissas to the array of lane residuals, each
     lane on its own, so every lane gets the root it would get alone. This is
     Brent's method (Brent 1973, ch. 4) stepped exactly as scipy.optimize's
-    Brent solver steps it, with rtol raised to at least 4 eps, so the roots
-    are bit-identical to scipy's; converged lanes stay frozen. Not
+    Brent solver steps it, stopping at _XTOL + _RTOL |x|, so the roots are
+    bit-identical to scipy's; converged lanes stay frozen. Not
     Chandrupatla: a root is pinned only to ~1e-10 relative, so other
     iterates would move the curves past their 1e-12 reference.
 
@@ -133,7 +134,6 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
             f"f(lo)={fpre[same][0]:.6g}, f(hi)={fcur[same][0]:.6g}")
     xcur = np.where(fpre == 0.0, xpre, xcur)
     xblk = fblk = spre = scur = np.zeros(xcur.shape)
-    rtol = max(rtol, 4.0 * np.finfo(float).eps)
     for _ in range(_MAX_ITER):
         # [xblk, xcur] is the bracket and xcur the better end; xpre is the
         # previous iterate, spre and scur the last two step lengths
@@ -147,7 +147,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
         xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
         xcur, fcur = np.where(swap, xblk, xcur), np.where(swap, fblk, fcur)
         xblk, fblk = np.where(swap, xpre, xblk), np.where(swap, fpre, fblk)
-        delta = (xtol + rtol * np.abs(xcur)) / 2.0
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         live &= (fcur != 0.0) & ~(np.abs(sbis) < delta)
         if not live.any():

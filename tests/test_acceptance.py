@@ -198,7 +198,7 @@ def test_criterion_6_block_trend():
 
 def test_criterion_7_linear_bound():
     t0 = time.monotonic()
-    rep = verify_linear_bound((1.5, 0.5), 10**4, SimConfig(SEED, 10**4, 2))
+    rep = verify_linear_bound((1.5, 0.5), SimConfig(SEED, 10**4, 2))
     assert rep.trials == 10**4
     assert rep.violations == 0
     assert rep.min_margin >= -1e-9

@@ -1,7 +1,6 @@
 """Guard on the public API: the solvers carry their stopping rules as
 constants, so no public function or method takes a tolerance, scan-size or
-step-budget parameter. `find_root` keeps `xtol`/`rtol`, which its callers
-set differently."""
+step-budget parameter."""
 
 import importlib
 import inspect
@@ -9,7 +8,7 @@ import pkgutil
 
 import cot_lab
 
-KNOBS = {"tol", "grid", "max_iter", "abs_tol", "rel_tol"}
+KNOBS = {"tol", "grid", "max_iter", "abs_tol", "rel_tol", "xtol", "rtol"}
 
 
 def public_callables():

@@ -256,7 +256,7 @@ def test_genie_hybrid_worker_invariance():
 
 def test_linear_bound_never_violated():
     for lams in ([1.5, 0.5], [2.0, 1.0, 0.5]):
-        rep = verify_linear_bound(lams, 10 ** 4, SimConfig(42, 1, 2))
+        rep = verify_linear_bound(lams, SimConfig(42, 10 ** 4, 2))
         assert rep.trials == 10 ** 4
         assert rep.violations == 0
         assert rep.min_margin >= -1e-9
@@ -277,19 +277,19 @@ def test_linear_bound_zero_gain_is_trivially_tight():
 
 
 def test_linear_bound_validation():
-    sim = SimConfig(0, 1)
+    sim = SimConfig(0, 1000)
     with pytest.raises(ValueError):
-        verify_linear_bound([0.5, 1.5], 10, sim)
+        verify_linear_bound([0.5, 1.5], sim)
     with pytest.raises(ValueError):
-        verify_linear_bound([1.5, 0.5], 0, sim)
+        verify_linear_bound([1.5, 0.5], SimConfig(0, 0))
     for lams in ([math.nan, 0.5], [math.inf, 0.5], [1.5, math.nan]):
         with pytest.raises(ValueError):
-            verify_linear_bound(lams, 1000, sim)
+            verify_linear_bound(lams, sim)
 
 
 def test_linear_bound_worker_invariance():
-    one = verify_linear_bound([1.5, 0.5], 50001, SimConfig(3, 1, 1))
-    four = verify_linear_bound([1.5, 0.5], 50001, SimConfig(3, 1, 4))
+    one = verify_linear_bound([1.5, 0.5], SimConfig(3, 50001, 1))
+    four = verify_linear_bound([1.5, 0.5], SimConfig(3, 50001, 4))
     assert one == four
 
 

@@ -301,6 +301,18 @@ def test_channel_costs_above_the_limit_exit_1(capsys, workdir):
     assert os.listdir(".") == ["ch.json"]
 
 
+def test_capacity_at_the_channel_cost_limit_exits_0(capsys, workdir):
+    with open("ch.json", "w", encoding="utf-8") as fh:
+        json.dump({"inputs": ["0", "1"], "outputs": ["0", "1"],
+                   "matrix": [[0.9, 0.1], [0.1, 0.9]],
+                   "cost": [0.0, 1e100]}, fh)
+    code, out, err = run(capsys, "capacity", "--channel", "ch.json",
+                         "--gamma", "0.5", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert 1e100 * doc["optimal_input"]["probs"][1] <= 0.5
+
+
 # every JSON-writing command with valid arguments, and its float flags
 _FLOAT_FLAGS = {
     "binary-curves": (["binary-curves", "--rho", "0.25", "--points", "8",

@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
+from cot_lab import gaussian_case
 from cot_lab.gaussian_case import (
     GAUSSIAN_COLUMNS,
     GaussianConfig,
-    GaussianCurveRow,
     _hybrid_grid,
     _waterfill,
     config_from_covariance,
@@ -113,13 +113,26 @@ def test_config_allows_ties():
     assert cfg.lambdas == (1.0, 1.0, 0.5)
 
 
-def test_row_rejects_ordering_violations():
-    with pytest.raises(ValueError):
-        GaussianCurveRow(1.0, 2.0, 3.0, 3.0, 1.0, 0.0)  # hybrid below floor
-    with pytest.raises(ValueError):
-        GaussianCurveRow(1.0, 1.0, 2.0, 2.0, 2.5, 0.0)  # hybrid above both
-    with pytest.raises(ValueError):
-        GaussianCurveRow(1.0, 1.0, 2.0, 2.0, 1.5, 1.5)  # fraction outside
+def test_row_rejects_ordering_violations(monkeypatch):
+    # each rule broken at the second budget of CFG only, so the error must
+    # name gamma 1.0 and that rule
+    hit = np.array([0.0, 1.0, 0.0])
+    cases = [
+        ("d_lower", lambda c, g: d_lower(c, g) + 3.0 * hit,
+         "d_lower <= d_hybrid"),
+        ("d_hybrid", lambda c, g: (d_hybrid(c, g)[0] + 3.0 * hit,
+                                   d_hybrid(c, g)[1]),
+         r"d_hybrid <= min\(d_sep, d_uncoded\)"),
+        ("d_hybrid", lambda c, g: (d_hybrid(c, g)[0],
+                                   d_hybrid(c, g)[1] + 1.5 * hit),
+         r"alpha_opt in \[0, 1\]"),
+    ]
+    gaussian_curves(CFG)
+    for name, fake, rule in cases:
+        with monkeypatch.context() as m:
+            m.setattr(gaussian_case, name, fake)
+            with pytest.raises(ValueError, match=f"gamma 1.0 violates {rule}"):
+                gaussian_curves(CFG)
 
 
 # ---------------------------------------------------------------- converse

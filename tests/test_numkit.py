@@ -268,8 +268,7 @@ def test_find_root_no_sign_change():
 def test_find_root_max_iter(monkeypatch):
     monkeypatch.setattr(numkit, "_MAX_ITER", 2)
     with pytest.raises(MaxIterError):
-        find_root(lambda x: np.tanh(1e6 * (x - 0.123456789)),
-                  0.0, 1.0, xtol=1e-14)
+        find_root(lambda x: np.tanh(1e6 * (x - 0.123456789)), 0.0, 1.0)
 
 
 def test_find_root_residual_on_monotone_family():
