@@ -12,7 +12,8 @@ enumeration budget are refused.
 
 Reproducibility: every random draw comes from a counter-based generator
 keyed by (seed, stream, chunk). Chunk boundaries are fixed by the sample
-count alone and partial results are combined in chunk order, so reports are
+count alone and partial results are combined in chunk order (block-harness
+codebooks, each on streams of its own, in codebook order), so reports are
 bit-identical for a given (seed, samples) no matter how many workers run.
 """
 
@@ -38,10 +39,13 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
-# largest blocks x messages float64 table: the exact path's encoder weights,
-# decoder tables and contractions, or the sampled encoder weights of all
-# threads together; a few such tables are alive at once
+# largest blocks x messages float64 table of the codebooks in flight
+# together: the exact laws' encoder posterior, or the sampled encoder
+# weights; a few such tables are alive at once
 _ENUM_BYTES = 2 ** 28
+# the exact laws and the decoder work on slabs of messages this size, so
+# only the encoder posterior is ever a full blocks x messages table
+_SLAB_BYTES = 2 ** 19
 # largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
 # sums square lambda and u^2 scales with gamma, so larger ones overflow to inf
 _MAX_GAUSSIAN_SCALE = 1e100
@@ -127,26 +131,24 @@ def _chunks(total: int):
         start += _CHUNK
 
 
-def _pool_size(sim: SimConfig) -> int:
-    """Threads that run the chunks: past the chunk or core count they would
-    only wait."""
-    return min(sim.workers, -(-sim.samples // _CHUNK), os.cpu_count() or 1)
+def _pool_map(fn, jobs, threads: int) -> list:
+    """fn over jobs on up to threads threads (past the job or core count
+    they would only wait); results come back in job order."""
+    threads = min(threads, len(jobs), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _run_chunks(fn, sim: SimConfig, stream: int) -> List[tuple]:
     """Evaluate fn(rng, count) for every chunk; results come back in chunk
     order regardless of the worker count."""
-    jobs = list(_chunks(sim.samples))
-
     def work(job):
         idx, count = job
         return fn(_rng(sim.seed, stream, idx), count)
 
-    threads = _pool_size(sim)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, jobs))
-    return [work(job) for job in jobs]
+    return _pool_map(work, list(_chunks(sim.samples)), sim.workers)
 
 
 def _pooled_moments(parts) -> Tuple[float, float, int]:
@@ -171,12 +173,24 @@ def _cdf_draw(rng_values: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Categorical draw per row from unnormalized weights on the last axis.
+    rows is overwritten, so callers pass a fresh gather.
 
     Rows with zero total weight fall back to the uniform law.
     """
-    cum = np.cumsum(rows, axis=-1)
-    total = cum[..., -1:]
     k = rows.shape[-1]
+    if k == 2:
+        # the second cumulative weight is the total, which u * total never
+        # passes, so one comparison against the first maps the same
+        # uniforms to the same symbols as the general path
+        first = rows[..., 0]
+        total = first + rows[..., 1]
+        bad = total <= 0.0
+        if np.any(bad):
+            first = np.where(bad, 1.0, first)
+            total = np.where(bad, 2.0, total)
+        return (first < rng_values * total).astype(np.intp)
+    cum = np.cumsum(rows, axis=-1, out=rows)
+    total = cum[..., -1:]
     bad = total <= 0.0
     if np.any(bad):
         cum = np.where(bad, np.arange(1, k + 1, dtype=float), cum)
@@ -251,15 +265,27 @@ def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
     gain = math.sqrt(gamma / lams[0])
     back = math.sqrt(lams[0] / (gamma + 1.0))
 
+    def column_sum(col):
+        # what summing a count x dim table over its rows gives one column:
+        # a running total, or numpy's pairwise sum when the table has only
+        # that column
+        return np.cumsum(col)[-1] if dim > 1 else col.sum()
+
     def chunk(rng, count):
-        x = rng.standard_normal((count, dim)) * scale
+        # the same draws as count x dim tables, worked one column at a
+        # time: numpy loops over a dim-wide axis slowly when dim is small
+        z = rng.standard_normal((count, dim))
         noise = rng.standard_normal(count)
-        fill = rng.standard_normal((count, dim - 1)) * scale[1:]
-        u = gain * x[:, 0]
-        y = np.concatenate([(back * (u + noise))[:, None], fill], axis=1)
-        diff = ((x - y) ** 2).sum(axis=1)
+        fill = rng.standard_normal((count, dim - 1))
+        x = [z[:, l] * scale[l] for l in range(dim)]
+        u = gain * x[0]
+        y = [back * (u + noise)] + [fill[:, l - 1] * scale[l]
+                                    for l in range(1, dim)]
+        diff = _pairwise_sum(lambda l: (x[l] - y[l]) ** 2, dim)
         return (count, float(diff.sum()), float((diff * diff).sum()),
-                y.sum(axis=0), (y * y).sum(axis=0), float((u * u).sum()))
+                np.array([column_sum(c) for c in y]),
+                np.array([column_sum(c * c) for c in y]),
+                float((u * u).sum()))
 
     parts = _run_chunks(chunk, sim, stream=0)
     mean, se, n = _pooled_moments(parts)
@@ -505,60 +531,94 @@ def _pairwise_sum(term, n: int):
     return total
 
 
-def _sum_rows(table: np.ndarray) -> np.ndarray:
-    """Rows of a 2-D table added one after another, as a running total
-    adds them (numpy would sum a single column pairwise)."""
-    if table.shape[1] > 1:
-        return table.sum(axis=0)
-    return np.cumsum(table[:, 0])[-1:]
+def _slabs(rows: int, width: int):
+    """Consecutive row ranges of a rows x width float64 table, each within
+    _SLAB_BYTES unless a single row is wider."""
+    step = max(1, _SLAB_BYTES // (8 * width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _add_rows(total: Optional[np.ndarray], part: np.ndarray) -> np.ndarray:
+    """total plus the rows of a 2-D part, added one after another as a
+    running total adds them (numpy would sum a single column pairwise);
+    part is overwritten."""
+    if total is not None:
+        part[0] += total
+    if part.shape[1] > 1:
+        return part.sum(axis=0)
+    return np.cumsum(part[:, 0])[-1:]
 
 
 def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
                    pvz: np.ndarray):
-    """Typicality decoder with maximum-likelihood fallback, over every
-    message at once.
+    """Typicality decoder with maximum-likelihood fallback: the typicality
+    test on 1-byte counts for every message at once, the likelihoods over
+    slabs of messages.
 
     Returns the decoded message of every output block in enumeration order
     and whether typicality failed to single out one message for it."""
     n = cfg.n
     msgs = code.shape[0]
     nz, nv = pvz.shape
-    v_blocks = _enumerate_blocks(n, nv)
+    nblocks = nv ** n
 
-    # joint-type counts of every (message, block) pair as one-hot products;
-    # they are exact integers in float64, so the deviation is the same as
-    # from integer counts
-    flat_target = (cfg.code_marginal.probs[:, None] * pvz).ravel()
-    v_hot = [(v_blocks == v).T.astype(float) for v in range(nv)]
-    dev = np.zeros((msgs, v_blocks.shape[0]))
-    counts = np.empty_like(dev)
-    for z in range(nz):
-        z_hot = (code == z).astype(float)
-        for v in range(nv):
-            np.matmul(z_hot, v_hot[v], out=counts)
-            counts /= n
-            counts -= flat_target[z * nv + v]
-            np.abs(counts, out=counts)
-            np.maximum(dev, counts, out=dev)
-    del counts
-    typical = dev <= cfg.typ_delta
-    del dev
+    # a (codeword, output) pair count c passes when |c/n - p(z, v)| is
+    # within typ_delta; evaluating that for every c in 0..n with the
+    # arithmetic of the deviation test gives, per pair, the interval of
+    # counts that pass (empty when lo > hi)
+    npairs = nz * nv
+    dev = np.abs(np.arange(n + 1) / n
+                 - (cfg.code_marginal.probs[:, None] * pvz).reshape(-1, 1))
+    passing = dev <= cfg.typ_delta
+    lo = np.where(passing.any(axis=1), passing.argmax(axis=1), n + 1)
+    hi = n - passing[:, ::-1].argmax(axis=1)
+    # a block's count is the count of its leading half plus that of its
+    # trailing half, broadcast over the two halves of its index; the
+    # counts are exact small integers, so no BLAS product is needed
+    ctype = np.min_scalar_type(n + 1)
+    halves = []
+    for cut in (slice(0, n // 2), slice(n // 2, n)):
+        blocks = _enumerate_blocks(cut.stop - cut.start, nv)
+        pair = code[:, None, cut] * nv + blocks
+        cell = np.arange(msgs * blocks.shape[0]).reshape(msgs, -1, 1)
+        counts = np.bincount((cell * npairs + pair).ravel(),
+                             minlength=cell.size * npairs)
+        halves.append(counts.reshape(msgs, -1, npairs).astype(ctype))
+    lead, trail = halves
+    lo, hi = lo.astype(ctype), hi.astype(ctype)
+    typical = np.ones((msgs, lead.shape[1], trail.shape[1]), dtype=bool)
+    for p in range(npairs):
+        count = lead[:, :, None, p] + trail[:, None, :, p]
+        typical &= count >= lo[p]
+        typical &= count <= hi[p]
+    typical = typical.reshape(msgs, nblocks)
     matches = typical.sum(axis=0)
     first = typical.argmax(axis=0)
-    del typical
+    del typical, count
 
-    # log-likelihood summed over positions in the order a row sum adds
-    # them. Each position's term broadcasts over its own block axis; the
-    # axes run from the last position to the first, so the late, large sums
-    # add long contiguous runs
     with np.errstate(divide="ignore"):
         logpvz = np.log(pvz)
+    best = np.full(nblocks, -np.inf)
+    fallback = np.zeros(nblocks, dtype=np.intp)
+    for s in _slabs(msgs, nblocks):
+        rows = s.stop - s.start
+        # log-likelihood summed over positions in the order a row sum adds
+        # them. Each position's term broadcasts over its own block axis;
+        # the axes run from the last position to the first, so the late,
+        # large sums add long contiguous runs
+        def term(t):
+            return logpvz[code[s, t]].reshape(
+                (rows,) + (1,) * (n - 1 - t) + (nv,) + (1,) * t)
 
-    def term(t):
-        return logpvz[code[:, t]].reshape(
-            (msgs,) + (1,) * (n - 1 - t) + (nv,) + (1,) * t)
-
-    fallback = _pairwise_sum(term, n).reshape(msgs, -1).argmax(axis=0)
+        loglik = _pairwise_sum(term, n).reshape(rows, -1)
+        top = loglik.argmax(axis=0)
+        peak = loglik[top, np.arange(nblocks)]
+        # a slab wins only on a strictly larger likelihood, so ties go to
+        # the first message, as one argmax over every message sends them
+        better = peak > best
+        best[better] = peak[better]
+        fallback[better] = top[better] + s.start
     # back to enumeration order, first position most significant
     fallback = fallback.reshape((nv,) * n).T.ravel()
     typ_fail = matches != 1
@@ -568,8 +628,11 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
 
 def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     """Exact decode map, block laws, total variation, and error probability
-    for one codebook, contracting one block axis at a time for every
-    message at once."""
+    for one codebook, contracting one block axis at a time over slabs of
+    messages.
+
+    The encoder posterior (messages x source blocks) is the one full table
+    held; everything else lives one slab at a time."""
     n = cfg.n
     msgs = code.shape[0]
     nx = len(cfg.source)
@@ -579,17 +642,21 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     qv, pvz = _symbol_kernels(cfg)
     decode, typ_fail = _decode_tables(cfg, code, pvz)
 
-    # encoder posterior over the whole source space, messages x blocks.
-    # Each position appends a block axis one symbol at a time, so the
-    # factors multiply in position order as the sampled encoder's do; the
-    # sum over messages adds them in order
-    table = np.ones((msgs, 1))
-    for t in range(n):
-        factor = cfg.x_given_z[code[:, t]]
-        wider = np.empty((msgs, table.shape[1], nx))
-        for j in range(nx):
-            np.multiply(table, factor[:, j:j + 1], out=wider[:, :, j])
-        table = wider.reshape(msgs, -1)
+    # encoder posterior over the whole source space. Each position appends
+    # a block axis one symbol at a time, so the factors multiply in
+    # position order as the sampled encoder's do; the sum over messages
+    # adds them in order
+    table = np.empty((msgs, nx ** n))
+    for s in _slabs(msgs, nx ** n):
+        part = np.ones((s.stop - s.start, 1))
+        for t in range(n):
+            factor = cfg.x_given_z[code[s, t]]
+            wider = np.empty(part.shape + (nx,))
+            for j in range(nx):
+                np.multiply(part, factor[:, j:j + 1], out=wider[:, :, j])
+            part = wider.reshape(part.shape[0], -1)
+        table[s] = part
+    del part, wider
     px_n = _product_law(cfg.source.probs, _enumerate_blocks(n, nx))
     wtot = table.sum(axis=0)
     uncovered = wtot <= 0.0
@@ -609,27 +676,32 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
         strided = np.zeros(kernels.shape[:-1] + (qv.shape[1],))
         strided[..., :1] = kernels
         kernels = strided[..., :1]
-    for t in range(n):
-        table = np.matmul(table.reshape(msgs, nx, -1).transpose(0, 2, 1),
-                          kernels[:, t])
-    table = table.reshape(msgs, -1)
-    p_v = _sum_rows(table)
+    p_v = None
     msg_error = 0.0
-    for m in range(msgs):
-        # the fallback defines the decoder output, so only a wrong final
-        # message counts as an error
-        msg_error += float(table[m][decode != m].sum())
-    del table
+    for s in _slabs(msgs, max(nx, nv) ** n):
+        part = table[s]
+        for t in range(n):
+            part = np.matmul(
+                part.reshape(part.shape[0], nx, -1).transpose(0, 2, 1),
+                kernels[s, t])
+        part = part.reshape(part.shape[0], -1)
+        for m in range(s.start, s.stop):
+            # the fallback defines the decoder output, so only a wrong
+            # final message counts as an error
+            msg_error += float(part[m - s.start][decode != m].sum())
+        p_v = _add_rows(p_v, part)
+    del table, part
 
     mhats = np.unique(decode)
-    table = np.where(decode == mhats[:, None], p_v, 0.0)
     kernels = cfg.dec_cond[code[mhats]]
-    for t in range(n):
-        table = np.matmul(
-            table.reshape(len(mhats), nv, -1).transpose(0, 2, 1),
-            kernels[:, t])
-    p_yhat = _sum_rows(table.reshape(len(mhats), -1))
-    del table
+    p_yhat = None
+    for s in _slabs(len(mhats), max(nv, ny) ** n):
+        part = np.where(decode == mhats[s, None], p_v, 0.0)
+        for t in range(n):
+            part = np.matmul(
+                part.reshape(part.shape[0], nv, -1).transpose(0, 2, 1),
+                kernels[s, t])
+        p_yhat = _add_rows(p_yhat, part.reshape(part.shape[0], -1))
 
     p_target = _product_law(cfg.target.probs, _enumerate_blocks(n, ny))
 
@@ -641,7 +713,7 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
 def _generate_phase(cfg: BlockCodeConfig, code: np.ndarray,
                     decode_map: np.ndarray, sim: SimConfig, stream: int):
     """Run sampled source blocks through encoder, channel, decoder and
-    reconstruction; returns per-chunk (x, yhat, message error) arrays.
+    reconstruction; returns per-chunk (x, yhat) arrays.
 
     decode_map is the decoder tabulated over every output block in
     enumeration order."""
@@ -652,14 +724,18 @@ def _generate_phase(cfg: BlockCodeConfig, code: np.ndarray,
 
     def chunk(rng, count):
         x = _cdf_draw(rng.random((count, n)), src_cdf)
-        m = _row_draw(rng.random(count), _encoder_weights(cfg, code, x))
+        pick = rng.random(count)
+        # the chunk x messages encoder weights, one slab of blocks at a time
+        m = np.concatenate([
+            _row_draw(pick[s], _encoder_weights(cfg, code, x[s]))
+            for s in _slabs(count, code.shape[0])])
         z = code[m]
         u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
         v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])
         mhat = decode_map[(v * vpow).sum(axis=1)]
         yhat = _row_draw(rng.random((count, n)),
                          cfg.dec_cond[code[mhat], v])
-        return x, yhat, mhat != m
+        return x, yhat
 
     return _run_chunks(chunk, sim, stream=stream)
 
@@ -679,7 +755,7 @@ def _couple_exact(cfg, laws, gen_parts, sim, stream):
     resid_cdf = np.cumsum(resid / rmass) if rmass > 0.0 else None
 
     out = []
-    for idx, (x, yhat, err) in enumerate(gen_parts):
+    for idx, (x, yhat) in enumerate(gen_parts):
         rng = _rng(sim.seed, stream, idx)
         count = x.shape[0]
         yidx = (yhat * ypow).sum(axis=1)
@@ -690,7 +766,7 @@ def _couple_exact(cfg, laws, gen_parts, sim, stream):
             fresh = _cdf_draw(rng.random(nrej), resid_cdf)
             for t in range(n):
                 y[reject, t] = (fresh // ypow[t]) % ny
-        out.append((x, y, err))
+        out.append((x, y))
     return out
 
 
@@ -706,6 +782,8 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     in codebook_draws. BudgetExceeded is raised before any codebook is drawn
     when the codeword, source, channel output or reconstruction space has
     more than 2^24 blocks of length n, or a table passes its byte budget.
+    Up to sim.workers codebooks run at once, each on its own streams, as
+    many as their tables fit the byte budget together.
     """
     nz = len(cfg.code_marginal)
     nx, nv = len(cfg.source), len(cfg.channel.output_alphabet)
@@ -716,52 +794,58 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
             raise BudgetExceeded(
                 f"{space} space exceeds the enumeration budget")
     msgs = cfg.codebook_size
-    # the exact laws run every message at once over the source, output and
-    # reconstruction spaces
+    # the exact laws hold a messages x source blocks table; the budget
+    # counts blocks of the largest of the source, output and reconstruction
+    # alphabets
     table = 8 * msgs * max(nx, nv, ny) ** cfg.n
     if table > _ENUM_BYTES:
         raise BudgetExceeded(
             f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
             f"table, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
-    # every sampled block is kept as int64 rows (source, reconstruction and
-    # the coupled copy) until the report is pooled
-    if 8 * sim.samples * cfg.n > _ENUM_BYTES:
+    # every sampled block of a codebook is kept as int64 rows (source,
+    # reconstruction and the coupled copy) until its part is pooled
+    blocks = 8 * sim.samples * cfg.n
+    if blocks > _ENUM_BYTES:
         raise BudgetExceeded(
             f"{sim.samples} blocks of length {cfg.n} exceed the "
             f"{_ENUM_BYTES / 2 ** 20:.0f} MiB sample budget")
-    # each thread draws a chunk's messages from a chunk x messages table of
-    # encoder weights (and its running sums)
+    # a codebook draws each chunk's messages from encoder weights computed
+    # in slabs of at most a chunk x messages table
     rows = min(sim.samples, _CHUNK)
-    weights = 8 * msgs * rows * _pool_size(sim)
+    weights = 8 * msgs * rows
     if weights > _ENUM_BYTES:
         raise BudgetExceeded(
             f"sampling needs {weights / 2 ** 20:.0f} MiB of encoder weights "
             f"({rows} blocks x {msgs} messages per thread), over the "
             f"{_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
+    # codebooks in flight each hold tables of up to these sizes at once
+    threads = min(sim.workers, _ENUM_BYTES // max(table, blocks, weights))
+    serial = SimConfig(sim.seed, sim.samples)
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 
-    draws = []
-    moment_parts = []
-    y_counts = np.zeros(ny)
-    for d in range(cfg.codebooks):
+    def run(d):
         rng = _rng(sim.seed, 4 * d + 1, 0)
         code = _cdf_draw(rng.random((msgs, cfg.n)), z_cdf)
-        degenerate = bool((code == code[0]).all())
-
         laws = _codebook_laws(cfg, code)
-        gen = _generate_phase(cfg, code, laws.decode_map, sim,
+        gen = _generate_phase(cfg, code, laws.decode_map, serial,
                               stream=4 * d + 2)
-        coupled = _couple_exact(cfg, laws, gen, sim, stream=4 * d + 3)
-
-        for x, y, err in coupled:
+        moment_parts = []
+        y_counts = np.zeros(ny, dtype=np.int64)
+        for x, y in _couple_exact(cfg, laws, gen, serial, stream=4 * d + 3):
             dist_rows = cfg.dist[x, y].mean(axis=1)
             moment_parts.append((x.shape[0], float(dist_rows.sum()),
                                  float((dist_rows * dist_rows).sum())))
             y_counts += np.bincount(y.ravel(), minlength=ny)
-        draws.append(CodebookDraw(msgs, float(laws.msg_error),
-                                  float(laws.tv_to_target), degenerate))
+        draw = CodebookDraw(msgs, float(laws.msg_error),
+                            float(laws.tv_to_target),
+                            bool((code == code[0]).all()))
+        return draw, moment_parts, y_counts
 
-    mean, se, n_total = _pooled_moments(moment_parts)
+    done = _pool_map(run, range(cfg.codebooks), threads)
+    draws = [draw for draw, _, _ in done]
+    mean, se, n_total = _pooled_moments(
+        [p for _, parts, _ in done for p in parts])
+    y_counts = sum(counts for _, _, counts in done).astype(float)
     marginal = DiscreteDistribution(cfg.target.alphabet,
                                     y_counts / y_counts.sum())
     return SimReport(

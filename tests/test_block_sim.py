@@ -10,6 +10,8 @@ also checked for bit-identical output across worker counts.
 import dataclasses
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +213,48 @@ def test_uncoded_gaussian_worker_invariance():
     one = sim_uncoded_gaussian([2.0, 1.0, 0.5], 2.0, SimConfig(9, 200001, 1))
     four = sim_uncoded_gaussian([2.0, 1.0, 0.5], 2.0, SimConfig(9, 200001, 4))
     assert reports_equal(one, four)
+
+
+def _table_uncoded_gaussian(lambdas, gamma, sim):
+    """Reference simulator: the same draws worked as count x dim tables,
+    the sums taken by numpy over rows and columns."""
+    lams = list(lambdas)
+    dim = len(lams)
+    scale = np.sqrt(lams)
+    gain = math.sqrt(gamma / lams[0])
+    back = math.sqrt(lams[0] / (gamma + 1.0))
+
+    def chunk(rng, count):
+        x = rng.standard_normal((count, dim)) * scale
+        noise = rng.standard_normal(count)
+        fill = rng.standard_normal((count, dim - 1)) * scale[1:]
+        u = gain * x[:, 0]
+        y = np.concatenate([(back * (u + noise))[:, None], fill], axis=1)
+        diff = ((x - y) ** 2).sum(axis=1)
+        return (count, float(diff.sum()), float((diff * diff).sum()),
+                y.sum(axis=0), (y * y).sum(axis=0), float((u * u).sum()))
+
+    parts = block_sim._run_chunks(chunk, sim, stream=0)
+    mean, se, n = block_sim._pooled_moments(parts)
+    ymean = np.sum([p[3] for p in parts], axis=0) / n
+    yvar = np.sum([p[4] for p in parts], axis=0) / n - ymean * ymean
+    moments = tuple((float(m), float(v)) for m, v in zip(ymean, yvar))
+    worst = float(np.max(np.abs(yvar - np.asarray(lams))))
+    power = math.fsum(p[5] for p in parts) / n
+    return SimReport(mean, se, moments, worst, n, input_power=power)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 11, 20])
+def test_uncoded_gaussian_columns_match_table_oracle(dim):
+    # from 8 components the per-sample distortion is a pairwise sum in
+    # lanes, and one component makes numpy sum each column pairwise
+    # eigenvalues over six decades, so the order of the additions shows
+    # in the last bits of the pooled sums
+    lams = sorted(10.0 ** np.random.default_rng(dim).uniform(-3, 3, dim),
+                  reverse=True)
+    sim = SimConfig(dim, block_sim._CHUNK + 999, 2)
+    assert reports_equal(sim_uncoded_gaussian(lams, 1.7, sim),
+                         _table_uncoded_gaussian(lams, 1.7, sim))
 
 
 # --------------------------------------------------------- genie hybrid
@@ -559,6 +603,37 @@ def test_pairwise_sum_matches_numpy_row_sum(n):
                           rows.sum(axis=-1))
 
 
+def _cumsum_row_draw(rng_values, rows):
+    """Reference categorical draw: count the cumulative weights below
+    u * total, zero-weight rows read as uniform."""
+    cum = np.cumsum(rows, axis=-1)
+    total = cum[..., -1:]
+    k = rows.shape[-1]
+    bad = total <= 0.0
+    cum = np.where(bad, np.arange(1, k + 1, dtype=float), cum)
+    total = np.where(bad, float(k), total)
+    idx = (cum < rng_values[..., None] * total).sum(axis=-1)
+    return np.minimum(idx, k - 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_row_draw_matches_cumulative_reference(k):
+    rng = np.random.default_rng(k)
+    rows = rng.random((500, 6, k)) ** 4
+    rows[:40] = 0.0                          # zero-weight rows
+    rows[40:80, :, 0] = 0.0                  # a zero first weight
+    rows[80:120, :, 1:] = 0.0                # all weight on the first
+    rows[120:160] = rows[120:160] * 1e-300   # totals near underflow
+    u = rng.random((500, 6))
+    u[160:200] = u[:10] = np.nextafter(1.0, 0.0)
+    u[40:50] = u[10:20] = 0.0
+    u[20:40] = 0.5                           # uniform fallback boundary
+    want = _cumsum_row_draw(u, rows)
+    got = block_sim._row_draw(u, rows.copy())
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batched_laws_equal_per_message_loop(n):
     cfg = candidate(n, codebooks=1)
@@ -581,19 +656,64 @@ def test_batched_laws_equal_loop_on_wide_alphabets(sizes):
     assert_laws_equal_loop(cfg, code)
 
 
+@pytest.mark.parametrize("sizes", [
+    (3, 2, 3, 5, 3, 3), (5, 3, 2, 4, 2, 2), (2, 4, 2, 3, 1, 3),
+    (5, 4, 2, 1, 3, 3)])
+def test_laws_and_samples_do_not_depend_on_the_slab_size(monkeypatch, sizes):
+    # three rows of the widest table per slab: many slab boundaries, an
+    # uneven last slab, and source and output tables of different widths
+    nx, nz, nu, nv, ny, n = sizes
+    rng = np.random.default_rng(sum(sizes) + 1)
+    cfg = dataclasses.replace(
+        _random_config(rng, nx, nz, nu, nv, ny, n, 2.0), codebooks=2)
+    code = rng.integers(0, nz, (cfg.codebook_size, n))
+    wide = sim_block_hybrid(cfg, SimConfig(8, 3000))
+    monkeypatch.setattr(block_sim, "_SLAB_BYTES",
+                        8 * 3 * max(nx, nv, ny) ** n)
+    assert_laws_equal_loop(cfg, code)
+    assert reports_equal(wide, sim_block_hybrid(cfg, SimConfig(8, 3000)))
+
+
 def test_sampled_message_error_matches_exact_law():
-    # the sampled phase looks each received block up in the decode map by
-    # its enumeration index; reading the map in another order decodes other
+    # every block is a codeword, the encoder sends the source block's own
+    # codeword and the reconstruction copies the decoded one, so the sent
+    # and decoded messages are the enumeration indices of x and yhat. The
+    # sampled phase looks each received block up in the decode map by its
+    # enumeration index; reading the map in another order decodes other
     # blocks and moves the sampled error far from the exact one
-    cfg = candidate(8, codebooks=1)
-    code = np.random.default_rng(0).integers(0, 4, (cfg.codebook_size, 8))
-    laws = _codebook_laws(cfg, code)
-    parts = _generate_phase(cfg, code, laws.decode_map, SimConfig(6, 40000),
-                            stream=2)
-    errors = np.concatenate([p[2] for p in parts])
-    assert errors.size == 40000 and laws.typ_fail.any()
-    se = math.sqrt(laws.msg_error * (1.0 - laws.msg_error) / errors.size)
-    assert abs(errors.mean() - laws.msg_error) <= 4.0 * se
+    n = 4
+    index = 2 ** np.arange(n - 1, -1, -1)
+    code = _enumerate_blocks(n, 2)
+    copy = np.zeros((2, 2, 2))
+    copy[:, 0, 0] = copy[:, 1, 1] = 1.0
+
+    def messages(theta, decode_map, samples):
+        cfg = BlockCodeConfig(
+            n=n, rate=1.0, source=bern(0.5),
+            code_marginal=DiscreteDistribution(("a", "b"),
+                                               np.array([0.5, 0.5])),
+            x_given_z=np.eye(2), u_given_xz=copy, channel=bsc(theta),
+            dec_cond=np.stack([np.tile(np.eye(2)[z], (2, 1))
+                               for z in (0, 1)]),
+            target=bern(0.5), dist=1.0 - np.eye(2))
+        laws = _codebook_laws(cfg, code)
+        parts = _generate_phase(
+            cfg, code, laws.decode_map if decode_map is None else decode_map,
+            SimConfig(6, samples), stream=2)
+        return (laws.msg_error,
+                np.concatenate([p[0] for p in parts]) @ index,
+                np.concatenate([p[1] for p in parts]) @ index)
+
+    exact, sent, decoded = messages(0.1, None, 40000)
+    assert 0.1 < exact < 0.9
+    se = math.sqrt(exact * (1.0 - exact) / sent.size)
+    assert abs(np.mean(sent != decoded) - exact) <= 4.0 * se
+    # over a noiseless channel each block decodes to exactly the message
+    # the map names at its index
+    perm = np.random.default_rng(0).permutation(2 ** n)
+    _, sent, decoded = messages(0.0, perm, 5000)
+    assert np.array_equal(decoded, perm[sent])
+    assert len(np.unique(sent)) == 2 ** n
 
 
 def test_exact_laws_conserve_mass_and_handle_uncovered_blocks():
@@ -686,6 +806,70 @@ def test_block_worker_invariance():
     one = sim_block_hybrid(cfg, SimConfig(5, 70000, 1))
     four = sim_block_hybrid(cfg, SimConfig(5, 70000, 4))
     assert reports_equal(one, four)
+
+
+def _unequal_alphabet_config(nx, nv, codebooks):
+    """|X| != |V| at n = 8: the source and the channel output spaces have
+    different block counts."""
+    rng = np.random.default_rng(nx * 10 + nv)
+    cfg = _random_config(rng, nx, 2, 2, nv, 2, 8, 0.5)
+    return dataclasses.replace(cfg, codebooks=codebooks)
+
+
+@pytest.mark.parametrize("make", [
+    lambda books: candidate(8, codebooks=books),
+    lambda books: _unequal_alphabet_config(3, 2, books),
+    lambda books: _unequal_alphabet_config(2, 3, books),
+    lambda books: candidate(12, codebooks=books)],
+    ids=["n8", "x3-v2", "x2-v3", "n12"])
+@pytest.mark.parametrize("codebooks", [1, 2, 5])
+def test_block_report_does_not_depend_on_concurrent_codebooks(
+        monkeypatch, make, codebooks):
+    # more threads than cores and a short switch interval interleave the
+    # codebooks as much as possible
+    cfg = make(codebooks)
+    one = sim_block_hybrid(cfg, SimConfig(3, 4096, 1))
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 3, 4):
+            many = sim_block_hybrid(cfg, SimConfig(3, 4096, workers))
+            assert reports_equal(one, many)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_block_runs_fewer_codebooks_at_once_to_fit_the_byte_budget(
+        monkeypatch):
+    # with room for one table the two workers draw the codebooks one at a
+    # time: no pool starts, and the report is the one-worker report
+    cfg = candidate(8, codebooks=3)
+    one = sim_block_hybrid(cfg, SimConfig(4, 200, 1))
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES",
+                        8 * cfg.codebook_size * 2 ** 8)
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} started")
+
+    monkeypatch.setattr(block_sim, "ThreadPoolExecutor", no_pool)
+    assert reports_equal(one, sim_block_hybrid(cfg, SimConfig(4, 200, 2)))
+
+
+def test_block_working_set_is_a_few_tables(monkeypatch):
+    # two n = 12 codebooks in flight: each holds one messages x blocks
+    # table (the encoder posterior) and slabs, never two whole tables
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    cfg = candidate(12, codebooks=8)
+    table = 8 * cfg.codebook_size * 2 ** 12
+    tracemalloc.start()
+    try:
+        sim_block_hybrid(cfg, SimConfig(7, 4096, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table
 
 
 def _wide_alphabet_config(codebooks=2):
@@ -786,8 +970,9 @@ def _forbid_codebook_draws(monkeypatch):
 
 
 def test_block_sample_weights_budget_stops_before_any_codebook(monkeypatch):
-    # the sampled phase holds a chunk x messages table of encoder weights
-    # per thread; the gate counts it before the first codebook is drawn
+    # the sampled phase of a codebook draws from a chunk x messages table
+    # of encoder weights; the gate counts it before the first codebook is
+    # drawn
     _forbid_codebook_draws(monkeypatch)
     cfg = candidate(8, codebooks=1)
     weights = 8 * cfg.codebook_size * 1000
@@ -801,19 +986,22 @@ def test_block_sample_weights_budget_stops_before_any_codebook(monkeypatch):
         sim_block_hybrid(cfg, SimConfig(0, 1000))
 
 
-def test_block_sample_weights_budget_counts_threads(monkeypatch):
+def test_block_sample_weights_budget_counts_one_codebook(monkeypatch):
+    # a codebook runs its chunks one after another, so one chunk's weights
+    # is its share whatever the worker and chunk counts; codebooks in
+    # flight together are bounded by running fewer of them at once
     _forbid_codebook_draws(monkeypatch)
     monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 4)
     cfg = candidate(8, codebooks=1)
     chunk = block_sim._CHUNK
     monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * cfg.codebook_size * chunk)
-    with pytest.raises(AssertionError, match="codebook drawn"):
-        sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, 1))
+    for workers in (1, 2):
+        with pytest.raises(AssertionError, match="codebook drawn"):
+            sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, workers))
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES",
+                        8 * cfg.codebook_size * chunk - 1)
     with pytest.raises(BudgetExceeded, match="encoder weights"):
-        sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, 2))
-    # one chunk runs on one thread whatever the worker count
-    with pytest.raises(AssertionError, match="codebook drawn"):
-        sim_block_hybrid(cfg, SimConfig(0, chunk, 2))
+        sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, 1))
 
 
 def test_block_plugin_path_sample_weights_budget(monkeypatch):
