@@ -5,10 +5,11 @@ Single-letter schemes (uncoded binary/Gaussian, genie-aided hybrid) are
 sampled directly. The block harness draws random codebooks, runs the
 likelihood encoder, joint-typicality decoding with a maximum-likelihood
 fallback, symbolwise reconstruction, and the final maximal-coupling step
-against the product target law. The per-codebook output law, its total
-variation to the target, and the message error probability are computed
-exactly by tensor contraction over every block, so alphabet powers past the
-enumeration budget are refused.
+against the product target law, one chunk of blocks at a time: each chunk
+is sampled, coupled and tallied before it is dropped. The per-codebook
+output law, its total variation to the target, and the message error
+probability are computed exactly by tensor contraction over every block, so
+alphabet powers past the enumeration budget are refused.
 
 Reproducibility: every random draw comes from a counter-based generator
 keyed by (seed, stream, chunk). Chunk boundaries are fixed by the sample
@@ -39,9 +40,9 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
-# largest blocks x messages float64 table of the codebooks in flight
-# together: the exact laws' encoder posterior, or the sampled encoder
-# weights; a few such tables are alive at once
+# largest blocks x messages float64 table (the exact laws' encoder
+# posterior) of the codebooks in flight together; a few such tables are
+# alive at once
 _ENUM_BYTES = 2 ** 28
 # the exact laws and the decoder work on slabs of messages this size, so
 # only the encoder posterior is ever a full blocks x messages table
@@ -493,7 +494,7 @@ def _product_law(probs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 def _encoder_weights(cfg: BlockCodeConfig, code: np.ndarray,
                      x: np.ndarray) -> np.ndarray:
-    """Likelihood-encoder weights prod_t p(x_t | z_t(m)), blocks x
+    """Weights of the likelihood encoder, prod_t p(x_t | z_t(m)), blocks x
     messages."""
     weights = np.ones((x.shape[0], code.shape[0]))
     for t in range(cfg.n):
@@ -710,38 +711,36 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
                         msg_error)
 
 
-def _generate_phase(cfg: BlockCodeConfig, code: np.ndarray,
-                    decode_map: np.ndarray, sim: SimConfig, stream: int):
-    """Run sampled source blocks through encoder, channel, decoder and
-    reconstruction; returns per-chunk (x, yhat) arrays.
+def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
+                  decode_map: np.ndarray, rng: np.random.Generator,
+                  count: int):
+    """Run count sampled source blocks through encoder, channel, decoder and
+    reconstruction; returns the (x, yhat) blocks as rows.
 
     decode_map is the decoder tabulated over every output block in
     enumeration order."""
     n = cfg.n
     nv = len(cfg.channel.output_alphabet)
-    src_cdf = np.cumsum(cfg.source.probs)
     vpow = nv ** np.arange(n - 1, -1, -1)
-
-    def chunk(rng, count):
-        x = _cdf_draw(rng.random((count, n)), src_cdf)
-        pick = rng.random(count)
-        # the chunk x messages encoder weights, one slab of blocks at a time
-        m = np.concatenate([
-            _row_draw(pick[s], _encoder_weights(cfg, code, x[s]))
-            for s in _slabs(count, code.shape[0])])
-        z = code[m]
-        u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
-        v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])
-        mhat = decode_map[(v * vpow).sum(axis=1)]
-        yhat = _row_draw(rng.random((count, n)),
-                         cfg.dec_cond[code[mhat], v])
-        return x, yhat
-
-    return _run_chunks(chunk, sim, stream=stream)
+    x = _cdf_draw(rng.random((count, n)), np.cumsum(cfg.source.probs))
+    pick = rng.random(count)
+    # the likelihood encoder's count x messages weights, one slab of
+    # blocks at a time
+    m = np.concatenate([
+        _row_draw(pick[s], _encoder_weights(cfg, code, x[s]))
+        for s in _slabs(count, code.shape[0])])
+    z = code[m]
+    u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
+    v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])
+    mhat = decode_map[(v * vpow).sum(axis=1)]
+    yhat = _row_draw(rng.random((count, n)), cfg.dec_cond[code[mhat], v])
+    return x, yhat
 
 
-def _couple_exact(cfg, laws, gen_parts, sim, stream):
-    """Apply the maximal coupling against the exact product target."""
+def _coupler(cfg: BlockCodeConfig, laws: CodebookLaws):
+    """Maximal coupling against the exact product target, as a function
+    couple(rng, y) that overwrites one chunk's reconstructions y with their
+    coupled blocks and returns them."""
     n = cfg.n
     ny = len(cfg.target)
     ypow = ny ** np.arange(n - 1, -1, -1)
@@ -754,20 +753,16 @@ def _couple_exact(cfg, laws, gen_parts, sim, stream):
     rmass = float(resid.sum())
     resid_cdf = np.cumsum(resid / rmass) if rmass > 0.0 else None
 
-    out = []
-    for idx, (x, yhat) in enumerate(gen_parts):
-        rng = _rng(sim.seed, stream, idx)
-        count = x.shape[0]
-        yidx = (yhat * ypow).sum(axis=1)
-        y = yhat.copy()
-        reject = rng.random(count) >= keep[yidx]
+    def couple(rng, y):
+        reject = rng.random(y.shape[0]) >= keep[(y * ypow).sum(axis=1)]
         nrej = int(np.count_nonzero(reject))
         if nrej and resid_cdf is not None:
             fresh = _cdf_draw(rng.random(nrej), resid_cdf)
             for t in range(n):
                 y[reject, t] = (fresh // ypow[t]) % ny
-        out.append((x, y))
-    return out
+        return y
+
+    return couple
 
 
 def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
@@ -781,9 +776,12 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     medians of the exact per-codebook values; the per-codebook detail sits
     in codebook_draws. BudgetExceeded is raised before any codebook is drawn
     when the codeword, source, channel output or reconstruction space has
-    more than 2^24 blocks of length n, or a table passes its byte budget.
-    Up to sim.workers codebooks run at once, each on its own streams, as
-    many as their tables fit the byte budget together.
+    more than 2^24 blocks of length n, or the exact laws' table passes its
+    byte budget. Each chunk of sampled blocks is coupled and tallied as
+    soon as it is drawn, so no sample table outlives its chunk. Up to
+    sim.workers codebooks run at once, each on its own streams, as many as
+    their tables fit the byte budget together; workers left over run a
+    codebook's chunks.
     """
     nz = len(cfg.code_marginal)
     nx, nv = len(cfg.source), len(cfg.channel.output_alphabet)
@@ -802,50 +800,40 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
         raise BudgetExceeded(
             f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
             f"table, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
-    # every sampled block of a codebook is kept as int64 rows (source,
-    # reconstruction and the coupled copy) until its part is pooled
-    blocks = 8 * sim.samples * cfg.n
-    if blocks > _ENUM_BYTES:
-        raise BudgetExceeded(
-            f"{sim.samples} blocks of length {cfg.n} exceed the "
-            f"{_ENUM_BYTES / 2 ** 20:.0f} MiB sample budget")
-    # a codebook draws each chunk's messages from encoder weights computed
-    # in slabs of at most a chunk x messages table
-    rows = min(sim.samples, _CHUNK)
-    weights = 8 * msgs * rows
-    if weights > _ENUM_BYTES:
-        raise BudgetExceeded(
-            f"sampling needs {weights / 2 ** 20:.0f} MiB of encoder weights "
-            f"({rows} blocks x {msgs} messages per thread), over the "
-            f"{_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
-    # codebooks in flight each hold tables of up to these sizes at once
-    threads = min(sim.workers, _ENUM_BYTES // max(table, blocks, weights))
-    serial = SimConfig(sim.seed, sim.samples)
+    # codebooks in flight as far as their tables fit together; the workers
+    # left over run each codebook's chunks
+    workers = min(sim.workers, os.cpu_count() or 1)
+    threads = min(workers, _ENUM_BYTES // table)
+    chunk_threads = max(1, workers // min(threads, cfg.codebooks))
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 
     def run(d):
         rng = _rng(sim.seed, 4 * d + 1, 0)
         code = _cdf_draw(rng.random((msgs, cfg.n)), z_cdf)
         laws = _codebook_laws(cfg, code)
-        gen = _generate_phase(cfg, code, laws.decode_map, serial,
-                              stream=4 * d + 2)
-        moment_parts = []
-        y_counts = np.zeros(ny, dtype=np.int64)
-        for x, y in _couple_exact(cfg, laws, gen, serial, stream=4 * d + 3):
+        couple = _coupler(cfg, laws)
+
+        def tally(job):
+            idx, count = job
+            x, yhat = _sample_chunk(cfg, code, laws.decode_map,
+                                    _rng(sim.seed, 4 * d + 2, idx), count)
+            y = couple(_rng(sim.seed, 4 * d + 3, idx), yhat)
             dist_rows = cfg.dist[x, y].mean(axis=1)
-            moment_parts.append((x.shape[0], float(dist_rows.sum()),
-                                 float((dist_rows * dist_rows).sum())))
-            y_counts += np.bincount(y.ravel(), minlength=ny)
+            return (count, float(dist_rows.sum()),
+                    float((dist_rows * dist_rows).sum()),
+                    np.bincount(y.ravel(), minlength=ny))
+
         draw = CodebookDraw(msgs, float(laws.msg_error),
                             float(laws.tv_to_target),
                             bool((code == code[0]).all()))
-        return draw, moment_parts, y_counts
+        return draw, _pool_map(tally, list(_chunks(sim.samples)),
+                               chunk_threads)
 
     done = _pool_map(run, range(cfg.codebooks), threads)
-    draws = [draw for draw, _, _ in done]
-    mean, se, n_total = _pooled_moments(
-        [p for _, parts, _ in done for p in parts])
-    y_counts = sum(counts for _, _, counts in done).astype(float)
+    draws = [draw for draw, _ in done]
+    parts = [p for _, chunk_parts in done for p in chunk_parts]
+    mean, se, n_total = _pooled_moments(parts)
+    y_counts = sum(p[3] for p in parts).astype(float)
     marginal = DiscreteDistribution(cfg.target.alphabet,
                                     y_counts / y_counts.sum())
     return SimReport(

@@ -29,7 +29,8 @@ _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
 
 # most points of a curve grid: the optimizer's scan table is points x 512 x 8 B
 MAX_POINTS = 2 ** 14
-# most samples of one simulation: about 30,000 chunks of 2^15
+# most sampled blocks of one simulation, over all its codebooks: about
+# 30,000 chunks of 2^15
 MAX_SAMPLES = 10 ** 9
 # most codebooks of one block-hybrid run: each is one exact-law enumeration,
 # about 0.08 s at n = 12, so a run's laws take under about 1.5 min there
@@ -300,6 +301,9 @@ def _cmd_simulate(args, argv, t0):
         rep = block_sim.sim_genie_hybrid_binary(args.rho, args.theta,
                                                 args.delta1, sim)
     else:
+        if args.samples * args.codebooks > MAX_SAMPLES:
+            raise ValueError(
+                f"--samples x --codebooks must be at most {MAX_SAMPLES}")
         cfg = block_sim.binary_separation_block_config(
             args.rho, args.delta, args.theta, args.rate, args.n,
             typ_delta=args.typ_delta, codebooks=args.codebooks)

@@ -25,9 +25,9 @@ from cot_lab.block_sim import (
     SimReport,
     _codebook_laws,
     _enumerate_blocks,
-    _generate_phase,
     _pairwise_sum,
     _product_law,
+    _sample_chunk,
     _symbol_kernels,
     binary_separation_block_config,
     sim_block_hybrid,
@@ -124,16 +124,14 @@ def test_uncoded_binary_validation():
         sim_uncoded_binary(0.25, 0.1, (1.5, 0.0), sim)
 
 
-@pytest.mark.parametrize("workers, chunks, cpus, threads", [
-    (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 1, 4, None),
-    (1, 10, 4, None), (8, 10, 1, None)])
-def test_run_chunks_clamps_the_pool(monkeypatch, workers, chunks, cpus,
-                                    threads):
+def record_pools(monkeypatch, cpus):
+    """Stand in a serial recorder for the thread pool on a machine of cpus
+    cores; returns the (max_workers, jobs) of every pool started."""
     seen = []
 
     class Recorder:
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -142,14 +140,25 @@ def test_run_chunks_clamps_the_pool(monkeypatch, workers, chunks, cpus,
             return False
 
         def map(self, fn, jobs):
+            seen.append((self.max_workers, list(jobs)))
             return map(fn, jobs)
 
     monkeypatch.setattr(block_sim, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(block_sim.os, "cpu_count", lambda: cpus)
+    return seen
+
+
+@pytest.mark.parametrize("workers, chunks, cpus, threads", [
+    (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (8, 1, 4, None),
+    (1, 10, 4, None), (8, 10, 1, None)])
+def test_run_chunks_clamps_the_pool(monkeypatch, workers, chunks, cpus,
+                                    threads):
+    seen = record_pools(monkeypatch, cpus)
     sim = SimConfig(0, chunks * block_sim._CHUNK, workers)
     counts = block_sim._run_chunks(lambda rng, n: n, sim, stream=0)
     assert counts == [block_sim._CHUNK] * chunks
-    assert seen == ([] if threads is None else [threads])
+    assert [size for size, _ in seen] == ([] if threads is None
+                                          else [threads])
 
 
 def test_uncoded_binary_worker_invariance():
@@ -697,9 +706,10 @@ def test_sampled_message_error_matches_exact_law():
                                for z in (0, 1)]),
             target=bern(0.5), dist=1.0 - np.eye(2))
         laws = _codebook_laws(cfg, code)
-        parts = _generate_phase(
+        parts = [_sample_chunk(
             cfg, code, laws.decode_map if decode_map is None else decode_map,
-            SimConfig(6, samples), stream=2)
+            block_sim._rng(6, 2, idx), count)
+            for idx, count in block_sim._chunks(samples)]
         return (laws.msg_error,
                 np.concatenate([p[0] for p in parts]) @ index,
                 np.concatenate([p[1] for p in parts]) @ index)
@@ -826,7 +836,9 @@ def _unequal_alphabet_config(nx, nv, codebooks):
 def test_block_report_does_not_depend_on_concurrent_codebooks(
         monkeypatch, make, codebooks):
     # more threads than cores and a short switch interval interleave the
-    # codebooks as much as possible
+    # codebooks, and the chunks of codebooks that leave workers over, as
+    # much as possible
+    monkeypatch.setattr(block_sim, "_CHUNK", 1024)
     cfg = make(codebooks)
     one = sim_block_hybrid(cfg, SimConfig(3, 4096, 1))
     monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 4)
@@ -870,6 +882,51 @@ def test_block_working_set_is_a_few_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table
+
+
+def test_block_working_set_does_not_grow_with_the_chunk_count(monkeypatch):
+    # each chunk is sampled, coupled and tallied before the next, so 16
+    # chunks of one codebook peak where one chunk does, not 16 chunks of
+    # kept blocks above it
+    monkeypatch.setattr(block_sim, "_CHUNK", 1024)
+    cfg = candidate(8, codebooks=1)
+    sim_block_hybrid(cfg, SimConfig(5, 1024))
+    peaks = []
+    for chunks in (1, 16):
+        tracemalloc.start()
+        try:
+            sim_block_hybrid(cfg, SimConfig(5, chunks * 1024))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("codebooks, pools", [
+    (1, [(2, [(0, 64), (1, 64), (2, 64)])]), (32, [(2, list(range(32)))])])
+def test_block_lends_idle_workers_to_the_chunks(monkeypatch, codebooks,
+                                                pools):
+    # one codebook on two workers runs its chunks on a pool of two; 32
+    # codebooks fill both workers, so their chunks start no nested pool
+    seen = record_pools(monkeypatch, 2)
+    monkeypatch.setattr(block_sim, "_CHUNK", 64)
+    cfg = candidate(4, codebooks=codebooks)
+    one = sim_block_hybrid(cfg, SimConfig(2, 192, 1))
+    assert seen == []
+    assert reports_equal(one, sim_block_hybrid(cfg, SimConfig(2, 192, 2)))
+    assert seen == pools
+
+
+def test_block_runs_what_the_encoder_weights_budget_refused(monkeypatch):
+    # a 1000-block chunk of encoder weights is about four exact-law tables
+    # here, which a budget of one table once refused; the weights are built
+    # in slabs, so the run needs only the table and reports as before
+    cfg = candidate(8, codebooks=2)
+    table = 8 * cfg.codebook_size * 2 ** 8
+    assert 8 * cfg.codebook_size * 1000 > table
+    wide = sim_block_hybrid(cfg, SimConfig(0, 1000, 2))
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", table)
+    assert reports_equal(wide, sim_block_hybrid(cfg, SimConfig(0, 1000, 2)))
 
 
 def _wide_alphabet_config(codebooks=2):
@@ -935,17 +992,6 @@ def test_block_byte_budget_gate(monkeypatch):
         sim_block_hybrid(cfg, SimConfig(0, 16))
 
 
-def test_block_sample_budget_stops_before_any_codebook(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("codebook drawn past the sample budget")
-
-    monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
-    cfg = candidate(8, codebooks=1)
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 8 * 1000)
-    with pytest.raises(BudgetExceeded, match="blocks of length 8 exceed"):
-        sim_block_hybrid(cfg, SimConfig(0, 1001))
-
-
 def test_block_byte_budget_stops_before_any_table(monkeypatch):
     # n = 20 bits fits the bit budget, but 2^20 blocks x 1024 messages of
     # float64 is 8 GiB; the gate must fire before the laws are built. Rate
@@ -967,58 +1013,3 @@ def _forbid_codebook_draws(monkeypatch):
         raise AssertionError("codebook drawn")
 
     monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
-
-
-def test_block_sample_weights_budget_stops_before_any_codebook(monkeypatch):
-    # the sampled phase of a codebook draws from a chunk x messages table
-    # of encoder weights; the gate counts it before the first codebook is
-    # drawn
-    _forbid_codebook_draws(monkeypatch)
-    cfg = candidate(8, codebooks=1)
-    weights = 8 * cfg.codebook_size * 1000
-    # the exact table and the sample rows fit either budget below
-    assert max(8 * 1000 * 8, 8 * cfg.codebook_size * 2 ** 8) < weights - 1
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", weights)
-    with pytest.raises(AssertionError, match="codebook drawn"):
-        sim_block_hybrid(cfg, SimConfig(0, 1000))
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", weights - 1)
-    with pytest.raises(BudgetExceeded, match="encoder weights"):
-        sim_block_hybrid(cfg, SimConfig(0, 1000))
-
-
-def test_block_sample_weights_budget_counts_one_codebook(monkeypatch):
-    # a codebook runs its chunks one after another, so one chunk's weights
-    # is its share whatever the worker and chunk counts; codebooks in
-    # flight together are bounded by running fewer of them at once
-    _forbid_codebook_draws(monkeypatch)
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 4)
-    cfg = candidate(8, codebooks=1)
-    chunk = block_sim._CHUNK
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * cfg.codebook_size * chunk)
-    for workers in (1, 2):
-        with pytest.raises(AssertionError, match="codebook drawn"):
-            sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, workers))
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES",
-                        8 * cfg.codebook_size * chunk - 1)
-    with pytest.raises(BudgetExceeded, match="encoder weights"):
-        sim_block_hybrid(cfg, SimConfig(0, 2 * chunk, 1))
-
-
-def test_block_plugin_path_sample_weights_budget(monkeypatch):
-    # over few blocks the exact table stays small, so the encoder weights
-    # gate alone bounds the messages, which rate sets without an upper limit
-    _forbid_codebook_draws(monkeypatch)
-    cfg = _binary_code_config(4, 2.25)
-    assert cfg.codebook_size == 512
-    with pytest.raises(AssertionError, match="codebook drawn"):
-        sim_block_hybrid(cfg, SimConfig(0, 1000))
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 512 * 1000 - 1)
-    with pytest.raises(BudgetExceeded, match="encoder weights"):
-        sim_block_hybrid(cfg, SimConfig(0, 1000))
-    # 2^40 messages: a budget that admits their 16-block exact table still
-    # refuses their 8000 TiB of weights for a 1000-block chunk
-    huge = _binary_code_config(4, 10.0)
-    assert huge.codebook_size == 2 ** 40
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES", 8 * 2 ** 40 * 2 ** 4)
-    with pytest.raises(BudgetExceeded, match="encoder weights"):
-        sim_block_hybrid(huge, SimConfig(0, 1000))

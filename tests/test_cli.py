@@ -137,6 +137,26 @@ def test_codebooks_out_of_range_rejected_before_any_draw(capsys, workdir):
     assert os.listdir(".") == []
 
 
+def test_block_sampled_blocks_over_the_limit_rejected_before_any_draw(
+        capsys, workdir, monkeypatch):
+    # each flag is in range, but 2 x (10^9 / 2 + 1) blocks pass the 10^9
+    # sampled blocks of one simulation
+    def no_draws(*args):
+        raise AssertionError("codebook drawn")
+
+    monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "block-hybrid", "--rho", "0.25",
+                       "--delta", "0.2", "--theta", "0.005", "--rate", "0.6",
+                       "--n", "8", "--codebooks", "2", "--seed", "7",
+                       "--samples", str(cli.MAX_SAMPLES // 2 + 1),
+                       "--out", "r.json")
+    assert code == 1
+    assert "--samples x --codebooks must be at most 1000000000" in err
+    assert time.perf_counter() - t0 < 1.0
+    assert os.listdir(".") == []
+
+
 def test_non_finite_typ_delta_rejected_before_any_draw(capsys, workdir):
     for value in ("inf", "nan"):
         code, _, err = run(capsys, "simulate", "block-hybrid", "--rho",
@@ -145,19 +165,6 @@ def test_non_finite_typ_delta_rejected_before_any_draw(capsys, workdir):
                            "--seed", "7", "--samples", "16", "--out", "r.json")
         assert code == 1, value
         assert "typ_delta must be positive and finite" in err
-    assert os.listdir(".") == []
-
-
-def test_block_samples_over_byte_budget_rejected(capsys, workdir):
-    # 2^22 blocks of 8 int64 symbols are 256 MiB per sample array
-    t0 = time.perf_counter()
-    code, _, err = run(capsys, "simulate", "block-hybrid", "--rho", "0.25",
-                       "--delta", "0.2", "--theta", "0.005", "--rate", "0.6",
-                       "--n", "8", "--seed", "7", "--samples",
-                       str(2 ** 22 + 1), "--out", "r.json")
-    assert code == 1
-    assert "MiB" in err
-    assert time.perf_counter() - t0 < 1.0
     assert os.listdir(".") == []
 
 
@@ -171,22 +178,6 @@ def test_block_n_out_of_range_rejected_at_parse_time(capsys, workdir):
                            "--samples", "16", "--out", "r.json")
         assert code == 1, n
         assert "--n" in err and "[1, 12]" in err
-    assert os.listdir(".") == []
-
-
-def test_block_sample_weights_over_budget_rejected(capsys, workdir,
-                                                   monkeypatch):
-    # 3770 messages at n = 12: a full chunk of encoder weights is 942 MiB
-    def no_draws(*args):
-        raise AssertionError("codebook drawn past the weights budget")
-
-    monkeypatch.setattr(block_sim, "_cdf_draw", no_draws)
-    code, _, err = run(capsys, "simulate", "block-hybrid", "--rho", "0.25",
-                       "--delta", "0.2", "--theta", "0.0001", "--rate",
-                       "0.99", "--n", "12", "--codebooks", "1", "--seed",
-                       "7", "--samples", str(2 ** 15), "--out", "r.json")
-    assert code == 1
-    assert "942 MiB of encoder weights" in err
     assert os.listdir(".") == []
 
 
