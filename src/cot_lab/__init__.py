@@ -25,4 +25,5 @@ class MaxIterError(RuntimeError):
 
 
 class SinkhornDivergence(RuntimeError):
-    """Sinkhorn scaling failed to meet the marginal tolerance."""
+    """The entropic transport solve missed its marginal stop within its step
+    budget, or the rate-limited ladder found no crossing of the rate."""

@@ -400,10 +400,22 @@ _SIZE_LIMIT = 10 ** 6
 # cost> is at most the largest entry, so below 1e100 none of them comes near
 # overflow (1.8e308); a channel's spend E[c] stays finite the same way
 _MAX_COST = 1e100
-# Sinkhorn's stop: both marginals met to this within _MAX_SWEEPS sweeps (it
-# contracts slowly at intermediate lam, ~2e4 sweeps on skewed binary laws)
+# the entropic solve's stop: once both marginals are met to _MARGINAL_ERR, a
+# full Newton step that no longer halves the error marks the rounding floor.
+# _MAX_STEPS counts Newton steps and safeguard sweeps together, and a line
+# search halves a step at most _HALVINGS times
 _MARGINAL_ERR = 1e-9
-_MAX_SWEEPS = 40000
+_MAX_STEPS = 500
+_HALVINGS = 30
+# conjugate gradients stop once the Newton residual has fallen by the
+# forcing term min(_CG_FORCING, marginal error), which keeps Newton's
+# quadratic convergence (Eisenstat and Walker 1996), or after n + m - 1
+# iterations. The Newton system is regularized by _DAMPING * min(marginal
+# error, 1) * diag(H) (Levenberg-Marquardt): where the plan nearly splits
+# into blocks the plain step is huge and the line search fails, and the term
+# vanishes with the error, so the local convergence stays quadratic
+_CG_FORCING = 0.1
+_DAMPING = 0.01
 # smallest positive rate rate_limited_ot resolves: below it the root solve
 # works on the rounding noise of I(lam) near the product plan
 _MIN_RATE = 1e-12
@@ -447,37 +459,125 @@ def _logsumexp(a, axis):
     is finite and by 0 otherwise; the caller keeps -inf arithmetic quiet."""
     shift = a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis)
+    e = a - shift
+    return np.log(np.exp(e, out=e).sum(axis=axis)) + shift.squeeze(axis)
+
+
+def _newton_direction(plan, diag, b, eta, mu):
+    """The Newton step (df, dg) of the entropic dual at plan for the
+    marginal residual b, by Jacobi-preconditioned conjugate gradients on
+    [[diag(rows), plan], [plan^T, diag(cols)]] + mu diag(rows, cols), where
+    diag = (rows, cols) holds the plan's sums, with products by plan and
+    plan^T only. The last g entry is held at 0, which fixes the gauge
+    (f + t, g - t). Stops once the preconditioned residual norm is eta
+    times its start, or after n + m - 1 iterations."""
+    n = plan.shape[0]
+    diag = (1.0 + mu) * diag
+    inv = 1.0 / diag
+    inv[-1] = 0.0
+    x = np.zeros_like(b)
+    r = b
+    d = inv * r
+    rz = float(r @ d)
+    stop = eta * eta * rz
+    for _ in range(len(b) - 1):
+        hd = diag * d + np.concatenate([plan @ d[n:], d[:n] @ plan])
+        curv = float(d @ hd)
+        if not curv > 0.0:
+            break
+        x += (rz / curv) * d
+        r = r - (rz / curv) * hd
+        z = inv * r
+        rz, last = float(r @ z), rz
+        if rz <= stop:
+            break
+        d = z + (rz / last) * d
+    return x[:n], x[n:]
 
 
 def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
                   cost: np.ndarray, lam: float,
                   warm: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-    """Sinkhorn solution of min <cost, pi> + lam * KL(pi || row x col).
+    """Solution of min <cost, pi> + lam * KL(pi || row x col).
 
-    Log-domain scaling of the kernel p_i q_j exp(-c_ij / lam) (Cuturi 2013);
-    converged when the worst marginal violation drops below 1e-9, and
-    SinkhornDivergence after 40,000 sweeps without that. Each half-step is
-    one shifted log-sum-exp (_logsumexp). Returns (plan, f, g) with the
-    dual potentials for warm starts.
+    The plan is pi_ij = p_i q_j exp(f_i + g_j - c_ij / lam) on the rows and
+    columns of positive mass, and 0 elsewhere. Newton steps on the dual
+    potentials (f, g) (Brauer, Clason, Lorenz and Wirth 2017), solved by
+    conjugate gradients (_newton_direction), maximize the dual
+    <p, f> + <q, g> - sum(pi). A step is halved until the dual rises
+    (Armijo) or the worst marginal error halves; a non-finite trial point
+    does neither. The solve starts with one Sinkhorn sweep (Cuturi 2013) of
+    shifted log-sum-exp half-steps (_logsumexp), and takes another in place
+    of a Newton step when no halving is accepted or a row or column sum of
+    the plan has underflowed. Converged once both marginals are met to
+    within 1e-9 and a full Newton step no longer halves the error (the
+    rounding floor); SinkhornDivergence after 500 Newton steps and sweeps
+    together. Working memory is a few copies of the cost matrix. Returns
+    (plan, f, g) with the dual potentials for warm starts; f and g keep
+    their given values on atoms of zero mass.
     """
     c = np.asarray(cost, dtype=float)
     f = np.zeros(len(row)) if warm is None else warm[0].copy()
     g = np.zeros(len(col)) if warm is None else warm[1].copy()
-    # zero-mass atoms give log 0 = -inf, and an all -inf slice gives log 0
-    # inside _logsumexp; both are handled, so keep numpy quiet
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logp = np.log(row.probs)
-        logq = np.log(col.probs)
-        base = -c / lam
-        for _ in range(_MAX_SWEEPS):
-            f = -_logsumexp(base + (g + logq)[None, :], axis=1)
-            g = -_logsumexp(base + (f + logp)[:, None], axis=0)
-            plan = np.exp((f + logp)[:, None] + (g + logq)[None, :] + base)
-            err = max(float(np.abs(plan.sum(axis=1) - row.probs).max()),
-                      float(np.abs(plan.sum(axis=0) - col.probs).max()))
-            if err < _MARGINAL_ERR:
-                return plan, f, g
+    i, j = np.flatnonzero(row.probs > 0.0), np.flatnonzero(col.probs > 0.0)
+    p, q = row.probs[i], col.probs[j]
+    logp, logq = np.log(p), np.log(q)
+    logk = c[i[:, None], j]
+    logk /= -lam
+    logk += logp[:, None]
+    logk += logq[None, :]
+
+    def point(fs, gs):
+        """(plan, rows, cols, marginal residual, its worst entry, mass)."""
+        plan = np.add.outer(fs, gs)
+        plan += logk
+        np.exp(plan, out=plan)
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        b = np.concatenate([p - rows, q - cols])
+        return plan, rows, cols, b, float(np.abs(b).max()), float(rows.sum())
+
+    fs, gs = f[i], g[j]
+    # the first sweep brings the plan's mass to 1 from any start, which
+    # Newton steps in the potentials would take many steps to do
+    sweep = True
+    # a trial step may overflow exp, and a plan sum that underflowed to 0
+    # takes 1 / 0 in CG and log 0 in a sweep; no such point is accepted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            if sweep:
+                plan = trial = None
+                fs = logp - _logsumexp(logk + gs[None, :], axis=1)
+                gs = logq - _logsumexp(logk + fs[:, None], axis=0)
+                plan, rows, cols, b, err, mass = point(fs, gs)
+            sweep = True
+            df, dg = _newton_direction(
+                plan, np.concatenate([rows, cols]), b,
+                min(_CG_FORCING, err), _DAMPING * min(err, 1.0))
+            # CG gives b.x = x.Hx > 0 unless it broke down at once, as it
+            # does on a row or column whose plan sum underflowed to 0
+            slope = float(b[:len(p)] @ df + b[len(p):] @ dg)
+            # the dual's rise along the step is t lin - (change in mass):
+            # <p, f> + <q, g> cancels, whose rounding would swamp the rise
+            # near the optimum
+            lin = float(p @ df + q @ dg)
+            trial = point(fs + df, gs + dg) if slope > 0.0 else None
+            if err <= _MARGINAL_ERR and not (trial and trial[4] < 0.5 * err):
+                trial = None  # freed before the full plan is built
+                full = np.zeros_like(c)
+                full[i[:, None], j] = plan
+                f[i], g[j] = fs, gs
+                return full, f, g
+            for k in range(_HALVINGS if trial else 0):
+                t = 0.5 ** k
+                if k:
+                    trial = None  # freed before the next plan is built
+                    trial = point(fs + t * df, gs + t * dg)
+                rise = t * lin - (trial[5] - mass)
+                if trial[4] <= 0.5 * err or rise >= 1e-4 * t * slope:
+                    fs, gs = fs + t * df, gs + t * dg
+                    plan, rows, cols, b, err, mass = trial
+                    sweep = False
+                    break
     raise SinkhornDivergence(
         f"no convergence at lambda={lam} (marginal error {err:.3e})")
 
@@ -487,13 +587,14 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     """Minimum expected cost over couplings of (row, col) with I(X;Y) <= rate.
 
     The Lagrangian at multiplier lam is exactly entropic OT against the
-    product of the prescribed marginals, so every Sinkhorn solve lands one
-    point (I, D) on the frontier, and I falls as lam grows. Warm-started
+    product of the prescribed marginals, so every entropic_plan solve lands
+    one point (I, D) on the frontier, and I falls as lam grows. Warm-started
     solves walk lam down the ladder scale * logspace(4, -4, 64) (up, at the
     same spacing, for rates below its first rung) until I crosses the rate;
     Brent's method on log lam then solves I = rate in that cell, to
     find_root's fixed stop.
-    The distortion is D at the root, clamped at the exact optimum d*, and
+    The distortion is D at the root moved onto the rate along the
+    frontier's slope dD/dI = -lam ln 2, clamped at the exact optimum d*, and
     multiplier is lam at the root. When the LP plan meets the rate or a
     rung reaches d*, the answer is d* with multiplier 0. A walk that leaves
     the ladder without a crossing raises SinkhornDivergence. Rate 0 is
@@ -536,8 +637,8 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
             solved[u] = (mutual_information(plan), float(np.sum(plan * c)))
         return solved[u]
 
-    # 64 rungs over 8 decades; a coarser step overshoots further into small
-    # lam, where the Sinkhorn solves are slow
+    # 64 rungs over 8 decades, so a warm start is one rung (a factor 1.34 in
+    # lam) from the solve it starts
     step = math.log(10.0) * 8.0 / 63.0
     u = math.log(scale) + 4.0 * math.log(10.0)
     up = frontier(u)[0] > rate
@@ -556,4 +657,9 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
             f"rate {rate!r} not reached by lambda down to {math.exp(u):.3g}")
     root = float(find_root(lambda v: frontier(float(v))[0] - rate,
                            min(prev, u), max(prev, u)))
-    return RDPoint(rate, max(frontier(root)[1], d_star), math.exp(root))
+    # the step along the frontier from the root's I to the rate itself
+    # leaves an error second order in find_root's stop
+    mi, d = frontier(root)
+    lam = math.exp(root)
+    return RDPoint(rate, max(d + lam * math.log(2.0) * (mi - rate), d_star),
+                   lam)

@@ -683,6 +683,48 @@ def test_entropic_frontier_is_monotone_in_lam():
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
+def test_entropic_plan_converges_where_sweeps_stall():
+    # Sinkhorn sweeps alone stall here at a marginal error of about 1e-9,
+    # on the rounding floor of their contraction
+    b = bern(0.25)
+    plan, _, _ = entropic_plan(b, b, 1.0 - np.eye(2), 0.05)
+    assert np.max(np.abs(plan.sum(axis=1) - b.probs)) <= 1e-12
+    assert np.max(np.abs(plan.sum(axis=0) - b.probs)) <= 1e-12
+
+
+def test_entropic_working_memory_is_a_few_cost_matrices():
+    # a dense Newton system would hold (n + m)^2 cells, four cost matrices
+    # here; conjugate gradients need only products with the plan
+    n = 300
+    rng = np.random.default_rng(3)
+    x, y = np.sort(rng.uniform(0.0, 1.0, n)), np.sort(rng.uniform(0.0, 1.0, n))
+    cost = np.abs(np.subtract.outer(x, y))
+    row, col = rand_dist(rng, n), rand_dist(rng, n)
+    tracemalloc.start()
+    try:
+        plan, _, _ = entropic_plan(row, col, cost, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cost.nbytes
+    assert np.max(np.abs(plan.sum(axis=1) - row.probs)) <= 1e-9
+    assert np.max(np.abs(plan.sum(axis=0) - col.probs)) <= 1e-9
+
+
+def test_entropic_plan_runs_no_dense_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra in the entropic solve")
+
+    for name in ("solve", "lstsq", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(47)
+    row, col = rand_dist(rng, 64), rand_dist(rng, 64)
+    cost = rng.uniform(0.0, 1.0, (64, 64))
+    plan, _, _ = entropic_plan(row, col, cost, 0.01)
+    assert np.max(np.abs(plan.sum(axis=1) - row.probs)) <= 1e-9
+    assert np.max(np.abs(plan.sum(axis=0) - col.probs)) <= 1e-9
+
+
 def _scipy_logsumexp_cases():
     """Random arrays up to 6x6 with -inf entries, whole -inf rows and
     columns, tied maxima and a few +inf entries."""
@@ -788,6 +830,60 @@ def test_rate_limited_matches_implicit_curve():
             pt = rate_limited_ot(b, b, ham, rate)
             assert pt.distortion == pytest.approx(
                 binary_distortion_at_rate(rho, rate), abs=1e-6)
+
+
+def decimal_d_hat(rho, rate):
+    """The binary Hamming d_hat(rho, rate): 64 bisection steps on the
+    implicit rate curve in 40-digit decimal arithmetic, sharing no code
+    with the solvers or with binary_case."""
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+
+        def plog(x):
+            return x * x.ln() / ln2 if x > 0 else Decimal(0)
+
+        r, target = Decimal(rho), Decimal(rate)
+        h = -(plog(r) + plog(1 - r))
+        if target >= h:
+            return 0.0
+        lo, hi = Decimal(0), 2 * r * (1 - r)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if (2 * h + plog((2 - 2 * r - mid) / 2) + 2 * plog(mid / 2)
+                    + plog((2 * r - mid) / 2)) > target:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def test_rate_limited_meets_d_hat_on_criterion_4_pairs():
+    # the Newton solves meet the marginals to the rounding floor and the
+    # root's D is stepped along the frontier onto the rate, so the error is
+    # second order in find_root's stop; a 1e-9 marginal stop alone leaves
+    # up to 7.9e-8
+    ham = 1.0 - np.eye(2)
+    for rho in (0.05, 0.15, 0.25, 0.35, 0.45):
+        for rate in (0.05, 0.2, 0.5, 0.8):
+            got = rate_limited_ot(bern(rho), bern(rho), ham, rate).distortion
+            want = decimal_d_hat(rho, rate)
+            assert abs(got - want) <= 1e-13 * want, (rho, rate, got, want)
+            want = d_hat(rho, rate)
+            assert abs(got - want) <= 1e-9 * want, (rho, rate, got, want)
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.3, 0.6, 0.79])
+def test_rate_limited_ignores_zero_mass_atoms(rate):
+    # the entropic solve runs on the atoms of positive mass only, so a
+    # padded problem repeats the reduced one's arithmetic
+    padded = DiscreteDistribution(("a", "z", "b"), [0.75, 0.0, 0.25])
+    cost = np.array([[0.0, 0.5, 1.0], [0.3, 0.0, 0.7], [1.0, 0.2, 0.0]])
+    got = rate_limited_ot(padded, padded, cost, rate)
+    want = rate_limited_ot(bern(0.25, ("a", "b")), bern(0.25, ("a", "b")),
+                           1.0 - np.eye(2), rate)
+    assert got.distortion == pytest.approx(want.distortion, rel=1e-14)
 
 
 def test_rate_limited_zero_rate_is_independent_cost():
