@@ -15,12 +15,10 @@ config object enforces the open interval.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .hybrid_bound import HybridSpec, make_uncoded
-from .infokit import DiscreteChannel, DiscreteDistribution
 from .numkit import (
     bconv,
     binary_entropy,
@@ -31,14 +29,17 @@ from .numkit import (
 )
 from .tables import CURVE_COLUMNS, CurveTable, table_from_rows
 
-_HAMMING = 1.0 - np.eye(2)
-
 # classifier tolerances: the argmin plateaus at 0 and rho are exact up to
 # optimizer noise, while the simplified-curve match compares two root-find
 # outputs, so it gets an order of magnitude more slack
 _AT_ZERO = 1e-6
 _AT_RHO = 1e-6
 _AT_PRIME = 1e-5
+
+# halvings labelled per threshold batch: five take a cell of an evenly
+# spaced 256-point grid on [0, 1/2] (0.5/255 wide) below 1e-4, so such grids
+# need one batch of at most 31 midpoints per switch
+_BATCH_HALVINGS = 5
 
 
 class GridTooCoarse(ValueError):
@@ -283,12 +284,25 @@ def classify_mode(rho: float, theta: float) -> str:
     return _modes(rho, [theta])[0]
 
 
+def _midpoints(lo: float, hi: float, depth: int) -> list:
+    """Every midpoint the bisection of [lo, hi] to 1e-4 can visit within
+    `depth` halvings, whichever way each label falls."""
+    if depth == 0 or not hi - lo > 1e-4:
+        return []
+    mid = 0.5 * (lo + hi)
+    return ([mid] + _midpoints(lo, mid, depth - 1)
+            + _midpoints(mid, hi, depth - 1))
+
+
 def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
     """Mode-switch abscissas of the optimized hybrid over the theta grid.
 
-    Labels the whole grid with one batched solve and refines every label
-    change by bisection to 1e-4, all changes in lockstep. Returns (theta,
-    "LEFT->RIGHT") pairs in grid order.
+    Labels the whole grid with one batched solve, then refines every label
+    change by bisection to 1e-4: all the midpoints the bisections can visit
+    are labelled in one more batch (one per five halvings, where a grid has
+    wider cells than an even 256-point grid on [0, 1/2]), and each change
+    walks its own path through them. Returns (theta, "LEFT->RIGHT") pairs
+    in grid order.
 
     theta = 1/2 is excluded from the scan: the channel has zero capacity
     there, the objective is constant in delta1, and any label the argmin
@@ -301,15 +315,22 @@ def thresholds(config: BinaryConfig) -> Tuple[Tuple[float, str], ...]:
     # each label change as a [lo, hi, left label, right label] cell
     cells = [[t0, t1, l0, l1] for t0, t1, l0, l1
              in zip(grid, grid[1:], labels, labels[1:]) if l0 != l1]
-    # bisect every cell to 1e-4 in lockstep, labelling all open midpoints
-    # in one batch per step; each cell takes the steps it would take alone
+    # a label depends on theta alone, so a batch gives each cell the labels
+    # its own bisection would see; a wider cell of an uneven grid takes one
+    # more batch for each _BATCH_HALVINGS halvings
     while live := [cell for cell in cells if cell[1] - cell[0] > 1e-4]:
-        mids = [0.5 * (cell[0] + cell[1]) for cell in live]
-        for cell, mid, label in zip(live, mids, _modes(config.rho, mids)):
-            if label == cell[2]:
-                cell[0] = mid
-            else:
-                cell[1] = mid
+        mids = [mid for lo, hi, _, _ in live
+                for mid in _midpoints(lo, hi, _BATCH_HALVINGS)]
+        label_at = dict(zip(mids, _modes(config.rho, mids)))
+        for cell in live:
+            for _ in range(_BATCH_HALVINGS):
+                if not cell[1] - cell[0] > 1e-4:
+                    break
+                mid = 0.5 * (cell[0] + cell[1])
+                if label_at[mid] == cell[2]:
+                    cell[0] = mid
+                else:
+                    cell[1] = mid
     return tuple((0.5 * (lo + hi), f"{l0}->{l1}") for lo, hi, l0, l1 in cells)
 
 
@@ -323,69 +344,3 @@ def binary_curves(config: BinaryConfig) -> CurveTable:
             dhs, _simple_distortion(th, d1p), args, d1p)
     return table_from_rows(CURVE_COLUMNS,
                            list(zip(*(c.tolist() for c in cols))))
-
-
-# ----------------------------------------- single-letter candidate specs
-
-def _bsc(theta):
-    return DiscreteChannel(("0", "1"), ("0", "1"),
-                           np.array([[1.0 - theta, theta],
-                                     [theta, 1.0 - theta]]))
-
-
-def uncoded_candidate(rho: float, theta: float,
-                      gamma: float = 0.0) -> HybridSpec:
-    """The optimized passthrough scheme as an evaluator candidate."""
-    _, (a, b) = d_uncoded(rho, theta)
-    dec = np.array([[1.0 - a, a], [b, 1.0 - b]])
-    return make_uncoded(
-        DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho])),
-        _bsc(theta), dec, _HAMMING, gamma)
-
-
-def hybrid_candidate(rho: float, theta: float,
-                     delta1: Optional[float] = None,
-                     gamma: float = 0.0) -> HybridSpec:
-    """The dither-based hybrid scheme as an evaluator candidate.
-
-    The shared variable packs the digital reconstruction W with the uniform
-    dither S; the channel carries the dithered analog residual. delta1=None
-    optimizes the split first. Covers the separation scheme at delta1=0 and
-    reduces to an uncoded variant at delta1=rho.
-    """
-    rho = _check_rho(rho)
-    theta = _check_theta(theta)
-    if theta == 0.0:
-        delta1, delta2, tau, beta = 0.0, 0.0, rho, 0.0
-    else:
-        if delta1 is None:
-            _, delta1 = d_hybrid(rho, theta)
-        delta2, tau, beta = hybrid_params(rho, theta, delta1)
-
-    pw = np.array([1.0 - tau, tau])
-    pe1 = np.array([1.0 - delta1, delta1])
-    pe2 = np.array([1.0 - delta2, delta2])
-    # joint over (x, w, s, u) with x = w + e1 + e2 and u = s + e1 (mod 2)
-    joint = np.zeros((2, 2, 2, 2))
-    for w in range(2):
-        for e1 in range(2):
-            for e2 in range(2):
-                for s in range(2):
-                    joint[w ^ e1 ^ e2, w, s, s ^ e1] += (
-                        0.5 * pw[w] * pe1[e1] * pe2[e2])
-    px = joint.sum(axis=(1, 2, 3))
-    enc = np.zeros((2, 4, 2))
-    for w in range(2):
-        for s in range(2):
-            enc[:, 2 * w + s, :] = joint[:, w, s, :] / px[:, None]
-    dec = np.zeros((4, 2, 2))
-    for w in range(2):
-        for s in range(2):
-            for v in range(2):
-                flip = beta if (v ^ s) == 1 else 0.0
-                dec[2 * w + s, v, w] = 1.0 - flip
-                dec[2 * w + s, v, 1 - w] = flip
-    return HybridSpec(
-        DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho])),
-        ("w0s0", "w0s1", "w1s0", "w1s1"), enc, _bsc(theta), dec,
-        ("0", "1"), _HAMMING, gamma)

@@ -38,7 +38,7 @@ from cot_lab.gaussian_case import (
     gaussian_curves,
 )
 from cot_lab.gaussian_case import d_uncoded as gauss_uncoded
-from cot_lab.hybrid_bound import HybridSpec, evaluate, make_uncoded
+from cot_lab.hybrid_bound import HybridSpec, evaluate
 from cot_lab.infokit import (
     DiscreteChannel,
     DiscreteDistribution,
@@ -46,6 +46,7 @@ from cot_lab.infokit import (
     rate_limited_ot,
 )
 from cot_lab.numkit import binary_entropy, binary_entropy_inv
+from uncoded_spec import make_uncoded
 
 HAMMING = 1.0 - np.eye(2)
 SEED = 20260825

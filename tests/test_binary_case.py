@@ -21,17 +21,20 @@ from cot_lab.binary_case import (
     d_sep,
     d_uncoded,
     delta1_prime,
-    hybrid_candidate,
     hybrid_distortion,
     hybrid_params,
     quantizer_noise,
     rate_of_distortion,
     thresholds,
-    uncoded_candidate,
 )
-from cot_lab.hybrid_bound import evaluate
-from cot_lab.infokit import DiscreteDistribution, rate_limited_ot
+from cot_lab.hybrid_bound import HybridSpec, evaluate
+from cot_lab.infokit import (
+    DiscreteChannel,
+    DiscreteDistribution,
+    rate_limited_ot,
+)
 from cot_lab.numkit import bconv, binary_entropy, binary_entropy_inv
+from uncoded_spec import make_uncoded
 
 THETAS = np.linspace(0.0, 0.5, 26)
 
@@ -324,21 +327,65 @@ def serial_thresholds(rho, grid):
     return tuple(out)
 
 
+def count_modes_calls(monkeypatch):
+    """Record the batch size of every _modes call thresholds makes."""
+    calls = []
+    real = binary_case._modes
+    monkeypatch.setattr(binary_case, "_modes",
+                        lambda rho, th: calls.append(len(th)) or real(rho, th))
+    return calls
+
+
 def test_thresholds_lockstep_equals_serial_bisection(monkeypatch):
     # a finer patch of grid around the first switch gives the two cells
     # different step counts, so one cell stops while the other bisects on
     grid = np.unique(np.concatenate([np.linspace(0.0, 0.5, 256),
                                      np.linspace(0.03, 0.045, 40)]))
     want = serial_thresholds(0.35, grid.tolist())
-    calls = []
-    real = binary_case._modes
-    monkeypatch.setattr(binary_case, "_modes",
-                        lambda rho, th: calls.append(len(th)) or real(rho, th))
+    calls = count_modes_calls(monkeypatch)
     got = thresholds(BinaryConfig(0.35, tuple(grid)))
     assert got == want
     assert [label for _, label in got] == ["SEP->UNCODED", "UNCODED->SIMPLE"]
-    # one labelling of the grid, then one batch per bisection step
-    assert calls == [len(grid) - 1, 2, 2, 1, 1, 1]
+    # one labelling of the grid, then one batch of every midpoint the two
+    # bisections can visit: 3 in the fine cell and 31 in the coarse one
+    assert calls == [len(grid) - 1, 34]
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.35])
+def test_thresholds_equal_serial_bisection_on_criterion_grids(rho):
+    grid = np.linspace(0.0, 0.5, 256).tolist()
+    assert thresholds(BinaryConfig(rho, tuple(grid))) == \
+        serial_thresholds(rho, grid)
+
+
+def test_thresholds_skip_the_batch_when_no_cell_needs_bisecting(
+        monkeypatch):
+    # every cell of this grid is under 1e-4, so the switch is the midpoint
+    # of its grid cell and the grid labelling is the only solve
+    grid = np.linspace(0.0371, 0.0373, 256).tolist()
+    want = serial_thresholds(0.35, grid)
+    calls = count_modes_calls(monkeypatch)
+    got = thresholds(BinaryConfig(0.35, tuple(grid)))
+    assert got == want
+    assert [label for _, label in got] == ["SEP->UNCODED"]
+    assert calls == [256]
+
+
+def test_thresholds_batch_a_wide_cell_five_halvings_at_a_time(monkeypatch):
+    # the cell [0.01, 0.3] needs twelve halvings: batches of 31, 31 and 3
+    grid = np.linspace(0.0, 0.01, 255).tolist() + [0.3]
+    want = serial_thresholds(0.25, grid)
+    calls = count_modes_calls(monkeypatch)
+    got = thresholds(BinaryConfig(0.25, tuple(grid)))
+    assert got == want
+    assert [label for _, label in got] == ["SEP->SIMPLE"]
+    assert calls == [256, 31, 31, 3]
+
+
+def test_thresholds_on_an_all_half_grid_issue_no_empty_batch(monkeypatch):
+    calls = count_modes_calls(monkeypatch)
+    assert thresholds(BinaryConfig(0.25, (0.5,) * 256)) == ()
+    assert calls == [0]
 
 
 def test_thresholds_grid_too_coarse():
@@ -380,6 +427,68 @@ def test_curve_csv_regenerates_identically():
 
 
 # ----------------------------------------------- evaluator cross-checks
+
+_HAMMING = 1.0 - np.eye(2)
+
+
+def _bsc(theta):
+    return DiscreteChannel(("0", "1"), ("0", "1"),
+                           np.array([[1.0 - theta, theta],
+                                     [theta, 1.0 - theta]]))
+
+
+def uncoded_candidate(rho, theta, gamma=0.0):
+    """The optimized passthrough scheme as an evaluator candidate."""
+    _, (a, b) = d_uncoded(rho, theta)
+    dec = np.array([[1.0 - a, a], [b, 1.0 - b]])
+    return make_uncoded(
+        DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho])),
+        _bsc(theta), dec, _HAMMING, gamma)
+
+
+def hybrid_candidate(rho, theta, delta1=None, gamma=0.0):
+    """The dither-based hybrid scheme as an evaluator candidate.
+
+    The shared variable packs the digital reconstruction W with the uniform
+    dither S; the channel carries the dithered analog residual. delta1=None
+    optimizes the split first. Covers the separation scheme at delta1=0 and
+    reduces to an uncoded variant at delta1=rho.
+    """
+    if theta == 0.0:
+        delta1, delta2, tau, beta = 0.0, 0.0, rho, 0.0
+    else:
+        if delta1 is None:
+            _, delta1 = d_hybrid(rho, theta)
+        delta2, tau, beta = hybrid_params(rho, theta, delta1)
+
+    pw = np.array([1.0 - tau, tau])
+    pe1 = np.array([1.0 - delta1, delta1])
+    pe2 = np.array([1.0 - delta2, delta2])
+    # joint over (x, w, s, u) with x = w + e1 + e2 and u = s + e1 (mod 2)
+    joint = np.zeros((2, 2, 2, 2))
+    for w in range(2):
+        for e1 in range(2):
+            for e2 in range(2):
+                for s in range(2):
+                    joint[w ^ e1 ^ e2, w, s, s ^ e1] += (
+                        0.5 * pw[w] * pe1[e1] * pe2[e2])
+    px = joint.sum(axis=(1, 2, 3))
+    enc = np.zeros((2, 4, 2))
+    for w in range(2):
+        for s in range(2):
+            enc[:, 2 * w + s, :] = joint[:, w, s, :] / px[:, None]
+    dec = np.zeros((4, 2, 2))
+    for w in range(2):
+        for s in range(2):
+            for v in range(2):
+                flip = beta if (v ^ s) == 1 else 0.0
+                dec[2 * w + s, v, w] = 1.0 - flip
+                dec[2 * w + s, v, 1 - w] = flip
+    return HybridSpec(
+        DiscreteDistribution(("0", "1"), np.array([1.0 - rho, rho])),
+        ("w0s0", "w0s1", "w1s0", "w1s1"), enc, _bsc(theta), dec,
+        ("0", "1"), _HAMMING, gamma)
+
 
 def test_uncoded_candidate_matches_closed_form():
     for rho, theta in ((0.25, 0.25), (0.1, 0.4), (0.35, 0.05)):

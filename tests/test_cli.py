@@ -946,6 +946,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert seen == {name: [0, "numpy"] for name, _ in commands[1:]}
 
 
+def test_binary_commands_leave_the_solver_stack_unloaded(tmp_path):
+    # binary_case needs numkit and tables only; the evaluator, the generic
+    # solvers and the transport LP cost start-up it would not use
+    script = """
+import sys
+from cot_lab import cli
+for argv in (["binary-thresholds", "--rho", "0.35", "--points", "256",
+              "--out", "t.json"],
+             ["binary-curves", "--rho", "0.25", "--points", "8",
+              "--out", "b.csv"]):
+    assert cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m in ("cot_lab.infokit",
+      "cot_lab.hybrid_bound", "cot_lab.transport", "cot_lab.binary_case")))
+"""
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "['cot_lab.binary_case']"
+
+
 def test_error_classes_are_shared_with_the_solvers():
     assert numkit.BracketError is cot_lab.BracketError
     assert numkit.MaxIterError is infokit.MaxIterError is cot_lab.MaxIterError

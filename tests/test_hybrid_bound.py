@@ -17,11 +17,11 @@ from cot_lab.hybrid_bound import (
     hybrid_spec_from_json,
     hybrid_spec_to_json,
     induced_joint,
-    make_uncoded,
     report_to_json,
 )
 from cot_lab.infokit import DiscreteChannel, DiscreteDistribution
 from cot_lab.numkit import bconv, binary_entropy, binary_entropy_inv
+from uncoded_spec import make_uncoded
 
 HAMMING = 1.0 - np.eye(2)
 

@@ -55,3 +55,14 @@ def test_curves_and_thresholds_match_references(tmp_path):
                 [e["switch"] for e in ref], name
             for g, w in zip(got, ref):
                 assert g["theta"] == pytest.approx(w["theta"], abs=1e-4)
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.35])
+def test_thresholds_are_byte_identical_to_references(tmp_path, rho):
+    out = tmp_path / f"thr{rho}.json"
+    argv = ["binary-thresholds", "--rho", str(rho), "--points", "256",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(os.path.join(REFERENCE, "thresholds", f"thr{rho}.json"),
+              "rb") as fh:
+        assert out.read_bytes() == fh.read()
