@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .binary_case import hybrid_params
-from .gaussian_case import _check_gamma, _check_lambdas, linear_bound
+from .gaussian_case import _check_gamma, _check_lambdas
 from .infokit import (
     DiscreteChannel,
     DiscreteDistribution,
@@ -266,27 +266,41 @@ def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
     gain = math.sqrt(gamma / lams[0])
     back = math.sqrt(lams[0] / (gamma + 1.0))
 
-    def column_sum(col):
-        # what summing a count x dim table over its rows gives one column:
-        # a running total, or numpy's pairwise sum when the table has only
-        # that column
-        return np.cumsum(col)[-1] if dim > 1 else col.sum()
-
     def chunk(rng, count):
-        # the same draws as count x dim tables, worked one column at a
-        # time: numpy loops over a dim-wide axis slowly when dim is small
-        z = rng.standard_normal((count, dim))
-        noise = rng.standard_normal(count)
-        fill = rng.standard_normal((count, dim - 1))
-        x = [z[:, l] * scale[l] for l in range(dim)]
-        u = gain * x[0]
-        y = [back * (u + noise)] + [fill[:, l - 1] * scale[l]
-                                    for l in range(1, dim)]
-        diff = _pairwise_sum(lambda l: (x[l] - y[l]) ** 2, dim)
-        return (count, float(diff.sum()), float((diff * diff).sum()),
-                np.array([column_sum(c) for c in y]),
-                np.array([column_sum(c * c) for c in y]),
-                float((u * u).sum()))
+        # one draw cut into the count x dim source table, the noise column
+        # and the count x (dim - 1) fill table: the values three calls in
+        # turn give. The rest works in place, one column at a time: numpy
+        # loops over a dim-wide axis slowly when dim is small
+        draws = rng.standard_normal(2 * dim * count)
+        x = draws[:dim * count].reshape(count, dim)
+        fill = draws[(dim + 1) * count:].reshape(count, dim - 1)
+        y = [draws[dim * count:(dim + 1) * count]] + [
+            fill[:, l - 1] for l in range(1, dim)]
+        for l in range(dim):
+            x[:, l] *= scale[l]
+        u = x[:, 0] * gain
+        for l in range(1, dim):
+            y[l] *= scale[l]
+        y[0] += u
+        y[0] *= back
+        # x becomes the squared error of every component
+        for l in range(dim):
+            x[:, l] -= y[l]
+        np.square(x, out=x)
+        diff = _pairwise_sum(lambda l: x[:, l], dim)
+        err = float(diff.sum())
+        err2 = float(np.square(diff, out=diff).sum())
+        power = float(np.square(u, out=u).sum())
+
+        def column_sum(col):
+            # what summing a count x dim table over its rows gives one
+            # column: a running total (in u, now free), or numpy's pairwise
+            # sum when the table has only that column
+            return np.cumsum(col, out=u)[-1] if dim > 1 else col.sum()
+
+        ysum = np.array([column_sum(c) for c in y])
+        ysum2 = np.array([column_sum(np.square(c, out=c)) for c in y])
+        return count, err, err2, ysum, ysum2, power
 
     parts = _run_chunks(chunk, sim, stream=0)
     mean, se, n = _pooled_moments(parts)
@@ -332,63 +346,6 @@ def sim_genie_hybrid_binary(rho: float, theta: float, delta1: float,
 
     return _binary_report(_run_chunks(chunk, sim, stream=0), rho,
                           notes=("digital part delivered noiselessly",))
-
-
-# ------------------------------------------------------ linear-scheme check
-
-@dataclass(frozen=True)
-class LinearBoundReport:
-    trials: int
-    violations: int
-    min_margin: float
-
-
-def verify_linear_bound(lambdas: Sequence[float],
-                        sim: SimConfig) -> LinearBoundReport:
-    """Randomized check of the linear-scheme floor over sim.samples trials.
-
-    Each trial draws combining gains g and a random valid linear decoder:
-    Y = h * u * (g'X + N) + independent Gaussian fill with the fill
-    covariance chosen so Cov(Y) is exactly the source covariance. The
-    mean squared cost has a closed form per trial (2 tr(S) - 2 w'S g), so
-    violations of the floor are decided without sampling noise.
-    """
-    lams = np.asarray(_check_lambdas(lambdas))
-    dim = lams.size
-    inv = 1.0 / lams
-    trace2 = 2.0 * float(lams.sum())
-
-    def chunk(rng, count):
-        g = rng.standard_normal((count, dim))
-        u = rng.standard_normal((count, dim))
-        u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-        frac = rng.random(count)
-        power = (g * g) @ lams
-        h = frac / np.sqrt((power + 1.0) * ((u * u) @ inv))
-        cross = (u * lams * g).sum(axis=1) * h
-        closed = trace2 - 2.0 * cross
-        bound = trace2 - 2.0 * np.sqrt(power / (power + 1.0)) * lams[0]
-        margin = closed - bound
-        return (count, int(np.count_nonzero(margin < -1e-9)),
-                float(margin.min()))
-
-    parts = _run_chunks(chunk, sim, stream=0)
-    return LinearBoundReport(
-        trials=sim.samples,
-        violations=sum(p[1] for p in parts),
-        min_margin=min(p[2] for p in parts))
-
-
-def uncoded_equality_gap(lambdas: Sequence[float], gamma: float) -> float:
-    """Closed-form cost minus the floor at the configuration that attains
-    it: all gain on the head component, decoder scaled to the budget."""
-    lams = _check_lambdas(lambdas)
-    gamma = _check_gamma(gamma)
-    g = np.zeros(len(lams))
-    g[0] = math.sqrt(gamma / lams[0])
-    w0 = math.sqrt(lams[0] / (gamma + 1.0))
-    closed = 2.0 * math.fsum(lams) - 2.0 * w0 * lams[0] * g[0]
-    return closed - linear_bound(lams, g)
 
 
 # ----------------------------------------------------------- block harness
@@ -492,14 +449,21 @@ def _product_law(probs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _encoder_weights(cfg: BlockCodeConfig, code: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """Weights of the likelihood encoder, prod_t p(x_t | z_t(m)), blocks x
-    messages."""
-    weights = np.ones((x.shape[0], code.shape[0]))
-    for t in range(cfg.n):
-        weights *= cfg.x_given_z[code[:, t]][:, x[:, t]].T
-    return weights
+def _leading_products(x_given_z: np.ndarray, code: np.ndarray,
+                      h: int) -> np.ndarray:
+    """prod_{t < h} p(x_t | z_t(m)) for every message (row) and every
+    pattern of the leading h source symbols (column, in enumeration order),
+    multiplied from ones in position order: each position appends a block
+    axis one symbol at a time."""
+    nx = x_given_z.shape[1]
+    part = np.ones((code.shape[0], 1))
+    for t in range(h):
+        factor = x_given_z[code[:, t]]
+        wider = np.empty(part.shape + (nx,))
+        for j in range(nx):
+            np.multiply(part, factor[:, j:j + 1], out=wider[:, :, j])
+        part = wider.reshape(part.shape[0], -1)
+    return part
 
 
 def _pairwise_sum(term, n: int):
@@ -643,21 +607,12 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     qv, pvz = _symbol_kernels(cfg)
     decode, typ_fail = _decode_tables(cfg, code, pvz)
 
-    # encoder posterior over the whole source space. Each position appends
-    # a block axis one symbol at a time, so the factors multiply in
-    # position order as the sampled encoder's do; the sum over messages
-    # adds them in order
+    # encoder posterior over the whole source space, its factors
+    # multiplied in position order as the sampled encoder's are; the sum
+    # over messages adds them in order
     table = np.empty((msgs, nx ** n))
     for s in _slabs(msgs, nx ** n):
-        part = np.ones((s.stop - s.start, 1))
-        for t in range(n):
-            factor = cfg.x_given_z[code[s, t]]
-            wider = np.empty(part.shape + (nx,))
-            for j in range(nx):
-                np.multiply(part, factor[:, j:j + 1], out=wider[:, :, j])
-            part = wider.reshape(part.shape[0], -1)
-        table[s] = part
-    del part, wider
+        table[s] = _leading_products(cfg.x_given_z, code[s], n)
     px_n = _product_law(cfg.source.probs, _enumerate_blocks(n, nx))
     wtot = table.sum(axis=0)
     uncovered = wtot <= 0.0
@@ -720,15 +675,28 @@ def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
     decode_map is the decoder tabulated over every output block in
     enumeration order."""
     n = cfg.n
+    msgs = code.shape[0]
+    nx = len(cfg.source)
     nv = len(cfg.channel.output_alphabet)
     vpow = nv ** np.arange(n - 1, -1, -1)
     x = _cdf_draw(rng.random((count, n)), np.cumsum(cfg.source.probs))
     pick = rng.random(count)
-    # the likelihood encoder's count x messages weights, one slab of
-    # blocks at a time
-    m = np.concatenate([
-        _row_draw(pick[s], _encoder_weights(cfg, code, x[s]))
-        for s in _slabs(count, code.shape[0])])
+    # the likelihood encoder's weights prod_t p(x_t | z_t(m)), one slab of
+    # blocks x messages at a time: a block's row of the products over its
+    # leading h symbols (h as large as that table fits a slab), times the
+    # other factors in position order, as one running product gives
+    h = 0
+    while h < n and nx ** (h + 1) * msgs * 8 <= _SLAB_BYTES:
+        h += 1
+    lead = np.ascontiguousarray(_leading_products(cfg.x_given_z, code, h).T)
+    pattern = x[:, :h] @ (nx ** np.arange(h - 1, -1, -1))
+    factors = np.ascontiguousarray(cfg.x_given_z[code].transpose(1, 2, 0))
+    m = np.empty(count, dtype=np.intp)
+    for s in _slabs(count, msgs):
+        weights = lead[pattern[s]]
+        for t in range(h, n):
+            weights *= factors[t, x[s, t]]
+        m[s] = _row_draw(pick[s], weights)
     z = code[m]
     u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
     v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])

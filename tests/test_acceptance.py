@@ -27,8 +27,6 @@ from cot_lab.block_sim import (
     sim_genie_hybrid_binary,
     sim_uncoded_binary,
     sim_uncoded_gaussian,
-    uncoded_equality_gap,
-    verify_linear_bound,
 )
 from cot_lab.cli import main
 from cot_lab.gaussian_case import (
@@ -46,6 +44,7 @@ from cot_lab.infokit import (
     rate_limited_ot,
 )
 from cot_lab.numkit import binary_entropy, binary_entropy_inv
+from linear_bound_spec import uncoded_equality_gap, verify_linear_bound
 from uncoded_spec import make_uncoded
 
 HAMMING = 1.0 - np.eye(2)

@@ -34,13 +34,12 @@ from cot_lab.block_sim import (
     sim_genie_hybrid_binary,
     sim_uncoded_binary,
     sim_uncoded_gaussian,
-    uncoded_equality_gap,
-    verify_linear_bound,
 )
 from cot_lab.gaussian_case import GaussianConfig
 from cot_lab.gaussian_case import d_uncoded as gauss_uncoded
 from cot_lab.gaussian_case import linear_bound
 from cot_lab.infokit import DiscreteChannel, DiscreteDistribution
+from linear_bound_spec import uncoded_equality_gap, verify_linear_bound
 
 
 def reports_equal(a: SimReport, b: SimReport) -> bool:
@@ -253,17 +252,43 @@ def _table_uncoded_gaussian(lambdas, gamma, sim):
     return SimReport(mean, se, moments, worst, n, input_power=power)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 8, 11, 20])
-def test_uncoded_gaussian_columns_match_table_oracle(dim):
+@pytest.mark.parametrize("dim, workers", [
+    pytest.param(dim, workers,
+                 id=f"{dim}" if workers == 2 else f"{dim}-serial")
+    for dim in (1, 2, 5, 8, 11, 20, 130) for workers in (2, 1)])
+def test_uncoded_gaussian_columns_match_table_oracle(dim, workers):
     # from 8 components the per-sample distortion is a pairwise sum in
-    # lanes, and one component makes numpy sum each column pairwise
-    # eigenvalues over six decades, so the order of the additions shows
-    # in the last bits of the pooled sums
+    # lanes, past 128 by halves, and one component makes numpy sum each
+    # column pairwise; eigenvalues over six decades, so the order of the
+    # additions shows in the last bits of the pooled sums
     lams = sorted(10.0 ** np.random.default_rng(dim).uniform(-3, 3, dim),
                   reverse=True)
-    sim = SimConfig(dim, block_sim._CHUNK + 999, 2)
+    sim = SimConfig(dim, block_sim._CHUNK + 999, workers)
     assert reports_equal(sim_uncoded_gaussian(lams, 1.7, sim),
                          _table_uncoded_gaussian(lams, 1.7, sim))
+
+
+def _words_used(rng):
+    """64-bit words a Philox generator has handed out so far."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+@pytest.mark.parametrize("sizes", [
+    (2 * block_sim._CHUNK, block_sim._CHUNK, block_sim._CHUNK),
+    (5 * 4099, 4099, 4 * 4099), (1000, 1, 999)])
+def test_one_normal_draw_equals_consecutive_draws(sizes):
+    # the Gaussian sampler cuts one draw where its three tables would
+    # start; the ziggurat spends extra words on its rejections, so the cuts
+    # fall mid-stream, and the values still match the calls one by one
+    seed = sum(sizes)
+    one = block_sim._rng(seed, 0, 3).standard_normal(sum(sizes))
+    rng = block_sim._rng(seed, 0, 3)
+    parts = []
+    for size in sizes:
+        parts.append(rng.standard_normal(size))
+        assert _words_used(rng) > sum(map(len, parts))
+    assert np.array_equal(one, np.concatenate(parts))
 
 
 # --------------------------------------------------------- genie hybrid
@@ -681,6 +706,82 @@ def test_laws_and_samples_do_not_depend_on_the_slab_size(monkeypatch, sizes):
                         8 * 3 * max(nx, nv, ny) ** n)
     assert_laws_equal_loop(cfg, code)
     assert reports_equal(wide, sim_block_hybrid(cfg, SimConfig(8, 3000)))
+
+
+def _encoder_weights(cfg, code, x):
+    """Per-position reference for the likelihood encoder's weights,
+    prod_t p(x_t | z_t(m)) over blocks x messages, multiplied from ones one
+    position after another."""
+    weights = np.ones((x.shape[0], code.shape[0]))
+    for t in range(cfg.n):
+        weights *= cfg.x_given_z[code[:, t]][:, x[:, t]].T
+    return weights
+
+
+def _per_position_sample_chunk(cfg, code, decode_map, rng, count):
+    """The sampled phase with the per-position encoder weights; returns the
+    (x, yhat) blocks and the weights of every slab."""
+    n = cfg.n
+    nv = len(cfg.channel.output_alphabet)
+    vpow = nv ** np.arange(n - 1, -1, -1)
+    x = block_sim._cdf_draw(rng.random((count, n)),
+                            np.cumsum(cfg.source.probs))
+    pick = rng.random(count)
+    slabs = [_encoder_weights(cfg, code, x[s])
+             for s in block_sim._slabs(count, code.shape[0])]
+    m = np.concatenate([
+        block_sim._row_draw(pick[s], w.copy())
+        for s, w in zip(block_sim._slabs(count, code.shape[0]), slabs)])
+    z = code[m]
+    u = block_sim._row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
+    v = block_sim._row_draw(rng.random((count, n)), cfg.channel.matrix[u])
+    mhat = decode_map[(v * vpow).sum(axis=1)]
+    yhat = block_sim._row_draw(rng.random((count, n)),
+                               cfg.dec_cond[code[mhat], v])
+    return x, yhat, slabs
+
+
+@pytest.mark.parametrize("make, slab_rows, lead", [
+    # the table covers every position, at n = 8 and the README rates
+    (lambda rng: candidate(8, codebooks=1), None, 8),
+    # 148 messages: the leading 8 of 12 positions, then 4 multiplies
+    (lambda rng: candidate(12, codebooks=1), None, 8),
+    # one messages-wide row per slab: no table, every position multiplies
+    (lambda rng: candidate(8, codebooks=1), 1, 0),
+    # three source letters: a table over the 9 patterns of 2 positions
+    (lambda rng: _random_config(rng, 3, 4, 2, 3, 2, 5, 0.9), 9, 2)])
+def test_encoder_prefix_table_equals_per_position_weights(
+        monkeypatch, make, slab_rows, lead):
+    # the weights start from the products over the leading positions,
+    # read from a table built in position order, so every weight, and with
+    # it every sampled block, is the running product's to the bit
+    rng = np.random.default_rng(lead + 11)
+    cfg = make(rng)
+    nx, msgs = len(cfg.source), cfg.codebook_size
+    if slab_rows is not None:
+        monkeypatch.setattr(block_sim, "_SLAB_BYTES", 8 * msgs * slab_rows)
+    fits = [h for h in range(cfg.n + 1)
+            if nx ** h * msgs * 8 <= block_sim._SLAB_BYTES]
+    assert max(fits, default=0) == lead
+    code = rng.integers(0, len(cfg.code_marginal), (msgs, cfg.n))
+    decode_map = rng.integers(0, msgs, len(cfg.channel.output_alphabet)
+                              ** cfg.n)
+    x, yhat, slabs = _per_position_sample_chunk(
+        cfg, code, decode_map, block_sim._rng(5, 2, 0), 3001)
+    seen = []
+    row_draw = block_sim._row_draw
+
+    def recording_row_draw(values, rows):
+        if rows.ndim == 2:
+            seen.append(rows.copy())
+        return row_draw(values, rows)
+
+    monkeypatch.setattr(block_sim, "_row_draw", recording_row_draw)
+    got = _sample_chunk(cfg, code, decode_map, block_sim._rng(5, 2, 0), 3001)
+    assert np.array_equal(got[0], x)
+    assert np.array_equal(got[1], yhat)
+    assert len(seen) == len(slabs) > 1
+    assert all(np.array_equal(a, b) for a, b in zip(seen, slabs))
 
 
 def test_sampled_message_error_matches_exact_law():
