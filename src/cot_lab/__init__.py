@@ -26,4 +26,5 @@ class MaxIterError(RuntimeError):
 
 class SinkhornDivergence(RuntimeError):
     """The entropic transport solve missed its marginal stop within its step
-    budget, or the rate-limited ladder found no crossing of the rate."""
+    budget, or the rate-limited solve found no root of I(lambda) = rate
+    within its range of lambda."""

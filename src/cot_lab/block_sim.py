@@ -196,9 +196,9 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if np.any(bad):
         cum = np.where(bad, np.arange(1, k + 1, dtype=float), cum)
         total = np.where(bad, float(k), total)
-    target = rng_values[..., None] * total
-    idx = (cum < target).sum(axis=-1)
-    return np.minimum(idx, k - 1)
+    # each cum row is nondecreasing and ends at total >= u * total, so the
+    # first entry at or above the target is the count of those below it
+    return (cum >= rng_values[..., None] * total).argmax(axis=-1)
 
 
 # ---------------------------------------------------- single-letter sims

@@ -1,5 +1,5 @@
 """Discrete probability objects, information measures, cost-constrained
-capacity, optimal transport, and maximal couplings.
+capacity, and optimal transport.
 
 All information quantities are in bits.
 
@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import MaxIterError, SinkhornDivergence
-from .numkit import find_root
 
 _PROB_TOL = 1e-9
 _MARGINAL_TOL = 1e-8
@@ -242,26 +241,6 @@ def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     return 0.5 * float(np.sum(np.abs(p.probs - q.probs)))
 
 
-def maximal_coupling(p: DiscreteDistribution,
-                     q: DiscreteDistribution) -> Coupling:
-    """Coupling of (p, q) maximizing P{first = second}.
-
-    The diagonal carries min(p_i, q_i); the leftover row mass is spread over
-    the leftover column mass proportionally, so the off-diagonal (mismatch)
-    probability equals total_variation(p, q). The attached cost matrix is the
-    mismatch indicator, making expected_cost() the mismatch probability.
-    """
-    if p.alphabet != q.alphabet:
-        raise ValueError("alphabet mismatch")
-    m = np.minimum(p.probs, q.probs)
-    table = np.diag(m)
-    tv = float(np.sum(p.probs - m))
-    if tv > 0.0:
-        table = table + np.outer(p.probs - m, q.probs - m) / tv
-    cost = 1.0 - np.eye(len(p))
-    return Coupling(p, q, table, cost)
-
-
 # ---------------------------------------------------------------- capacity
 
 # Blahut-Arimoto's stop: this dual gap within _BA_MAX_ITER steps, which are
@@ -396,9 +375,10 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None
 _SIZE_LIMIT = 10 ** 6
 # largest cost entry the transport solvers and channels take. A simplex
 # potential is an alternating sum of at most |A| + |B| <= 1e6 + 1 entries,
-# the ladder's top rung is lambda = 1e4 times the cost range, and <plan,
-# cost> is at most the largest entry, so below 1e100 none of them comes near
-# overflow (1.8e308); a channel's spend E[c] stays finite the same way
+# rate_limited_ot's lambda is 1e-8 to 1e8 times the cost range (at least an
+# ulp of the largest entry, so c / lambda < 1e25) and <plan, cost> is at
+# most the largest entry, so below 1e100 none of them comes near overflow
+# (1.8e308); a channel's spend E[c] stays finite the same way
 _MAX_COST = 1e100
 # the entropic solve's stop: once both marginals are met to _MARGINAL_ERR, a
 # full Newton step that no longer halves the error marks the rounding floor.
@@ -419,6 +399,11 @@ _DAMPING = 0.01
 # smallest positive rate rate_limited_ot resolves: below it the root solve
 # works on the rounding noise of I(lam) near the product plan
 _MIN_RATE = 1e-12
+# rate_limited_ot's Newton solve on log lam: steps of two decades at most,
+# lam/(cost range) in _LAM_RANGE (which holds every root from _MIN_RATE up)
+_RL_STEP_CAP = 2.0 * math.log(10.0)
+_LAM_RANGE = (1e-8, 1e8)
+_RL_MAX_STEPS = 100
 
 
 def _transport_cost(row: DiscreteDistribution, col: DiscreteDistribution,
@@ -514,7 +499,11 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
     rounding floor); SinkhornDivergence after 500 Newton steps and sweeps
     together. Working memory is a few copies of the cost matrix. Returns
     (plan, f, g) with the dual potentials for warm starts; f and g keep
-    their given values on atoms of zero mass.
+    their given values on atoms of zero mass. Far below the cost range a
+    cold solve can run out of steps: on a 3 x 20 problem with costs in
+    [0, 2], lam = 1e-5 converges and lam = 6e-6 or 1e-6 does not. Warm
+    starts from a nearby larger lam, as rate_limited_ot's solves are, reach
+    further, though not without limit.
     """
     c = np.asarray(cost, dtype=float)
     f = np.zeros(len(row)) if warm is None else warm[0].copy()
@@ -588,16 +577,18 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
 
     The Lagrangian at multiplier lam is exactly entropic OT against the
     product of the prescribed marginals, so every entropic_plan solve lands
-    one point (I, D) on the frontier, and I falls as lam grows. Warm-started
-    solves walk lam down the ladder scale * logspace(4, -4, 64) (up, at the
-    same spacing, for rates below its first rung) until I crosses the rate;
-    Brent's method on log lam then solves I = rate in that cell, to
-    find_root's fixed stop.
+    one point (I, D) on the frontier, and I falls as lam grows. Safeguarded
+    Newton steps on log I - log rate over u = log lam solve I = rate from
+    lam = the cost range: each warm-started solve also gives dI/du, a step
+    goes at most two decades, and one that leaves the bracket found so far
+    bisects it. They stop at a step or bracket within 1e-12 + 1e-10 |u|.
     The distortion is D at the root moved onto the rate along the
     frontier's slope dD/dI = -lam ln 2, clamped at the exact optimum d*, and
     multiplier is lam at the root. When the LP plan meets the rate or a
-    rung reaches d*, the answer is d* with multiplier 0. A walk that leaves
-    the ladder without a crossing raises SinkhornDivergence. Rate 0 is
+    solve reaches d*, the answer is d* with multiplier 0. A root outside
+    1e-8 to 1e8 times the cost range raises SinkhornDivergence, as does a
+    solve that fails once its step is cut to a decade; 100 solves without
+    a root raise MaxIterError. Rate 0 is
     answered in closed form; a positive rate below 1e-12 raises ValueError,
     since I(lam) there is solved on rounding noise.
     """
@@ -625,41 +616,63 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
             or mutual_information(lp.table) <= rate:
         return RDPoint(rate, d_star, 0.0)
 
-    solved = {}
     warm = None
 
     def frontier(u):
-        """(I, D) at lam = e^u, warm-started from the previous solve."""
+        """(I, D, dI/du) at lam = e^u, warm-started from the previous solve;
+        dI/du = -sum(pi (c - df - dg)^2) / (lam^2 ln 2), where the Newton
+        system H (df, dg) = ((pi c) 1, (pi c)^T 1) gives d(f, g)/d(1/lam)
+        (c is centred on D, which only moves df by a constant)."""
         nonlocal warm
-        if u not in solved:
-            plan, f, g = entropic_plan(row, col, c, math.exp(u), warm)
-            warm = (f, g)
-            solved[u] = (mutual_information(plan), float(np.sum(plan * c)))
-        return solved[u]
+        lam = math.exp(u)
+        plan, *warm = entropic_plan(row, col, c, lam, warm)
+        d = float(np.sum(plan * c))
+        i, j = np.ix_(plan.sum(axis=1) > 0.0, plan.sum(axis=0) > 0.0)
+        sub, dev = plan[i, j], c[i, j] - d
+        w = sub * dev
+        df, dg = _newton_direction(
+            sub, np.concatenate([sub.sum(axis=1), sub.sum(axis=0)]),
+            np.concatenate([w.sum(axis=1), w.sum(axis=0)]), 1e-10, 0.0)
+        dev -= np.add.outer(df, dg)
+        return (mutual_information(plan), d,
+                -float(np.sum(sub * dev * dev)) / (lam * lam * math.log(2.0)))
 
-    # 64 rungs over 8 decades, so a warm start is one rung (a factor 1.34 in
-    # lam) from the solve it starts
-    step = math.log(10.0) * 8.0 / 63.0
-    u = math.log(scale) + 4.0 * math.log(10.0)
-    up = frontier(u)[0] > rate
-    for _ in range(63):
-        prev, u = u, u + (step if up else -step)
-        mi, d = frontier(u)
-        if (mi > rate) != up:
-            break
-        if not up and d <= d_star + 1e-10 * scale:
+    # safeguarded Newton on log I(u) - log rate: lo keeps I > rate, hi keeps
+    # I <= rate, a step that leaves them bisects, and their width also stops
+    # it, as near _MIN_RATE the rounding noise of I keeps the step from 0
+    u_min, u_max = (math.log(x * scale) for x in _LAM_RANGE)
+    lo, hi = -math.inf, math.inf
+    u = last = math.log(scale)
+    for _ in range(_RL_MAX_STEPS):
+        try:
+            mi, d, slope = frontier(u)
+        except SinkhornDivergence:
+            # too far from its warm start: halve a step of over a decade
+            if abs(u - last) <= 0.5 * _RL_STEP_CAP:
+                raise
+            u = 0.5 * (u + last)
+            continue
+        last = u
+        if mi <= rate and d <= d_star + 1e-10 * scale:
             # a plan at the optimum meets the rate (tied costs whose
             # optimal plans are not the LP vertex)
             return RDPoint(rate, d_star, 0.0)
+        lo, hi = (u, hi) if mi > rate else (lo, u)
+        step = (-math.log(mi / rate) * mi / slope if mi > 0.0 and slope < 0.0
+                else math.inf if mi > rate else -math.inf)
+        step = min(max(step, -_RL_STEP_CAP), _RL_STEP_CAP)
+        if min(abs(step), hi - lo) <= 1e-12 + 1e-10 * abs(u):
+            break
+        t = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+        if t > u_max == u or t < u_min == u:
+            raise SinkhornDivergence(
+                f"rate {rate!r} below I at lambda={math.exp(u):.3g}"
+                if mi > rate else f"rate {rate!r} not reached by lambda "
+                f"down to {math.exp(u):.3g}")
+        u = min(max(t, u_min), u_max)
     else:
-        raise SinkhornDivergence(
-            f"rate {rate!r} below I at lambda={math.exp(u):.3g}" if up else
-            f"rate {rate!r} not reached by lambda down to {math.exp(u):.3g}")
-    root = float(find_root(lambda v: frontier(float(v))[0] - rate,
-                           min(prev, u), max(prev, u)))
-    # the step along the frontier from the root's I to the rate itself
-    # leaves an error second order in find_root's stop
-    mi, d = frontier(root)
-    lam = math.exp(root)
-    return RDPoint(rate, max(d + lam * math.log(2.0) * (mi - rate), d_star),
-                   lam)
+        raise MaxIterError(f"rate {rate!r} unsolved in {_RL_MAX_STEPS} steps")
+    # the step along the frontier from I at u to the rate itself leaves an
+    # error second order in the stop
+    lam = math.exp(u)
+    return RDPoint(rate, max(d + lam * math.log(2) * (mi - rate), d_star), lam)

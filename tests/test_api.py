@@ -1,10 +1,13 @@
-"""Guard on the public API: the solvers carry their stopping rules as
+"""Guards on the public API: the solvers carry their stopping rules as
 constants, so no public function or method takes a tolerance, scan-size or
-step-budget parameter."""
+step-budget parameter; and every public function or class is used by the
+package or documented in the README, so none is kept for tests alone."""
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import cot_lab
 
@@ -35,3 +38,17 @@ def test_no_public_callable_takes_a_solver_knob():
         f"{qual}({param})" for qual, fn in seen.items()
         for param in inspect.signature(fn).parameters if param in KNOBS)
     assert offenders == []
+
+
+def test_every_public_name_is_used_or_documented():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    texts = [path.read_text() for path in (root / "src/cot_lab").glob("*.py")]
+    names = {qual.split(".")[2] for qual, _ in public_callables()}
+    unused = sorted(
+        name for name in names
+        if not re.search(rf"\b{name}\b", readme) and not any(
+            re.search(rf"\b{name}\b", re.sub(
+                rf"^(def|class) {name}\b.*$", "", text, flags=re.M))
+            for text in texts))
+    assert unused == []

@@ -650,7 +650,7 @@ def _cumsum_row_draw(rng_values, rows):
     return np.minimum(idx, k - 1)
 
 
-@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("k", [2, 3, 7, 148])
 def test_row_draw_matches_cumulative_reference(k):
     rng = np.random.default_rng(k)
     rows = rng.random((500, 6, k)) ** 4

@@ -611,7 +611,7 @@ def test_rate_capped_transport_refuses_rates_below_the_floor(capsys,
 @pytest.mark.parametrize("argv", [["ot"], ["rl-ot", "--rate", "0.1"],
                                   ["rl-ot", "--rate", "0"]])
 def test_transport_costs_above_the_limit_exit_1(capsys, workdir, argv):
-    # entries this large would overflow the potentials and the lambda ladder
+    # entries this large would overflow the potentials and the lambda range
     write_marginal("s.json", [0.75, 0.25])
     write_cost("c.json", [[0.0, 1e308], [1e308, 0.0]])
     code, out, err = run(capsys, *argv[:1], "--source", "s.json", "--target",

@@ -32,9 +32,9 @@ from cot_lab.gaussian_case import (
     linear_bound,
     toy_gaussian_lower,
     toy_gaussian_sep,
-    waterfill_sep,
 )
 from cot_lab.numkit import BracketError
+from waterfill_spec import waterfill_sep
 
 LAMS = (1.5, 0.5)
 CFG = GaussianConfig(LAMS, (0.0, 1.0, 3.0))

@@ -9,6 +9,7 @@ a brute-force grid search over two-symbol input laws.
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,13 +37,13 @@ from cot_lab.infokit import (
     distribution_to_json,
     entropic_plan,
     entropy,
-    maximal_coupling,
     mutual_information,
     ot_min_cost,
     rate_limited_ot,
     total_variation,
 )
 from cot_lab.numkit import bconv, binary_entropy
+from coupling_spec import maximal_coupling
 
 # H(0.11) to all printed digits, from a 50-digit decimal evaluation
 H_011 = 0.4999159581645280
@@ -914,8 +915,9 @@ def test_rate_limited_monotone_and_bounded():
 
 @pytest.mark.parametrize("rate", [1e-12, 1e-9, 1e-6])
 def test_rate_limited_small_rates_match_closed_form(rate):
-    # rates far below the first rung of the lam ladder; the root is solved
-    # on log lam, so the distortion is pinned to 1e-9 even here
+    # rates whose root lam is up to 3e5 times the cost range, where the
+    # solve starts; the root is solved on log lam, so the distortion is
+    # pinned to 1e-9 even here
     pt = rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), rate)
     assert pt.distortion == pytest.approx(d_hat(0.25, rate), abs=1e-9)
 
@@ -971,6 +973,24 @@ def test_rate_limited_raises_past_the_ladder(monkeypatch):
         rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), 0.3)
 
 
+def test_rate_limited_halves_a_step_whose_solve_fails(monkeypatch):
+    # a solve two decades from its warm start that fails is retried one
+    # decade away; from lam = 1 the root at rate 1e-9 is four decades up
+    solve, lams = infokit.entropic_plan, []
+
+    def near_only(row, col, cost, lam, warm=None):
+        lams.append(lam)
+        if len(lams) > 1 and abs(math.log10(lam / lams[-2])) > 1.5:
+            raise SinkhornDivergence("too far")
+        return solve(row, col, cost, lam, warm)
+
+    monkeypatch.setattr(infokit, "entropic_plan", near_only)
+    pt = rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), 1e-9)
+    assert lams[1] == pytest.approx(100.0 * lams[0])
+    assert lams[2] == pytest.approx(10.0 * lams[0])
+    assert pt.distortion == pytest.approx(d_hat(0.25, 1e-9), abs=1e-9)
+
+
 def test_rate_limited_rejects_negative_rate():
     with pytest.raises(ValueError):
         rate_limited_ot(bern(0.5), bern(0.5), 1.0 - np.eye(2), -0.2)
@@ -982,3 +1002,78 @@ def test_rate_limited_refuses_rates_below_the_floor(rate):
     # 1e-16 it returned 2.75e-9 below d_hat with no error
     with pytest.raises(ValueError, match="floor"):
         rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), rate)
+
+
+def sweep_problem(trial):
+    """Problem `trial` of a seeded sweep of random transport problems: sizes
+    from {2, 3, 5, 8, 20, 60}, Dirichlet(1) marginals, and a U(0, 2) cost,
+    a squared distance between two grids on [0, 1] or integer costs 0-2 by
+    trial mod 3."""
+    rng = np.random.default_rng(7)
+    for t in range(trial + 1):
+        n, m = (int(rng.choice([2, 3, 5, 8, 20, 60])) for _ in range(2))
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        if t % 3 == 0:
+            cost = rng.uniform(0.0, 2.0, (n, m))
+        elif t % 3 == 1:
+            cost = np.subtract.outer(np.linspace(0.0, 1.0, n),
+                                     np.linspace(0.0, 1.0, m)) ** 2
+        else:
+            cost = rng.integers(0, 3, (n, m)).astype(float)
+    return (DiscreteDistribution([str(i) for i in range(n)], p),
+            DiscreteDistribution([str(j) for j in range(m)], q), cost)
+
+
+def mp_frontier_value(row, col, cost, lam, rate):
+    """D + lam ln 2 (I - rate) of the entropic plan at lam, in 40-digit
+    arithmetic: Newton steps on the dual potentials from the float solve's,
+    with p and q renormalized, the last g held at 0."""
+    import mpmath
+    _, f, g = entropic_plan(row, col, cost, lam)
+    with mpmath.workdps(40):
+        p = mpmath.matrix(list(row.probs))
+        q = mpmath.matrix(list(col.probs))
+        p, q = p / sum(p), q / sum(q)
+        n, m = len(p), len(q)
+        lam = mpmath.mpf(lam)
+        f = [mpmath.mpf(x + g[-1]) for x in f]
+        g = [mpmath.mpf(x - g[-1]) for x in g]
+
+        def plan():
+            return mpmath.matrix([[p[i] * q[j] * mpmath.exp(
+                f[i] + g[j] - mpmath.mpf(cost[i, j]) / lam)
+                for j in range(m)] for i in range(n)])
+
+        for _ in range(3):
+            pi = plan()
+            rows = [sum(pi[i, j] for j in range(m)) for i in range(n)]
+            cols = [sum(pi[i, j] for i in range(n)) for j in range(m)]
+            h = mpmath.zeros(n + m - 1)
+            for i in range(n):
+                h[i, i] = rows[i]
+                for j in range(m - 1):
+                    h[i, n + j] = h[n + j, i] = pi[i, j]
+            for j in range(m - 1):
+                h[n + j, n + j] = cols[j]
+            x = mpmath.lu_solve(h, mpmath.matrix(
+                [p[i] - rows[i] for i in range(n)]
+                + [q[j] - cols[j] for j in range(m - 1)]))
+            f = [f[i] + x[i] for i in range(n)]
+            g = [g[j] + x[n + j] for j in range(m - 1)] + [g[-1]]
+        pi = plan()
+        d = sum(pi[i, j] * cost[i, j] for i in range(n) for j in range(m))
+        # I in nats is sum pi (f + g - c / lam) once the marginals are met
+        nats = sum(pi[i, j] * (f[i] + g[j] - mpmath.mpf(cost[i, j]) / lam)
+                   for i in range(n) for j in range(m))
+        return float(d + lam * (nats - mpmath.log(2) * mpmath.mpf(rate)))
+
+
+def test_rate_limited_solves_a_root_below_a_ten_thousandth_of_the_range():
+    # the root lam is 7.9e-5 times the cost range: I(LP) is 1.11236 bits
+    # and the rate 0.9 H_min = 1.11148 bits
+    row, col, cost = sweep_problem(57)
+    rate = 0.9 * min(entropy(row), entropy(col))
+    assert (len(row), len(col), rate) == (3, 20, 1.1114766080044394)
+    pt = rate_limited_ot(row, col, cost, rate)
+    want = mp_frontier_value(row, col, cost, pt.multiplier, rate)
+    assert abs(pt.distortion - want) <= 1e-12 * want, (pt, want)
