@@ -40,12 +40,14 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
-# largest blocks x messages float64 table (the exact laws' encoder
-# posterior) of the codebooks in flight together; a few such tables are
-# alive at once
+# bound on 8 bytes per message and block of the codebooks in flight
+# together: the exact laws stream messages x blocks of work per codebook
+# through slabs, but their block-long vectors (block laws, decode map,
+# fallback likelihoods) grow with the block count
 _ENUM_BYTES = 2 ** 28
-# the exact laws and the decoder work on slabs of messages this size, so
-# only the encoder posterior is ever a full blocks x messages table
+# the exact laws, the decoder and the encoder weights work on slabs of
+# messages of about this many float64 bytes; no messages x blocks table is
+# ever held whole
 _SLAB_BYTES = 2 ** 19
 # largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
 # sums square lambda and u^2 scales with gamma, so larger ones overflow to inf
@@ -172,6 +174,21 @@ def _cdf_draw(rng_values: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(cdf) - 1)
 
 
+def _two_letter_draw(rng_values: np.ndarray, first: np.ndarray,
+                     total: np.ndarray) -> np.ndarray:
+    """Categorical draw between two letters from the first weight and the
+    total; zero totals fall back to the uniform law.
+
+    The second cumulative weight is the total, which u * total never
+    passes, so one comparison against the first maps the same uniforms to
+    the same symbols as a cumulative search."""
+    bad = total <= 0.0
+    if np.any(bad):
+        first = np.where(bad, 1.0, first)
+        total = np.where(bad, 2.0, total)
+    return (first < rng_values * total).astype(np.intp)
+
+
 def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Categorical draw per row from unnormalized weights on the last axis.
     rows is overwritten, so callers pass a fresh gather.
@@ -180,16 +197,8 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     k = rows.shape[-1]
     if k == 2:
-        # the second cumulative weight is the total, which u * total never
-        # passes, so one comparison against the first maps the same
-        # uniforms to the same symbols as the general path
         first = rows[..., 0]
-        total = first + rows[..., 1]
-        bad = total <= 0.0
-        if np.any(bad):
-            first = np.where(bad, 1.0, first)
-            total = np.where(bad, 2.0, total)
-        return (first < rng_values * total).astype(np.intp)
+        return _two_letter_draw(rng_values, first, first + rows[..., 1])
     cum = np.cumsum(rows, axis=-1, out=rows)
     total = cum[..., -1:]
     bad = total <= 0.0
@@ -199,6 +208,18 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # each cum row is nondecreasing and ends at total >= u * total, so the
     # first entry at or above the target is the count of those below it
     return (cum >= rng_values[..., None] * total).argmax(axis=-1)
+
+
+def _table_draw(rng_values: np.ndarray, table: np.ndarray,
+                index: tuple) -> np.ndarray:
+    """_row_draw(rng_values, table[index]): a draw per indexed row of a
+    small per-symbol table. Two-letter rows are not gathered: the first
+    weight and the total are read from the table at the indices."""
+    if table.shape[-1] == 2:
+        first = table[..., 0]
+        return _two_letter_draw(rng_values, first[index],
+                                (first + table[..., 1])[index])
+    return _row_draw(rng_values, table[index])
 
 
 # ---------------------------------------------------- single-letter sims
@@ -515,52 +536,68 @@ def _add_rows(total: Optional[np.ndarray], part: np.ndarray) -> np.ndarray:
     return np.cumsum(part[:, 0])[-1:]
 
 
+def _typical_slab(code: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  nv: int):
+    """How many of the messages (rows of code) are jointly typical with
+    each output block, and the first of them (0 where none is). The count
+    of the (codeword, output) pair z * nv + v passes when it lies in
+    [lo, hi] of that pair; lo and hi have the counts' dtype.
+
+    A block's count is the count of its leading half plus that of its
+    trailing half, broadcast over the two halves of its index; the counts
+    are exact small integers, so no BLAS product is needed."""
+    rows, n = code.shape
+    npairs = len(lo)
+    halves = []
+    for cut in (slice(0, n // 2), slice(n // 2, n)):
+        blocks = _enumerate_blocks(cut.stop - cut.start, nv)
+        pair = code[:, None, cut] * nv + blocks
+        cell = np.arange(rows * blocks.shape[0]).reshape(rows, -1, 1)
+        counts = np.bincount((cell * npairs + pair).ravel(),
+                             minlength=cell.size * npairs)
+        halves.append(counts.reshape(rows, -1, npairs).astype(lo.dtype))
+    lead, trail = halves
+    typical = np.ones((rows, lead.shape[1], trail.shape[1]), dtype=bool)
+    for p in range(npairs):
+        count = lead[:, :, None, p] + trail[:, None, :, p]
+        typical &= count >= lo[p]
+        typical &= count <= hi[p]
+    typical = typical.reshape(rows, -1)
+    return typical.sum(axis=0), typical.argmax(axis=0)
+
+
 def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
                    pvz: np.ndarray):
     """Typicality decoder with maximum-likelihood fallback: the typicality
-    test on 1-byte counts for every message at once, the likelihoods over
-    slabs of messages.
+    test on 1-byte counts and the likelihoods, both over slabs of messages.
 
     Returns the decoded message of every output block in enumeration order
     and whether typicality failed to single out one message for it."""
     n = cfg.n
     msgs = code.shape[0]
-    nz, nv = pvz.shape
+    nv = pvz.shape[1]
     nblocks = nv ** n
 
     # a (codeword, output) pair count c passes when |c/n - p(z, v)| is
     # within typ_delta; evaluating that for every c in 0..n with the
     # arithmetic of the deviation test gives, per pair, the interval of
     # counts that pass (empty when lo > hi)
-    npairs = nz * nv
     dev = np.abs(np.arange(n + 1) / n
                  - (cfg.code_marginal.probs[:, None] * pvz).reshape(-1, 1))
     passing = dev <= cfg.typ_delta
     lo = np.where(passing.any(axis=1), passing.argmax(axis=1), n + 1)
     hi = n - passing[:, ::-1].argmax(axis=1)
-    # a block's count is the count of its leading half plus that of its
-    # trailing half, broadcast over the two halves of its index; the
-    # counts are exact small integers, so no BLAS product is needed
+    # the test runs over slabs of messages, carrying each block's count of
+    # typical messages and the first of them
     ctype = np.min_scalar_type(n + 1)
-    halves = []
-    for cut in (slice(0, n // 2), slice(n // 2, n)):
-        blocks = _enumerate_blocks(cut.stop - cut.start, nv)
-        pair = code[:, None, cut] * nv + blocks
-        cell = np.arange(msgs * blocks.shape[0]).reshape(msgs, -1, 1)
-        counts = np.bincount((cell * npairs + pair).ravel(),
-                             minlength=cell.size * npairs)
-        halves.append(counts.reshape(msgs, -1, npairs).astype(ctype))
-    lead, trail = halves
     lo, hi = lo.astype(ctype), hi.astype(ctype)
-    typical = np.ones((msgs, lead.shape[1], trail.shape[1]), dtype=bool)
-    for p in range(npairs):
-        count = lead[:, :, None, p] + trail[:, None, :, p]
-        typical &= count >= lo[p]
-        typical &= count <= hi[p]
-    typical = typical.reshape(msgs, nblocks)
-    matches = typical.sum(axis=0)
-    first = typical.argmax(axis=0)
-    del typical, count
+    matches = np.zeros(nblocks, dtype=np.intp)
+    first = np.zeros(nblocks, dtype=np.intp)
+    for s in _slabs(msgs, max(1, nblocks // 8)):
+        found, top = _typical_slab(code[s], lo, hi, nv)
+        fresh = (matches == 0) & (found > 0)
+        first[fresh] = top[fresh] + s.start
+        matches += found
 
     with np.errstate(divide="ignore"):
         logpvz = np.log(pvz)
@@ -596,8 +633,9 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     for one codebook, contracting one block axis at a time over slabs of
     messages.
 
-    The encoder posterior (messages x source blocks) is the one full table
-    held; everything else lives one slab at a time."""
+    No messages x blocks table is held: the encoder posterior is built one
+    slab of messages at a time, twice (once for its normalizer, once to
+    contract it), and only vectors over the blocks outlive a slab."""
     n = cfg.n
     msgs = code.shape[0]
     nx = len(cfg.source)
@@ -608,19 +646,25 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     decode, typ_fail = _decode_tables(cfg, code, pvz)
 
     # encoder posterior over the whole source space, its factors
-    # multiplied in position order as the sampled encoder's are; the sum
-    # over messages adds them in order
-    table = np.empty((msgs, nx ** n))
-    for s in _slabs(msgs, nx ** n):
-        table[s] = _leading_products(cfg.x_given_z, code[s], n)
+    # multiplied in position order as the sampled encoder's are. Its
+    # normalizer adds the slabs' products up in message order, the order in
+    # which a sum over the rows of the whole table adds them; a one-letter
+    # source has one block, whose column of msgs products numpy sums
+    # pairwise
+    slabs = list(_slabs(msgs, max(nx, nv) ** n))
+    if nx == 1:
+        wtot = _leading_products(cfg.x_given_z, code, n).sum(axis=0)
+    else:
+        wtot = None
+        for s in slabs:
+            wtot = _add_rows(wtot,
+                             _leading_products(cfg.x_given_z, code[s], n))
     px_n = _product_law(cfg.source.probs, _enumerate_blocks(n, nx))
-    wtot = table.sum(axis=0)
-    uncovered = wtot <= 0.0
-    table *= px_n
-    table /= np.where(uncovered, 1.0, wtot)
     # blocks no codeword can produce get the uniform message, matching the
     # sampling path's convention
-    table[:, uncovered] = px_n[uncovered] / msgs
+    uncovered = wtot <= 0.0
+    wtot[uncovered] = 1.0
+    spread = px_n[uncovered] / msgs
 
     # each step maps the leading source axis of every message's tensor to
     # a trailing output axis, as tensordot over axis 0 would
@@ -634,8 +678,11 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
         kernels = strided[..., :1]
     p_v = None
     msg_error = 0.0
-    for s in _slabs(msgs, max(nx, nv) ** n):
-        part = table[s]
+    for s in slabs:
+        part = _leading_products(cfg.x_given_z, code[s], n)
+        part *= px_n
+        part /= wtot
+        part[:, uncovered] = spread
         for t in range(n):
             part = np.matmul(
                 part.reshape(part.shape[0], nx, -1).transpose(0, 2, 1),
@@ -646,7 +693,6 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
             # final message counts as an error
             msg_error += float(part[m - s.start][decode != m].sum())
         p_v = _add_rows(p_v, part)
-    del table, part
 
     mhats = np.unique(decode)
     kernels = cfg.dec_cond[code[mhats]]
@@ -698,10 +744,10 @@ def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
             weights *= factors[t, x[s, t]]
         m[s] = _row_draw(pick[s], weights)
     z = code[m]
-    u = _row_draw(rng.random((count, n)), cfg.u_given_xz[x, z])
-    v = _row_draw(rng.random((count, n)), cfg.channel.matrix[u])
+    u = _table_draw(rng.random((count, n)), cfg.u_given_xz, (x, z))
+    v = _table_draw(rng.random((count, n)), cfg.channel.matrix, (u,))
     mhat = decode_map[(v * vpow).sum(axis=1)]
-    yhat = _row_draw(rng.random((count, n)), cfg.dec_cond[code[mhat], v])
+    yhat = _table_draw(rng.random((count, n)), cfg.dec_cond, (code[mhat], v))
     return x, yhat
 
 
@@ -744,12 +790,12 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     medians of the exact per-codebook values; the per-codebook detail sits
     in codebook_draws. BudgetExceeded is raised before any codebook is drawn
     when the codeword, source, channel output or reconstruction space has
-    more than 2^24 blocks of length n, or the exact laws' table passes its
-    byte budget. Each chunk of sampled blocks is coupled and tallied as
-    soon as it is drawn, so no sample table outlives its chunk. Up to
-    sim.workers codebooks run at once, each on its own streams, as many as
-    their tables fit the byte budget together; workers left over run a
-    codebook's chunks.
+    more than 2^24 blocks of length n, or the exact laws' messages x blocks
+    of work pass their byte budget. Each chunk of sampled blocks is coupled
+    and tallied as soon as it is drawn, so no sample table outlives its
+    chunk. Up to sim.workers codebooks run at once, each on its own
+    streams, as many as their work fits the byte budget together; workers
+    left over run a codebook's chunks.
     """
     nz = len(cfg.code_marginal)
     nx, nv = len(cfg.source), len(cfg.channel.output_alphabet)
@@ -760,18 +806,20 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
             raise BudgetExceeded(
                 f"{space} space exceeds the enumeration budget")
     msgs = cfg.codebook_size
-    # the exact laws hold a messages x source blocks table; the budget
-    # counts blocks of the largest of the source, output and reconstruction
-    # alphabets
-    table = 8 * msgs * max(nx, nv, ny) ** cfg.n
-    if table > _ENUM_BYTES:
+    # the exact laws work through every message and block, 8 bytes each,
+    # counting blocks of the largest of the source, output and
+    # reconstruction alphabets
+    work = 8 * msgs * max(nx, nv, ny) ** cfg.n
+    if work > _ENUM_BYTES:
         raise BudgetExceeded(
-            f"exact laws need a {table / 2 ** 20:.0f} MiB blocks x messages "
-            f"table, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
-    # codebooks in flight as far as their tables fit together; the workers
-    # left over run each codebook's chunks
+            f"exact laws need {work / 2 ** 20:.0f} MiB of messages x blocks "
+            f"work per codebook, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB "
+            "budget")
+    # codebooks in flight as far as their work fits the budget together,
+    # which also bounds their block-long vectors; the workers left over run
+    # each codebook's chunks
     workers = min(sim.workers, os.cpu_count() or 1)
-    threads = min(workers, _ENUM_BYTES // table)
+    threads = min(workers, _ENUM_BYTES // work)
     chunk_threads = max(1, workers // min(threads, cfg.codebooks))
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 

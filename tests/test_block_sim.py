@@ -668,6 +668,29 @@ def test_row_draw_matches_cumulative_reference(k):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_table_draw_equals_row_draw_of_the_gathered_rows(k, shape):
+    # the two-letter draw reads the first weight and the total from the
+    # per-symbol table; every index, zero total and edge uniform must map
+    # to the symbol the gathered rows give
+    rng = np.random.default_rng(10 * k + len(shape))
+    table = rng.random(shape + (k,)) ** 4
+    table[0] = 0.0                            # zero-total rows
+    table[1, ..., 0] = 0.0                    # a zero first weight
+    table[-1, ..., 1:] = 0.0                  # all weight on the first
+    index = tuple(rng.integers(0, size, (600, 7)) for size in shape)
+    u = rng.random((600, 7))
+    u[:50] = 0.0
+    u[50:100] = np.nextafter(1.0, 0.0)
+    u[100:150] = 0.5                          # uniform fallback boundary
+    want = block_sim._row_draw(u, table[index])
+    got = block_sim._table_draw(u, table, index)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert len(np.unique(index[0])) == shape[0]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_batched_laws_equal_per_message_loop(n):
     cfg = candidate(n, codebooks=1)
@@ -706,6 +729,23 @@ def test_laws_and_samples_do_not_depend_on_the_slab_size(monkeypatch, sizes):
                         8 * 3 * max(nx, nv, ny) ** n)
     assert_laws_equal_loop(cfg, code)
     assert reports_equal(wide, sim_block_hybrid(cfg, SimConfig(8, 3000)))
+
+
+def test_one_letter_source_laws_equal_per_message_loop():
+    # one source block: the normalizer sums its column of message products
+    # pairwise, as a sum over a one-column table does, so kernel entries
+    # within rounding of 1 give the loop's laws to the bit
+    rng = np.random.default_rng(0)
+    cfg = BlockCodeConfig(
+        n=4, rate=2.0, source=DiscreteDistribution(("x",), np.array([1.0])),
+        code_marginal=DiscreteDistribution(("a", "b", "c"),
+                                           np.array([0.3, 0.3, 0.4])),
+        x_given_z=1.0 + (rng.random((3, 1)) - 0.5) * 1e-9,
+        u_given_xz=np.full((1, 3, 2), 0.5), channel=bsc(0.1),
+        dec_cond=np.full((3, 2, 2), 0.5), target=bern(0.5),
+        dist=np.zeros((1, 2)))
+    code = rng.integers(0, 3, (cfg.codebook_size, cfg.n))
+    assert_laws_equal_loop(cfg, code)
 
 
 def _encoder_weights(cfg, code, x):
@@ -971,8 +1011,8 @@ def test_block_runs_fewer_codebooks_at_once_to_fit_the_byte_budget(
 
 
 def test_block_working_set_is_a_few_tables(monkeypatch):
-    # two n = 12 codebooks in flight: each holds one messages x blocks
-    # table (the encoder posterior) and slabs, never two whole tables
+    # two n = 12 codebooks in flight: each works on slabs of its messages
+    # and block-long vectors, and holds no messages x blocks table
     monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
     cfg = candidate(12, codebooks=8)
     table = 8 * cfg.codebook_size * 2 ** 12
@@ -983,6 +1023,26 @@ def test_block_working_set_is_a_few_tables(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table
+
+
+def test_exact_laws_working_set_does_not_grow_with_the_messages():
+    # the laws stream slabs of messages, so about 1,024 messages at n = 12
+    # peak near where 148 do, far below one messages x blocks table
+    peaks = []
+    for rate in (0.6, 10 / 12):
+        cfg = binary_separation_block_config(0.25, 0.2, 0.005, rate, n=12)
+        code = np.random.default_rng(12).integers(
+            0, 4, (cfg.codebook_size, cfg.n))
+        tracemalloc.start()
+        try:
+            _codebook_laws(cfg, code)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    msgs = cfg.codebook_size
+    assert msgs >= 1024
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] < 0.25 * 8 * msgs * 2 ** 12
 
 
 def test_block_working_set_does_not_grow_with_the_chunk_count(monkeypatch):

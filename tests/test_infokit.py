@@ -966,8 +966,9 @@ def test_rate_limited_lp_plan_within_rate_runs_no_sinkhorn(monkeypatch):
     assert rate_limited_ot(row, col, cost, rate).distortion == d_star
 
 
-def test_rate_limited_raises_past_the_ladder(monkeypatch):
-    # an I that never falls to the rate walks off the top of the ladder
+def test_rate_limited_raises_when_i_never_falls_to_the_rate(monkeypatch):
+    # an I that never falls to the rate drives the Newton solve on log
+    # lambda to the top of its range, where it raises
     monkeypatch.setattr(infokit, "mutual_information", lambda joint: 1.0)
     with pytest.raises(SinkhornDivergence, match="below I"):
         rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), 0.3)
