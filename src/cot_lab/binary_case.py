@@ -49,7 +49,8 @@ class GridTooCoarse(ValueError):
 def _check_rho(rho, closed=False):
     hi_ok = rho <= 0.5 if closed else rho < 0.5
     if not (0.0 < rho and hi_ok):
-        raise ValueError("rho must lie in (0, 1/2)")
+        raise ValueError("rho must lie in (0, 1/2]" if closed
+                         else "rho must lie in (0, 1/2)")
     return float(rho)
 
 

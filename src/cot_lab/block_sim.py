@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .binary_case import hybrid_params
+from .binary_case import _check_rho, _check_theta, hybrid_params
 from .gaussian_case import _check_gamma, _check_lambdas
 from .infokit import (
     DiscreteChannel,
@@ -42,8 +42,8 @@ _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
 # bound on 8 bytes per message and block of the codebooks in flight
 # together: the exact laws stream messages x blocks of work per codebook
-# through slabs, but their block-long vectors (block laws, decode map,
-# fallback likelihoods) grow with the block count
+# through slabs, but it leaves out their ten or so block-long vectors (block
+# laws, decode map, fallback likelihoods), which dominate with few messages
 _ENUM_BYTES = 2 ** 28
 # the exact laws, the decoder and the encoder weights work on slabs of
 # messages of about this many float64 bytes; no messages x blocks table is
@@ -196,9 +196,6 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Rows with zero total weight fall back to the uniform law.
     """
     k = rows.shape[-1]
-    if k == 2:
-        first = rows[..., 0]
-        return _two_letter_draw(rng_values, first, first + rows[..., 1])
     cum = np.cumsum(rows, axis=-1, out=rows)
     total = cum[..., -1:]
     bad = total <= 0.0
@@ -246,13 +243,9 @@ def sim_uncoded_binary(rho: float, theta: float,
     Y with p(1|v=0) = a, p(0|v=1) = b. Reports Hamming distortion, the
     empirical output marginal, and its distance to B(rho).
     """
-    rho = float(rho)
-    theta = float(theta)
+    rho = _check_rho(rho, closed=True)
+    theta = float(_check_theta(theta))
     a, b = (float(v) for v in decoder)
-    if not 0.0 < rho <= 0.5:
-        raise ValueError("rho must lie in (0, 1/2]")
-    if not 0.0 <= theta <= 0.5:
-        raise ValueError("theta must lie in [0, 1/2]")
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError("decoder probabilities must lie in [0, 1]")
 
@@ -344,10 +337,6 @@ def sim_genie_hybrid_binary(rho: float, theta: float, delta1: float,
     characterization the closed-form curves compute. The analog residual
     crosses the real channel and the decoder applies the conditional flip.
     """
-    if not 0.0 <= theta <= 0.5:
-        raise ValueError("theta must lie in [0, 1/2]")
-    if theta == 0.0:
-        raise ValueError("theta must be positive")
     delta2, tau, beta = hybrid_params(rho, theta, delta1)
     rho = float(rho)
     theta = float(theta)
@@ -462,14 +451,6 @@ def _symbol_kernels(cfg: BlockCodeConfig):
     return qv, pvz
 
 
-def _product_law(probs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Probability of each block (row) under the i.i.d. law probs."""
-    out = np.ones(blocks.shape[0])
-    for t in range(blocks.shape[1]):
-        out *= probs[blocks[:, t]]
-    return out
-
-
 def _leading_products(x_given_z: np.ndarray, code: np.ndarray,
                       h: int) -> np.ndarray:
     """prod_{t < h} p(x_t | z_t(m)) for every message (row) and every
@@ -485,6 +466,12 @@ def _leading_products(x_given_z: np.ndarray, code: np.ndarray,
             np.multiply(part, factor[:, j:j + 1], out=wider[:, :, j])
         part = wider.reshape(part.shape[0], -1)
     return part
+
+
+def _block_law(probs: np.ndarray, n: int) -> np.ndarray:
+    """Probability of every length-n block, in enumeration order, under the
+    i.i.d. law probs: the leading products of one all-zero codeword."""
+    return _leading_products(probs[None, :], np.zeros((1, n), np.intp), n)[0]
 
 
 def _pairwise_sum(term, n: int):
@@ -659,7 +646,7 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
         for s in slabs:
             wtot = _add_rows(wtot,
                              _leading_products(cfg.x_given_z, code[s], n))
-    px_n = _product_law(cfg.source.probs, _enumerate_blocks(n, nx))
+    px_n = _block_law(cfg.source.probs, n)
     # blocks no codeword can produce get the uniform message, matching the
     # sampling path's convention
     uncovered = wtot <= 0.0
@@ -705,7 +692,7 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
                 kernels[s, t])
         p_yhat = _add_rows(p_yhat, part.reshape(part.shape[0], -1))
 
-    p_target = _product_law(cfg.target.probs, _enumerate_blocks(n, ny))
+    p_target = _block_law(cfg.target.probs, n)
 
     tv = 0.5 * float(np.abs(p_yhat - p_target).sum())
     return CodebookLaws(decode, typ_fail, p_v, p_yhat, p_target, tv,

@@ -101,6 +101,14 @@ def test_d_lower_branches():
     assert d_lower(0.25, knee + 1e-3) > 0.0
 
 
+def test_closed_rho_check_names_the_closed_interval():
+    # the curves that admit rho = 1/2 say so when they refuse a rho
+    for f in (d_lower, d_sep, lambda r, t: d_uncoded(r, t)[0]):
+        with pytest.raises(ValueError,
+                           match=r"^rho must lie in \(0, 1/2\]$"):
+            f(0.6, 0.1)
+
+
 def test_d_lower_uniform_source_equals_theta():
     # boundary-check path rho = 1/2: converse collapses to the crossover
     for theta in (0.05, 0.13, 0.3):

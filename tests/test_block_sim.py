@@ -23,10 +23,10 @@ from cot_lab.block_sim import (
     BudgetExceeded,
     SimConfig,
     SimReport,
+    _block_law,
     _codebook_laws,
     _enumerate_blocks,
     _pairwise_sum,
-    _product_law,
     _sample_chunk,
     _symbol_kernels,
     binary_separation_block_config,
@@ -113,14 +113,19 @@ def test_uncoded_binary_matches_closed_form_with_tuned_decoder():
 
 def test_uncoded_binary_validation():
     sim = SimConfig(0, 10)
-    with pytest.raises(ValueError, match="rho"):
-        sim_uncoded_binary(0.0, 0.1, (0.0, 0.0), sim)
-    with pytest.raises(ValueError, match="rho"):
-        sim_uncoded_binary(0.6, 0.1, (0.0, 0.0), sim)
-    with pytest.raises(ValueError, match="theta"):
-        sim_uncoded_binary(0.25, 0.7, (0.0, 0.0), sim)
+    for rho in (0.0, 0.6, math.nan):
+        with pytest.raises(ValueError,
+                           match=r"^rho must lie in \(0, 1/2\]$"):
+            sim_uncoded_binary(rho, 0.1, (0.0, 0.0), sim)
+    for theta in (-0.1, 0.7, math.nan):
+        with pytest.raises(ValueError,
+                           match=r"^theta must lie in \[0, 1/2\]$"):
+            sim_uncoded_binary(0.25, theta, (0.0, 0.0), sim)
     with pytest.raises(ValueError, match="decoder"):
         sim_uncoded_binary(0.25, 0.1, (1.5, 0.0), sim)
+    # rho = 1/2 is a fair bit, which the closed interval admits
+    rep = sim_uncoded_binary(0.5, 0.1, (0.0, 0.0), sim)
+    assert rep.samples == 10
 
 
 def record_pools(monkeypatch, cpus):
@@ -317,10 +322,13 @@ def test_genie_hybrid_interior_split_matches_closed_form():
 
 
 def test_genie_hybrid_rejects_zero_noise_and_bad_split():
+    # the checks are hybrid_params' own, messages included
     sim = SimConfig(0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^theta = 0 is degenerate here"):
         sim_genie_hybrid_binary(0.25, 0.0, 0.1, sim)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, 1/2\]$"):
+        sim_genie_hybrid_binary(0.25, 0.7, 0.1, sim)
+    with pytest.raises(ValueError, match=r"^delta1 must lie in \[0, rho\]$"):
         sim_genie_hybrid_binary(0.25, 0.1, 0.3, sim)
 
 
@@ -546,6 +554,14 @@ def _loop_decode_tables(cfg, code, pvz, v_blocks):
     return decode, typ_fail
 
 
+def _product_law(probs, blocks):
+    """Probability of each block (row) under the i.i.d. law probs."""
+    out = np.ones(blocks.shape[0])
+    for t in range(blocks.shape[1]):
+        out *= probs[blocks[:, t]]
+    return out
+
+
 def _loop_codebook_laws(cfg, code):
     """Reference exact laws: each message's tensor is contracted on its own
     with tensordot and the messages are added one after another."""
@@ -600,6 +616,15 @@ def assert_laws_equal_loop(cfg, code):
     assert np.array_equal(laws.p_yhat, p_yhat)
     assert laws.tv_to_target == tv
     assert laws.msg_error == msg_error
+
+
+def test_block_law_equals_the_enumerated_product_law():
+    rng = np.random.default_rng(5)
+    for k, n in ((1, 6), (2, 12), (3, 7), (4, 6)):
+        probs = rng.random(k) ** 3
+        probs /= probs.sum()
+        assert np.array_equal(_block_law(probs, n),
+                              _product_law(probs, _enumerate_blocks(n, k)))
 
 
 def _random_config(rng, nx, nz, nu, nv, ny, n, rate):
@@ -1043,6 +1068,22 @@ def test_exact_laws_working_set_does_not_grow_with_the_messages():
     assert msgs >= 1024
     assert peaks[1] <= 1.25 * peaks[0]
     assert peaks[1] < 0.25 * 8 * msgs * 2 ** 12
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_exact_laws_hold_no_blocks_x_n_table(n):
+    # with two messages the laws are block-long vectors and slabs: a dozen
+    # float64 vectors over the blocks and two slabs bound the peak, where
+    # an int64 blocks x n table alone would pass it
+    cfg = binary_separation_block_config(0.25, 0.2, 0.005, 0.6, n=n)
+    code = np.random.default_rng(n).integers(0, 4, (2, n))
+    tracemalloc.start()
+    try:
+        _codebook_laws(cfg, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * 2 ** n + 2 * block_sim._SLAB_BYTES
 
 
 def test_block_working_set_does_not_grow_with_the_chunk_count(monkeypatch):
