@@ -40,11 +40,14 @@ from .numkit import binary_entropy
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
 _ENUM_BITS = 24.0
-# bound on 8 bytes per message and block of the codebooks in flight
-# together: the exact laws stream messages x blocks of work per codebook
-# through slabs, but it leaves out their ten or so block-long vectors (block
-# laws, decode map, fallback likelihoods), which dominate with few messages
+# bound on the exact laws' work of the codebooks in flight together, 8 bytes
+# per block for each message and for each of _LAW_VECTORS block-long
+# vectors: the messages x blocks work streams through slabs, and the vectors
+# (block laws, decode map, fallback likelihoods, p_v, p_yhat and their
+# temporaries) are held whole; traced peaks hold up to 11.2 vectors more
+# than the message count, with one to 128 messages at n = 14 and 16
 _ENUM_BYTES = 2 ** 28
+_LAW_VECTORS = 12
 # the exact laws, the decoder and the encoder weights work on slabs of
 # messages of about this many float64 bytes; no messages x blocks table is
 # ever held whole
@@ -171,13 +174,14 @@ def _cdf_draw(rng_values: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling; explicit so the draw is stable across library
     versions."""
     idx = np.searchsorted(cdf, rng_values, side="right")
-    return np.minimum(idx, len(cdf) - 1)
+    return np.minimum(idx, len(cdf) - 1, out=idx)
 
 
 def _two_letter_draw(rng_values: np.ndarray, first: np.ndarray,
                      total: np.ndarray) -> np.ndarray:
     """Categorical draw between two letters from the first weight and the
-    total; zero totals fall back to the uniform law.
+    total, as 1-byte symbol codes; zero totals fall back to the uniform
+    law. rng_values is overwritten, so callers pass fresh uniforms.
 
     The second cumulative weight is the total, which u * total never
     passes, so one comparison against the first maps the same uniforms to
@@ -186,12 +190,14 @@ def _two_letter_draw(rng_values: np.ndarray, first: np.ndarray,
     if np.any(bad):
         first = np.where(bad, 1.0, first)
         total = np.where(bad, 2.0, total)
-    return (first < rng_values * total).astype(np.intp)
+    return (first < np.multiply(rng_values, total, out=rng_values)
+            ).view(np.uint8)
 
 
 def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Categorical draw per row from unnormalized weights on the last axis.
-    rows is overwritten, so callers pass a fresh gather.
+    """Categorical draw per row from unnormalized weights on the last axis,
+    as codes of the smallest unsigned dtype that holds every letter. rows is
+    overwritten, so callers pass a fresh gather.
 
     Rows with zero total weight fall back to the uniform law.
     """
@@ -204,14 +210,16 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         total = np.where(bad, float(k), total)
     # each cum row is nondecreasing and ends at total >= u * total, so the
     # first entry at or above the target is the count of those below it
-    return (cum >= rng_values[..., None] * total).argmax(axis=-1)
+    return (cum >= rng_values[..., None] * total).argmax(axis=-1).astype(
+        np.min_scalar_type(k - 1))
 
 
 def _table_draw(rng_values: np.ndarray, table: np.ndarray,
                 index: tuple) -> np.ndarray:
     """_row_draw(rng_values, table[index]): a draw per indexed row of a
     small per-symbol table. Two-letter rows are not gathered: the first
-    weight and the total are read from the table at the indices."""
+    weight and the total are read from the table at the indices, and
+    rng_values is overwritten."""
     if table.shape[-1] == 2:
         first = table[..., 0]
         return _two_letter_draw(rng_values, first[index],
@@ -575,12 +583,16 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
     lo = np.where(passing.any(axis=1), passing.argmax(axis=1), n + 1)
     hi = n - passing[:, ::-1].argmax(axis=1)
     # the test runs over slabs of messages, carrying each block's count of
-    # typical messages and the first of them
+    # typical messages and the first of them. A slab is sized by its widest
+    # table: the 1-byte test tables, a few alive at once, counted at 8 bytes
+    # per message and block, or the int64 pair counts and symbol pairs of
+    # the longer half-block
     ctype = np.min_scalar_type(n + 1)
     lo, hi = lo.astype(ctype), hi.astype(ctype)
     matches = np.zeros(nblocks, dtype=np.intp)
     first = np.zeros(nblocks, dtype=np.intp)
-    for s in _slabs(msgs, max(1, nblocks // 8)):
+    half = n - n // 2
+    for s in _slabs(msgs, max(nblocks, nv ** half * max(len(lo), half))):
         found, top = _typical_slab(code[s], lo, hi, nv)
         fresh = (matches == 0) & (found > 0)
         first[fresh] = top[fresh] + s.start
@@ -681,7 +693,7 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
             msg_error += float(part[m - s.start][decode != m].sum())
         p_v = _add_rows(p_v, part)
 
-    mhats = np.unique(decode)
+    mhats = np.flatnonzero(np.bincount(decode, minlength=msgs))
     kernels = cfg.dec_cond[code[mhats]]
     p_yhat = None
     for s in _slabs(len(mhats), max(nv, ny) ** n):
@@ -706,13 +718,15 @@ def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
     reconstruction; returns the (x, yhat) blocks as rows.
 
     decode_map is the decoder tabulated over every output block in
-    enumeration order."""
+    enumeration order. Symbols are held as codes of the smallest unsigned
+    dtype of their alphabet, and each table is dropped once it is used."""
     n = cfg.n
     msgs = code.shape[0]
     nx = len(cfg.source)
     nv = len(cfg.channel.output_alphabet)
     vpow = nv ** np.arange(n - 1, -1, -1)
-    x = _cdf_draw(rng.random((count, n)), np.cumsum(cfg.source.probs))
+    x = _cdf_draw(rng.random((count, n)), np.cumsum(cfg.source.probs)
+                  ).astype(np.min_scalar_type(nx - 1))
     pick = rng.random(count)
     # the likelihood encoder's weights prod_t p(x_t | z_t(m)), one slab of
     # blocks x messages at a time: a block's row of the products over its
@@ -730,11 +744,15 @@ def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
         for t in range(h, n):
             weights *= factors[t, x[s, t]]
         m[s] = _row_draw(pick[s], weights)
-    z = code[m]
-    u = _table_draw(rng.random((count, n)), cfg.u_given_xz, (x, z))
+    del pick, lead, pattern, weights
+    # the codewords as symbol codes too, so their gathered rows are compact
+    zcode = code.astype(np.min_scalar_type(len(cfg.code_marginal) - 1))
+    u = _table_draw(rng.random((count, n)), cfg.u_given_xz, (x, zcode[m]))
     v = _table_draw(rng.random((count, n)), cfg.channel.matrix, (u,))
+    del u
     mhat = decode_map[(v * vpow).sum(axis=1)]
-    yhat = _table_draw(rng.random((count, n)), cfg.dec_cond, (code[mhat], v))
+    yhat = _table_draw(rng.random((count, n)), cfg.dec_cond,
+                       (zcode[mhat], v))
     return x, yhat
 
 
@@ -766,6 +784,14 @@ def _coupler(cfg: BlockCodeConfig, laws: CodebookLaws):
     return couple
 
 
+def _median(values) -> float:
+    """The median np.median gives: the middle value, or the mean (a + b) / 2
+    of the two middle values of an even count."""
+    mid, odd = divmod(len(values), 2)
+    ranked = sorted(values)
+    return ranked[mid] if odd else (ranked[mid - 1] + ranked[mid]) / 2
+
+
 def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     """Random-coding hybrid scheme at small blocklength.
 
@@ -778,11 +804,11 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     in codebook_draws. BudgetExceeded is raised before any codebook is drawn
     when the codeword, source, channel output or reconstruction space has
     more than 2^24 blocks of length n, or the exact laws' messages x blocks
-    of work pass their byte budget. Each chunk of sampled blocks is coupled
-    and tallied as soon as it is drawn, so no sample table outlives its
-    chunk. Up to sim.workers codebooks run at once, each on its own
-    streams, as many as their work fits the byte budget together; workers
-    left over run a codebook's chunks.
+    of work and block-long vectors pass their byte budget. Each chunk of
+    sampled blocks is coupled and tallied as soon as it is drawn, so no
+    sample table outlives its chunk. Up to sim.workers codebooks run at
+    once, each on its own streams, as many as their work fits the byte
+    budget together; workers left over run a codebook's chunks.
     """
     nz = len(cfg.code_marginal)
     nx, nv = len(cfg.source), len(cfg.channel.output_alphabet)
@@ -793,18 +819,17 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
             raise BudgetExceeded(
                 f"{space} space exceeds the enumeration budget")
     msgs = cfg.codebook_size
-    # the exact laws work through every message and block, 8 bytes each,
-    # counting blocks of the largest of the source, output and
-    # reconstruction alphabets
-    work = 8 * msgs * max(nx, nv, ny) ** cfg.n
+    # the exact laws work through every message and block and hold their
+    # block-long vectors, 8 bytes each, counting blocks of the largest of
+    # the source, output and reconstruction alphabets
+    work = 8 * (msgs + _LAW_VECTORS) * max(nx, nv, ny) ** cfg.n
     if work > _ENUM_BYTES:
         raise BudgetExceeded(
             f"exact laws need {work / 2 ** 20:.0f} MiB of messages x blocks "
-            f"work per codebook, over the {_ENUM_BYTES / 2 ** 20:.0f} MiB "
-            "budget")
-    # codebooks in flight as far as their work fits the budget together,
-    # which also bounds their block-long vectors; the workers left over run
-    # each codebook's chunks
+            f"work and block-long vectors per codebook, over the "
+            f"{_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
+    # codebooks in flight as far as their work fits the budget together;
+    # the workers left over run each codebook's chunks
     workers = min(sim.workers, os.cpu_count() or 1)
     threads = min(workers, _ENUM_BYTES // work)
     chunk_threads = max(1, workers // min(threads, cfg.codebooks))
@@ -841,9 +866,8 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
                                     y_counts / y_counts.sum())
     return SimReport(
         mean, se, marginal,
-        float(np.median([dr.tv_to_target for dr in draws])),
-        n_total,
-        msg_error_rate=float(np.median([dr.msg_error_rate for dr in draws])),
+        _median([dr.tv_to_target for dr in draws]), n_total,
+        msg_error_rate=_median([dr.msg_error_rate for dr in draws]),
         codebook_draws=tuple(draws),
         notes=("typicality test: max deviation of the empirical "
                "(codeword, output) pair law", "exact per-codebook law"))
