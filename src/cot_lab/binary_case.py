@@ -273,16 +273,12 @@ def _label(arg: float, prime: float, rho: float) -> str:
 
 
 def _modes(rho: float, thetas) -> list:
-    """classify_mode at every theta, with one batch of each solve."""
+    """Which known strategy the optimized hybrid argmin coincides with at
+    every theta, with one batch of each solve."""
     th = np.asarray(thetas, dtype=float)
     _, args = d_hybrid(rho, th)
     return [_label(a, p, rho) for a, p in
             zip(args.tolist(), delta1_prime(rho, th).tolist())]
-
-
-def classify_mode(rho: float, theta: float) -> str:
-    """Which known strategy the optimized hybrid argmin coincides with."""
-    return _modes(rho, [theta])[0]
 
 
 def _midpoints(lo: float, hi: float, depth: int) -> list:

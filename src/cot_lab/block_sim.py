@@ -9,7 +9,7 @@ against the product target law, one chunk of blocks at a time: each chunk
 is sampled, coupled and tallied before it is dropped. The per-codebook
 output law, its total variation to the target, and the message error
 probability are computed exactly by tensor contraction over every block, so
-alphabet powers past the enumeration budget are refused.
+codebooks whose laws pass a byte budget are refused.
 
 Reproducibility: every random draw comes from a counter-based generator
 keyed by (seed, stream, chunk). Chunk boundaries are fixed by the sample
@@ -20,6 +20,7 @@ bit-identical for a given (seed, samples) no matter how many workers run.
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -39,13 +40,13 @@ from .numkit import binary_entropy
 
 _CHUNK = 1 << 15
 _SOURCE_TOL = 1e-8
-_ENUM_BITS = 24.0
-# bound on the exact laws' work of the codebooks in flight together, 8 bytes
-# per block for each message and for each of _LAW_VECTORS block-long
-# vectors: the messages x blocks work streams through slabs, and the vectors
-# (block laws, decode map, fallback likelihoods, p_v, p_yhat and their
+# the exact laws' byte budget. A codebook is admitted when 8 bytes per block
+# for each message and for each of _LAW_VECTORS block-long vectors fit it:
+# the messages x blocks work streams through slabs, and the vectors (block
+# laws, decode map, fallback likelihoods, p_v, p_yhat and their
 # temporaries) are held whole; traced peaks hold up to 11.2 vectors more
-# than the message count, with one to 128 messages at n = 14 and 16
+# than the message count, with one to 128 messages at n = 14 and 16. As many
+# codebooks run at once as their vectors and two slabs each fit it
 _ENUM_BYTES = 2 ** 28
 _LAW_VECTORS = 12
 # the exact laws, the decoder and the encoder weights work on slabs of
@@ -58,8 +59,7 @@ _MAX_GAUSSIAN_SCALE = 1e100
 
 
 class BudgetExceeded(ValueError):
-    """Requested blocklength/alphabet combination exceeds the exact
-    enumeration budget."""
+    """Requested codebook's exact laws exceed their byte budget."""
 
 
 @dataclass(frozen=True)
@@ -405,6 +405,13 @@ class BlockCodeConfig:
         nu = len(self.channel.input_alphabet)
         nv = len(self.channel.output_alphabet)
         ny = len(self.target)
+        # the exact laws enumerate these blocks, and with two letters or
+        # more each space has at least 2^n of them, which the byte gate
+        # counts; the codeword space is not enumerated
+        for name, size in (("source", nx), ("channel output", nv),
+                           ("target", ny)):
+            if size < 2:
+                raise ValueError(f"{name} alphabet needs at least 2 letters")
         self.x_given_z = stochastic_array(self.x_given_z, (nz, nx),
                                           "x_given_z")
         self.u_given_xz = stochastic_array(self.u_given_xz, (nx, nz, nu),
@@ -521,14 +528,11 @@ def _slabs(rows: int, width: int):
 
 
 def _add_rows(total: Optional[np.ndarray], part: np.ndarray) -> np.ndarray:
-    """total plus the rows of a 2-D part, added one after another as a
-    running total adds them (numpy would sum a single column pairwise);
-    part is overwritten."""
+    """total plus the rows of a 2-D part at least two columns wide, added
+    one after another as a running total adds them; part is overwritten."""
     if total is not None:
         part[0] += total
-    if part.shape[1] > 1:
-        return part.sum(axis=0)
-    return np.cumsum(part[:, 0])[-1:]
+    return part.sum(axis=0)
 
 
 def _typical_slab(code: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -634,7 +638,8 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
 
     No messages x blocks table is held: the encoder posterior is built one
     slab of messages at a time, twice (once for its normalizer, once to
-    contract it), and only vectors over the blocks outlive a slab."""
+    contract it), each slab gathers its own messages' kernels, and only
+    vectors over the blocks outlive a slab."""
     n = cfg.n
     msgs = code.shape[0]
     nx = len(cfg.source)
@@ -647,17 +652,12 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     # encoder posterior over the whole source space, its factors
     # multiplied in position order as the sampled encoder's are. Its
     # normalizer adds the slabs' products up in message order, the order in
-    # which a sum over the rows of the whole table adds them; a one-letter
-    # source has one block, whose column of msgs products numpy sums
-    # pairwise
-    slabs = list(_slabs(msgs, max(nx, nv) ** n))
-    if nx == 1:
-        wtot = _leading_products(cfg.x_given_z, code, n).sum(axis=0)
-    else:
-        wtot = None
-        for s in slabs:
-            wtot = _add_rows(wtot,
-                             _leading_products(cfg.x_given_z, code[s], n))
+    # which a sum over the rows of the whole table adds them. A slab is
+    # sized by the wider of a block row and its messages' kernels
+    slabs = list(_slabs(msgs, max(max(nx, nv) ** n, n * nx * nv)))
+    wtot = None
+    for s in slabs:
+        wtot = _add_rows(wtot, _leading_products(cfg.x_given_z, code[s], n))
     px_n = _block_law(cfg.source.probs, n)
     # blocks no codeword can produce get the uniform message, matching the
     # sampling path's convention
@@ -667,17 +667,11 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
 
     # each step maps the leading source axis of every message's tensor to
     # a trailing output axis, as tensordot over axis 0 would
-    kernels = np.swapaxes(qv, 0, 1)[code]
-    if nv == 1:
-        # each kernel is then a BLAS vector, and gemv adds a strided vector
-        # in another order than a contiguous one; read every kernel at the
-        # stride its slice of qv has, as a per-message contraction would
-        strided = np.zeros(kernels.shape[:-1] + (qv.shape[1],))
-        strided[..., :1] = kernels
-        kernels = strided[..., :1]
+    qv_by_z = np.swapaxes(qv, 0, 1)
     p_v = None
     msg_error = 0.0
     for s in slabs:
+        kernels = qv_by_z[code[s]]
         part = _leading_products(cfg.x_given_z, code[s], n)
         part *= px_n
         part /= wtot
@@ -685,7 +679,7 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
         for t in range(n):
             part = np.matmul(
                 part.reshape(part.shape[0], nx, -1).transpose(0, 2, 1),
-                kernels[s, t])
+                kernels[:, t])
         part = part.reshape(part.shape[0], -1)
         for m in range(s.start, s.stop):
             # the fallback defines the decoder output, so only a wrong
@@ -694,14 +688,14 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
         p_v = _add_rows(p_v, part)
 
     mhats = np.flatnonzero(np.bincount(decode, minlength=msgs))
-    kernels = cfg.dec_cond[code[mhats]]
     p_yhat = None
-    for s in _slabs(len(mhats), max(nv, ny) ** n):
+    for s in _slabs(len(mhats), max(max(nv, ny) ** n, n * nv * ny)):
+        kernels = cfg.dec_cond[code[mhats[s]]]
         part = np.where(decode == mhats[s, None], p_v, 0.0)
         for t in range(n):
             part = np.matmul(
                 part.reshape(part.shape[0], nv, -1).transpose(0, 2, 1),
-                kernels[s, t])
+                kernels[:, t])
         p_yhat = _add_rows(p_yhat, part.reshape(part.shape[0], -1))
 
     p_target = _block_law(cfg.target.probs, n)
@@ -802,36 +796,40 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     pools the distortion samples. msg_error_rate and tv_to_target are
     medians of the exact per-codebook values; the per-codebook detail sits
     in codebook_draws. BudgetExceeded is raised before any codebook is drawn
-    when the codeword, source, channel output or reconstruction space has
-    more than 2^24 blocks of length n, or the exact laws' messages x blocks
-    of work and block-long vectors pass their byte budget. Each chunk of
-    sampled blocks is coupled and tallied as soon as it is drawn, so no
-    sample table outlives its chunk. Up to sim.workers codebooks run at
-    once, each on its own streams, as many as their work fits the byte
-    budget together; workers left over run a codebook's chunks.
+    when the exact laws' messages x blocks of work and block-long vectors
+    pass their byte budget. Each chunk of sampled blocks is coupled and
+    tallied as soon as it is drawn, so no sample table outlives its chunk.
+    Up to sim.workers codebooks run at once, each on its own streams, as
+    many as their block-long vectors and slabs fit the byte budget
+    together; workers left over run a codebook's chunks.
     """
-    nz = len(cfg.code_marginal)
     nx, nv = len(cfg.source), len(cfg.channel.output_alphabet)
     ny = len(cfg.target)
-    for space, size in (("codeword", nz), ("source", nx),
-                        ("channel output", nv), ("reconstruction", ny)):
-        if cfg.n * math.log2(size) > _ENUM_BITS + 1e-9:
-            raise BudgetExceeded(
-                f"{space} space exceeds the enumeration budget")
+    budget = f"the {_ENUM_BYTES / 2 ** 20:.0f} MiB budget"
+    # 2^(n rate) messages over k^n blocks: where either power would pass
+    # the float range the codebook is far past the budget, and is refused
+    # before the power is formed
+    bits = cfg.n * (cfg.rate + math.log2(max(nx, nv, ny)))
+    if not bits < sys.float_info.max_exp:
+        raise BudgetExceeded(
+            f"exact laws need 2^{bits:.0f} messages x blocks, over {budget}")
     msgs = cfg.codebook_size
+    blocks = max(nx, nv, ny) ** cfg.n
     # the exact laws work through every message and block and hold their
     # block-long vectors, 8 bytes each, counting blocks of the largest of
-    # the source, output and reconstruction alphabets
-    work = 8 * (msgs + _LAW_VECTORS) * max(nx, nv, ny) ** cfg.n
+    # the source, output and reconstruction alphabets; with at least 2^n
+    # blocks this bounds n and every messages x n table too
+    work = 8 * (msgs + _LAW_VECTORS) * blocks
     if work > _ENUM_BYTES:
         raise BudgetExceeded(
             f"exact laws need {work / 2 ** 20:.0f} MiB of messages x blocks "
-            f"work and block-long vectors per codebook, over the "
-            f"{_ENUM_BYTES / 2 ** 20:.0f} MiB budget")
-    # codebooks in flight as far as their work fits the budget together;
-    # the workers left over run each codebook's chunks
+            f"work and block-long vectors per codebook, over {budget}")
+    # codebooks in flight as far as what each holds (its block-long vectors
+    # and two slabs) fits the budget together; the workers left over run
+    # each codebook's chunks
     workers = min(sim.workers, os.cpu_count() or 1)
-    threads = min(workers, _ENUM_BYTES // work)
+    threads = min(workers, max(1, _ENUM_BYTES // (
+        8 * _LAW_VECTORS * blocks + 2 * _SLAB_BYTES)))
     chunk_threads = max(1, workers // min(threads, cfg.codebooks))
     z_cdf = np.cumsum(cfg.code_marginal.probs)
 

@@ -35,8 +35,9 @@ MAX_SAMPLES = 10 ** 9
 # most codebooks of one block-hybrid run: each is one exact-law enumeration,
 # about 0.08 s at n = 12, so a run's laws take under about 1.5 min there
 MAX_CODEBOOKS = 2 ** 10
-# longest block-hybrid blocklength: the 24-bit enumeration budget over the
-# 4-symbol codeword alphabet of the binary separation candidate
+# longest block-hybrid blocklength: the binary candidate's rate under 1
+# allows up to 2^n messages over 2^n blocks, and block_sim's byte gate
+# admits that codebook at n = 12 (128 MiB) but not at n = 13 (513 MiB)
 MAX_BLOCK_N = 12
 
 

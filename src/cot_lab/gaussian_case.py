@@ -195,13 +195,18 @@ def d_sep(config: GaussianConfig, gamma):
 
 # -------------------------------------------------------------- uncoded
 
+def _uncoded(lams: Sequence[float], power):
+    """2 sum(lambda) - 2 sqrt(P / (P + 1)) lambda_1: the squared cost of the
+    largest component sent analog at receive power P, the others
+    regenerated from scratch."""
+    return float_or_array(2.0 * math.fsum(lams)
+                          - 2.0 * np.sqrt(power / (power + 1.0)) * lams[0])
+
+
 def d_uncoded(config: GaussianConfig, gamma):
     """Analog passthrough of the largest component, remaining components
     regenerated from scratch at the decoder."""
-    g = _check_gamma(gamma)
-    lam1 = config.lambdas[0]
-    return float_or_array(2.0 * math.fsum(config.lambdas)
-                          - 2.0 * np.sqrt(g / (g + 1.0)) * lam1)
+    return _uncoded(config.lambdas, _check_gamma(gamma))
 
 
 # --------------------------------------------------------------- hybrid
@@ -260,9 +265,7 @@ def linear_bound(lambdas: Sequence[float], g) -> float:
     gains = np.asarray(g, dtype=float)
     if gains.shape != (len(lams),):
         raise ValueError("gain vector length must match eigenvalue count")
-    power = float(np.dot(gains * gains, np.asarray(lams)))
-    return (2.0 * math.fsum(lams)
-            - 2.0 * math.sqrt(power / (power + 1.0)) * lams[0])
+    return _uncoded(lams, float(np.dot(gains * gains, np.asarray(lams))))
 
 
 # ------------------------------------------------------------ the table

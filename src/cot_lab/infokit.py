@@ -359,12 +359,9 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None
         # budget pins the input to the cheapest symbols; solve the
         # restricted unconstrained problem on that support
         keep = cost <= min_cost + 1e-12
-        sub = DiscreteChannel(
-            tuple(a for a, k in zip(ch.input_alphabet, keep) if k),
-            ch.output_alphabet, W[keep])
-        cap, psub = blahut_arimoto(sub, None)
+        psub, cap = _ba_inner(W[keep], cost[keep], None)
         p = np.zeros(len(ch.input_alphabet))
-        p[np.flatnonzero(keep)] = psub.probs
+        p[keep] = psub
         return cap, DiscreteDistribution(ch.input_alphabet, p)
     p, mi = _ba_inner(W, cost, gamma)
     return mi, DiscreteDistribution(ch.input_alphabet, p)

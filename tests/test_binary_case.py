@@ -13,7 +13,6 @@ from cot_lab.binary_case import (
     BinaryConfig,
     GridTooCoarse,
     binary_curves,
-    classify_mode,
     d_hat,
     d_hybrid,
     d_hybrid_simple,
@@ -291,6 +290,11 @@ def test_d_hybrid_simple_limits():
 
 
 # ------------------------------------------------------------ thresholds
+
+def classify_mode(rho, theta):
+    """The strategy label of the optimized hybrid argmin at one theta."""
+    return binary_case._modes(rho, [theta])[0]
+
 
 def test_mode_classification_samples():
     assert classify_mode(0.25, 0.1) == "SEP"

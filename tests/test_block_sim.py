@@ -462,11 +462,15 @@ def test_builder_rejects_rates_without_slack():
         binary_separation_block_config(0.25, 0.2, 0.1, 0.95, n=4)
 
 
-def test_block_budget_gate():
-    cfg = candidate(12)
-    assert 12 * math.log2(4) == 24.0  # boundary blocklength is admitted
-    with pytest.raises(BudgetExceeded):
-        sim_block_hybrid(candidate(13), SimConfig(0, 16))
+def test_block_budget_gate(monkeypatch):
+    # the byte gate alone bounds the blocklength: 8192 messages over 2^13
+    # blocks count 513 MiB, past the 256 MiB budget, and are refused before
+    # any codebook is drawn
+    _forbid_codebook_draws(monkeypatch)
+    cfg = _binary_code_config(13, 1.0)
+    assert cfg.codebook_size == 2 ** 13
+    with pytest.raises(BudgetExceeded, match=" 513 MiB .* 256 MiB budget"):
+        sim_block_hybrid(cfg, SimConfig(0, 16))
 
 
 def test_exact_laws_match_brute_force_enumeration():
@@ -725,11 +729,7 @@ def test_batched_laws_equal_per_message_loop(n):
 
 
 @pytest.mark.parametrize("sizes", [
-    (3, 2, 3, 5, 3, 3), (5, 3, 2, 4, 2, 2), (2, 3, 2, 2, 5, 4),
-    # one channel output: every kernel is a column vector
-    (5, 4, 2, 1, 3, 3),
-    # one target symbol: the reconstruction law has a single entry
-    (2, 4, 2, 3, 1, 3)])
+    (3, 2, 3, 5, 3, 3), (5, 3, 2, 4, 2, 2), (2, 3, 2, 2, 5, 4)])
 def test_batched_laws_equal_loop_on_wide_alphabets(sizes):
     nx, nz, nu, nv, ny, n = sizes
     rng = np.random.default_rng(sum(sizes))
@@ -740,8 +740,8 @@ def test_batched_laws_equal_loop_on_wide_alphabets(sizes):
 
 
 @pytest.mark.parametrize("sizes", [
-    (3, 2, 3, 5, 3, 3), (5, 3, 2, 4, 2, 2), (2, 4, 2, 3, 1, 3),
-    (5, 4, 2, 1, 3, 3)])
+    (3, 2, 3, 5, 3, 3), (5, 3, 2, 4, 2, 2), (2, 4, 2, 3, 2, 3),
+    (5, 4, 2, 2, 3, 3)])
 def test_laws_and_samples_do_not_depend_on_the_slab_size(monkeypatch, sizes):
     # three rows of the widest table per slab: many slab boundaries, an
     # uneven last slab, and source and output tables of different widths
@@ -757,21 +757,37 @@ def test_laws_and_samples_do_not_depend_on_the_slab_size(monkeypatch, sizes):
     assert reports_equal(wide, sim_block_hybrid(cfg, SimConfig(8, 3000)))
 
 
-def test_one_letter_source_laws_equal_per_message_loop():
-    # one source block: the normalizer sums its column of message products
-    # pairwise, as a sum over a one-column table does, so kernel entries
-    # within rounding of 1 give the loop's laws to the bit
-    rng = np.random.default_rng(0)
-    cfg = BlockCodeConfig(
-        n=4, rate=2.0, source=DiscreteDistribution(("x",), np.array([1.0])),
-        code_marginal=DiscreteDistribution(("a", "b", "c"),
-                                           np.array([0.3, 0.3, 0.4])),
-        x_given_z=1.0 + (rng.random((3, 1)) - 0.5) * 1e-9,
-        u_given_xz=np.full((1, 3, 2), 0.5), channel=bsc(0.1),
-        dec_cond=np.full((3, 2, 2), 0.5), target=bern(0.5),
-        dist=np.zeros((1, 2)))
-    code = rng.integers(0, 3, (cfg.codebook_size, cfg.n))
-    assert_laws_equal_loop(cfg, code)
+@pytest.mark.parametrize("alphabet, sizes", [
+    ("source", (1, 3, 2, 2, 2)), ("channel output", (2, 3, 2, 1, 2)),
+    ("target", (2, 3, 2, 2, 1))], ids=["source", "output", "target"])
+def test_one_letter_alphabets_are_refused_before_any_draw(monkeypatch,
+                                                         alphabet, sizes):
+    # an enumerated space of one letter has a single block, which the byte
+    # gate would not bound; such a config is refused when it is built
+    _forbid_codebook_draws(monkeypatch)
+    rng = np.random.default_rng(len(alphabet))
+    with pytest.raises(ValueError,
+                       match=f"^{alphabet} alphabet needs at least 2 letters"):
+        _random_config(rng, *sizes, 4, 2.0)
+
+
+def test_wide_alphabets_at_n1_hold_no_messages_x_kernels_table():
+    # 256 source and output letters at n = 1 with 256 messages: each slab
+    # gathers its own messages' 256 x 256 kernels, where one gather over
+    # the codebook held a 128 MiB table. One codeword letter (allowed, as
+    # the codeword space is not enumerated) keeps the typicality test to
+    # 256 pairs
+    k = 256
+    rng = np.random.default_rng(k)
+    cfg = _random_config(rng, k, 1, 2, k, 2, 1, 8.0)
+    assert cfg.codebook_size == k
+    tracemalloc.start()
+    try:
+        sim_block_hybrid(cfg, SimConfig(0, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def _encoder_weights(cfg, code, x):
@@ -1033,12 +1049,14 @@ def test_block_report_does_not_depend_on_concurrent_codebooks(
 
 def test_block_runs_fewer_codebooks_at_once_to_fit_the_byte_budget(
         monkeypatch):
-    # with room for one table the two workers draw the codebooks one at a
-    # time: no pool starts, and the report is the one-worker report
+    # with room for what one codebook holds (12 block-long vectors and two
+    # slabs) but not two, the two workers draw the codebooks one at a time:
+    # no pool starts, and the report is the one-worker report
     cfg = candidate(8, codebooks=3)
     one = sim_block_hybrid(cfg, SimConfig(4, 200, 1))
-    monkeypatch.setattr(block_sim, "_ENUM_BYTES",
-                        8 * (cfg.codebook_size + 12) * 2 ** 8)
+    held = 8 * 12 * 2 ** 8 + 2 * block_sim._SLAB_BYTES
+    assert 8 * (cfg.codebook_size + 12) * 2 ** 8 <= held
+    monkeypatch.setattr(block_sim, "_ENUM_BYTES", held)
     monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
 
     def no_pool(max_workers):
@@ -1165,8 +1183,8 @@ def test_block_runs_what_the_encoder_weights_budget_refused(monkeypatch):
 
 
 def _wide_alphabet_config(codebooks=2):
-    # |V| = 8 pushes n=9 past the enumeration budget for the channel
-    # output space while |Z| stays within it
+    # |V| = 8 pushes n=9 past the byte budget through the channel output
+    # space alone
     nu = nv = 8
     xz = np.array([[0.9, 0.1], [0.1, 0.9]])
     u_rows = np.zeros((2, 2, nu))
@@ -1189,22 +1207,23 @@ def _wide_alphabet_config(codebooks=2):
 
 
 def test_block_refuses_spaces_past_the_enumeration_budget(monkeypatch):
-    # 8 letters at n = 9 give 2^27 blocks; each space is named and refused
-    # before the first codebook is drawn
+    # 8 letters at n = 9 give 2^27 blocks; with 7 messages the byte gate
+    # counts 8 * (7 + 12) * 2^27 bytes, and each space is refused before
+    # the first codebook is drawn
     _forbid_codebook_draws(monkeypatch)
     rng = np.random.default_rng(9)
     cases = {"channel output": _wide_alphabet_config(),
              "source": _random_config(rng, 8, 2, 2, 2, 2, 9, 0.3),
              "reconstruction": _random_config(rng, 2, 2, 2, 2, 8, 9, 0.3)}
     for space, cfg in cases.items():
-        with pytest.raises(BudgetExceeded,
-                           match=f"^{space} space exceeds the enumeration"):
+        assert cfg.codebook_size == 7, space
+        with pytest.raises(BudgetExceeded, match="need 19456 MiB"):
             sim_block_hybrid(cfg, SimConfig(0, 16))
 
 
 def _binary_code_config(n, rate):
-    """Binary codeword, source, channel and target alphabets: n bits of
-    each, so the exact path admits n up to the enumeration bit budget."""
+    """Binary codeword, source, channel and target alphabets: 2^n blocks of
+    each enumerated space."""
     bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
     copy = np.zeros((2, 2, 2))
     copy[0, :, 0] = copy[1, :, 1] = 1.0
@@ -1229,9 +1248,9 @@ def test_block_byte_budget_gate(monkeypatch):
 
 
 def test_block_byte_budget_stops_before_any_table(monkeypatch):
-    # n = 20 bits fits the bit budget, but 2^20 blocks x 1024 messages of
-    # float64 is 8 GiB; the gate must fire before the laws are built. Rate
-    # has no upper limit, so 2^40 messages at n = 16 must stop there too
+    # 2^20 blocks x 1024 messages of float64 is 8 GiB; the gate must fire
+    # before the laws are built. Rate has no upper limit, so 2^40 messages
+    # at n = 16 must stop there too
     def no_tables(*args):
         raise AssertionError("exact laws built past the byte budget")
 
@@ -1242,6 +1261,23 @@ def test_block_byte_budget_stops_before_any_table(monkeypatch):
         assert cfg.codebook_size == msgs
         with pytest.raises(BudgetExceeded, match=f" {mib} MiB"):
             sim_block_hybrid(cfg, SimConfig(0, 16))
+
+
+def test_block_byte_gate_refuses_long_binary_blocks(monkeypatch):
+    # 2^64 output blocks: the byte gate refuses them before the fallback
+    # decoder would need an axis per position past numpy's 64
+    _forbid_codebook_draws(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="MiB of messages x blocks"):
+        sim_block_hybrid(_binary_code_config(64, 0.25), SimConfig(0, 16))
+
+
+@pytest.mark.parametrize("n, rate", [(16, 100.0), (4, math.inf)])
+def test_block_refuses_codebooks_past_the_float_range(monkeypatch, n, rate):
+    # 2^(n rate) messages past the float range are refused by the budget
+    # before that power is formed, which would raise an OverflowError
+    _forbid_codebook_draws(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="256 MiB budget"):
+        sim_block_hybrid(_binary_code_config(n, rate), SimConfig(0, 16))
 
 
 def test_block_byte_budget_admits_every_cli_configuration(monkeypatch):

@@ -169,8 +169,14 @@ def test_non_finite_typ_delta_rejected_before_any_draw(capsys, workdir):
 
 
 def test_block_n_out_of_range_rejected_at_parse_time(capsys, workdir):
-    # 12 symbols of the 4-letter codeword alphabet fill the 24-bit budget
-    assert cli.MAX_BLOCK_N == block_sim._ENUM_BITS / math.log2(4)
+    # a rate under 1 allows up to 2^n messages over 2^n blocks: the byte
+    # gate admits that codebook at n = 12 (128.4 MiB) but not at n = 13
+    # (512.8 MiB)
+    def counted(n):
+        return 8 * (2 ** n + block_sim._LAW_VECTORS) * 2 ** n
+
+    top = cli.MAX_BLOCK_N
+    assert counted(top) <= block_sim._ENUM_BYTES < counted(top + 1)
     for n in ("0", "-3", "13"):
         code, _, err = run(capsys, "simulate", "block-hybrid", "--rho",
                            "0.25", "--delta", "0.2", "--theta", "0.005",
