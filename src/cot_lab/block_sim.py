@@ -32,7 +32,7 @@ from .gaussian_case import _check_gamma, _check_lambdas
 from .infokit import (
     DiscreteChannel,
     DiscreteDistribution,
-    finite_array,
+    nonnegative_array,
     stochastic_array,
     total_variation,
 )
@@ -177,26 +177,10 @@ def _cdf_draw(rng_values: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(cdf) - 1, out=idx)
 
 
-def _two_letter_draw(rng_values: np.ndarray, first: np.ndarray,
-                     total: np.ndarray) -> np.ndarray:
-    """Categorical draw between two letters from the first weight and the
-    total, as 1-byte symbol codes; zero totals fall back to the uniform
-    law. rng_values is overwritten, so callers pass fresh uniforms.
-
-    The second cumulative weight is the total, which u * total never
-    passes, so one comparison against the first maps the same uniforms to
-    the same symbols as a cumulative search."""
-    bad = total <= 0.0
-    if np.any(bad):
-        first = np.where(bad, 1.0, first)
-        total = np.where(bad, 2.0, total)
-    return (first < np.multiply(rng_values, total, out=rng_values)
-            ).view(np.uint8)
-
-
 def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Categorical draw per row from unnormalized weights on the last axis,
-    as codes of the smallest unsigned dtype that holds every letter. rows is
+    as codes of the smallest unsigned dtype that holds every letter: the
+    likelihood encoder's draw of a message from its weights. rows is
     overwritten, so callers pass a fresh gather.
 
     Rows with zero total weight fall back to the uniform law.
@@ -217,14 +201,22 @@ def _row_draw(rng_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _table_draw(rng_values: np.ndarray, table: np.ndarray,
                 index: tuple) -> np.ndarray:
     """_row_draw(rng_values, table[index]): a draw per indexed row of a
-    small per-symbol table. Two-letter rows are not gathered: the first
-    weight and the total are read from the table at the indices, and
-    rng_values is overwritten."""
-    if table.shape[-1] == 2:
-        first = table[..., 0]
-        return _two_letter_draw(rng_values, first[index],
-                                (first + table[..., 1])[index])
-    return _row_draw(rng_values, table[index])
+    small per-symbol table, for any alphabet, without gathering k-wide
+    rows. The table's own cumulative sums are read at the indices one
+    letter at a time, so the count x n symbol codes, the scaled uniforms
+    and one gathered letter are all that is held; rng_values is
+    overwritten."""
+    k = table.shape[-1]
+    cum = np.cumsum(table, axis=-1)
+    # zero-total rows read as the uniform law, as in _row_draw
+    cum[cum[..., -1] <= 0.0] = np.arange(1, k + 1, dtype=float)
+    target = np.multiply(rng_values, cum[..., -1][index], out=rng_values)
+    # cum rows are nondecreasing and end at total >= target, so the count
+    # of the first k - 1 entries below the target is _row_draw's symbol
+    codes = np.zeros(target.shape, dtype=np.min_scalar_type(k - 1))
+    for j in range(k - 1):
+        codes += cum[..., j][index] < target
+    return codes
 
 
 # ---------------------------------------------------- single-letter sims
@@ -418,11 +410,7 @@ class BlockCodeConfig:
                                            "u_given_xz")
         self.dec_cond = stochastic_array(self.dec_cond, (nz, nv, ny),
                                          "dec_cond")
-        self.dist = finite_array(self.dist, "dist")
-        if self.dist.shape != (nx, ny):
-            raise ValueError("dist shape mismatch")
-        if np.any(self.dist < 0.0):
-            raise ValueError("dist entries must be nonnegative")
+        self.dist = nonnegative_array(self.dist, (nx, ny), "dist")
         induced = self.code_marginal.probs @ self.x_given_z
         if np.max(np.abs(induced - self.source.probs)) > _SOURCE_TOL:
             raise ValueError(
@@ -884,11 +872,9 @@ def binary_separation_block_config(rho: float, delta: float, theta: float,
     on; violations raise immediately rather than producing trends that
     mean nothing.
     """
-    rho = float(rho)
+    rho = _check_rho(rho, closed=True)
     delta = float(delta)
     theta = float(theta)
-    if not 0.0 < rho <= 0.5:
-        raise ValueError("rho must lie in (0, 1/2]")
     if not 0.0 < delta <= rho:
         raise ValueError("delta must lie in (0, rho]")
     if not 0.0 < theta < 0.5:

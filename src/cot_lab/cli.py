@@ -364,7 +364,8 @@ def emit_plot_script(curve_csv: str, figure_id: str,
         raise ValueError(f"curve file {curve_csv!r} has no data rows")
 
     base = script_dir if script_dir else (os.path.dirname(curve_csv) or ".")
-    rel = os.path.relpath(curve_csv, base)
+    # gnuplot's single-quoted strings escape a quote by doubling it
+    rel = os.path.relpath(curve_csv, base).replace("'", "''")
     plot_parts = [
         f"'{rel}' using 1:{col} skip 1 with lines title '{label}'"
         for col, label in series]

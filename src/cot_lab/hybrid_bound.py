@@ -21,11 +21,11 @@ from .infokit import (
     channel_to_json,
     distribution_from_json,
     distribution_to_json,
-    finite_array,
     json_labels,
     json_numbers,
     json_object,
     mutual_information,
+    nonnegative_array,
     stochastic_array,
     total_variation,
 )
@@ -70,11 +70,7 @@ class HybridSpec:
         self.enc = stochastic_array(self.enc, (nx, nz, nu), "enc",
                                     axis=(1, 2))
         self.dec = stochastic_array(self.dec, (nz, nv, ny), "dec")
-        self.dist = finite_array(self.dist, "dist")
-        if self.dist.shape != (nx, ny):
-            raise ValueError("dist: cost matrix shape mismatch")
-        if np.any(self.dist < 0.0):
-            raise ValueError("dist: costs must be nonnegative")
+        self.dist = nonnegative_array(self.dist, (nx, ny), "dist")
         self.gamma = float(self.gamma)
         if not np.isfinite(self.gamma):
             raise ValueError("gamma must be finite")

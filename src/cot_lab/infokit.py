@@ -41,6 +41,18 @@ def finite_array(values, what) -> np.ndarray:
     return arr
 
 
+def nonnegative_array(values, shape, what) -> np.ndarray:
+    """values as a finite float array of `shape` with no negative entry,
+    such as a cost or distortion table. Raises ValueError naming `what`
+    otherwise."""
+    arr = finite_array(values, what)
+    if arr.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if np.any(arr < 0.0):
+        raise ValueError(f"{what} has negative entries")
+    return arr
+
+
 def stochastic_array(values, shape, what, axis=-1) -> np.ndarray:
     """values as a finite float array of `shape` whose sums over `axis` are
     1 within 1e-9; entries down to -1e-12 are clipped to 0. Raises
@@ -121,11 +133,8 @@ class DiscreteChannel:
         if self.cost is None:
             self.cost = np.zeros(len(self.input_alphabet))
         else:
-            self.cost = finite_array(self.cost, "channel cost")
-            if self.cost.shape != (len(self.input_alphabet),):
-                raise ValueError("channel cost vector shape mismatch")
-            if np.any(self.cost < 0.0):
-                raise ValueError("channel costs must be nonnegative")
+            self.cost = nonnegative_array(
+                self.cost, (len(self.input_alphabet),), "channel cost")
             if np.any(self.cost > _MAX_COST):
                 raise ValueError(
                     f"channel cost entries must be at most {_MAX_COST:g}")
@@ -408,11 +417,7 @@ def _transport_cost(row: DiscreteDistribution, col: DiscreteDistribution,
     """cost as a float |row| x |col| array; ValueError unless its entries
     are finite, nonnegative and at most _MAX_COST and it has at most
     _SIZE_LIMIT cells."""
-    c = finite_array(cost, "cost matrix")
-    if c.shape != (len(row), len(col)):
-        raise ValueError("cost matrix shape mismatch")
-    if np.any(c < 0.0):
-        raise ValueError("cost matrix must be nonnegative")
+    c = nonnegative_array(cost, (len(row), len(col)), "cost matrix")
     if np.any(c > _MAX_COST):
         raise ValueError(f"cost matrix entries must be at most {_MAX_COST:g}")
     if c.size > _SIZE_LIMIT:

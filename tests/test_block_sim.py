@@ -446,6 +446,16 @@ def test_block_config_validation():
             dataclasses.replace(cfg, typ_delta=bad)
 
 
+def test_block_config_refuses_no_codebooks_and_bad_distortions():
+    cfg = candidate(4)
+    with pytest.raises(ValueError, match="codebooks must be at least 1"):
+        dataclasses.replace(cfg, codebooks=0)
+    with pytest.raises(ValueError, match="dist: expected shape"):
+        dataclasses.replace(cfg, dist=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="dist has negative entries"):
+        dataclasses.replace(cfg, dist=np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
 def test_codebook_size_is_exact_ceiling():
     for n, rate, want in ((4, 0.6, 6), (8, 0.6, 28), (12, 0.6, 148),
                           (4, 0.25, 2), (8, 0.25, 4), (12, 0.25, 8),
@@ -698,14 +708,16 @@ def test_row_draw_matches_cumulative_reference(k):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 7, 148, 300])
 @pytest.mark.parametrize("shape", [(5,), (3, 4)])
 def test_table_draw_equals_row_draw_of_the_gathered_rows(k, shape):
-    # the two-letter draw reads the first weight and the total from the
-    # per-symbol table; every index, zero total and edge uniform must map
-    # to the symbol the gathered rows give
+    # the draw reads the per-symbol table's cumulative sums at the indices
+    # one letter at a time; every index, zero total, total near underflow
+    # and edge uniform must map to the symbol the gathered rows give
     rng = np.random.default_rng(10 * k + len(shape))
     table = rng.random(shape + (k,)) ** 4
+    small = rng.random(shape) < 0.4
+    table[small] = table[small] * 1e-300      # totals near underflow
     table[0] = 0.0                            # zero-total rows
     table[1, ..., 0] = 0.0                    # a zero first weight
     table[-1, ..., 1:] = 0.0                  # all weight on the first
@@ -1098,6 +1110,26 @@ def test_sampled_phase_holds_a_few_count_x_n_tables(n, count):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 8 * count * n
+
+
+def test_sampled_phase_on_wide_alphabets_gathers_no_k_wide_rows():
+    # 256-letter source, channel and target at n = 2: the per-symbol draws
+    # read one letter of the table at a time, where gathering each block's
+    # k-wide rows held about 146 MiB for one chunk. A random decode map
+    # stands in for the exact laws
+    k, count = 256, 32768
+    rng = np.random.default_rng(k + 1)
+    cfg = _random_config(rng, k, 2, k, k, k, 2, 1.0)
+    code = rng.integers(0, 2, (cfg.codebook_size, 2))
+    decode_map = rng.integers(0, cfg.codebook_size, k ** 2)
+    assert cfg.codebook_size == 4
+    tracemalloc.start()
+    try:
+        _sample_chunk(cfg, code, decode_map, block_sim._rng(7, 2, 0), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_exact_laws_working_set_does_not_grow_with_the_messages():

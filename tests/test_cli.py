@@ -1045,6 +1045,19 @@ def test_emit_plot_references_csv_relative_to_script(capsys, workdir):
     assert "'../fig1.csv'" in script
 
 
+def test_emit_plot_doubles_quotes_in_the_csv_path(capsys, workdir):
+    # a quote inside gnuplot's single-quoted string is written twice, so
+    # the string holds the whole path and not just the part before it
+    run(capsys, "gaussian-curves", "--lambdas", "1.5,0.5", "--points", "4",
+        "--out", "it's.csv")
+    code, _, _ = run(capsys, "emit-plot", "--csv", "it's.csv",
+                     "--figure", "fig5")
+    assert code == 0
+    script = open("it's.gp", encoding="utf-8").read()
+    assert "plot 'it''s.csv' using 1:2 skip 1 with lines" in script
+    assert script.count("'it''s.csv'") == script.count("using 1:")
+
+
 def test_emit_plot_rejects_header_only_csv(capsys, workdir):
     with open("empty.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(CURVE_COLUMNS) + "\n")

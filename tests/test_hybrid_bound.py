@@ -128,6 +128,19 @@ def test_spec_rejects_non_finite_entries(bad):
                        spec.gamma, spec.target_y)
 
 
+def test_spec_rejects_negative_distortions_and_a_foreign_target():
+    spec = random_spec(np.random.default_rng(11))
+    dist = spec.dist.copy()
+    dist[1, 0] = -0.5
+    with pytest.raises(ValueError, match="dist has negative entries"):
+        HybridSpec(spec.p_x, spec.z_alphabet, spec.enc, spec.ch, spec.dec,
+                   spec.y_alphabet, dist, spec.gamma, spec.target_y)
+    foreign = DiscreteDistribution(("a", "b"), spec.target_y.probs)
+    with pytest.raises(ValueError, match="target_y alphabet mismatch"):
+        HybridSpec(spec.p_x, spec.z_alphabet, spec.enc, spec.ch, spec.dec,
+                   spec.y_alphabet, spec.dist, spec.gamma, foreign)
+
+
 def test_default_target_requires_matching_alphabets():
     px = bern(0.3)
     enc = np.zeros((2, 1, 2))

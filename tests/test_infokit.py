@@ -185,6 +185,21 @@ def test_coupling_marginal_mismatch_raises():
         Coupling(p, q, table, np.zeros((2, 2)))
 
 
+def test_coupling_refuses_shapes_negative_entries_and_row_sums():
+    p, q = bern(0.3), bern(0.4)
+    table = np.outer(p.probs, q.probs)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Coupling(p, q, table, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Coupling(p, q, table[:, :1], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="negative entries"):
+        Coupling(p, q, np.array([[0.75, -0.05], [-0.15, 0.45]]),
+                 np.zeros((2, 2)))
+    # column sums match q, row sums (0.6, 0.4) do not match p
+    with pytest.raises(ValueError, match="row sums"):
+        Coupling(p, q, np.outer(q.probs, q.probs), np.zeros((2, 2)))
+
+
 def test_channel_rows_must_be_stochastic():
     with pytest.raises(ValueError):
         DiscreteChannel(("0", "1"), ("0", "1"),
@@ -620,6 +635,29 @@ def test_transport_refuses_costs_above_the_limit(rate):
         ot_min_cost(bern(0.25), bern(0.5), huge)
     with pytest.raises(ValueError, match="at most 1e\\+100"):
         rate_limited_ot(bern(0.25), bern(0.5), huge, rate)
+
+
+def test_transport_refuses_more_than_a_million_cells_before_any_solve(
+        monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    monkeypatch.setattr(transport, "transport_simplex", no_solve)
+    monkeypatch.setattr(infokit, "entropic_plan", no_solve)
+    row = DiscreteDistribution(tuple(range(1001)), np.full(1001, 1 / 1001))
+    col = DiscreteDistribution(tuple(range(1000)), np.full(1000, 1e-3))
+    cost = np.zeros((1001, 1000))
+    with pytest.raises(ValueError, match="size limit exceeded"):
+        ot_min_cost(row, col, cost)
+    for rate in (0.0, 0.5):
+        with pytest.raises(ValueError, match="size limit exceeded"):
+            rate_limited_ot(row, col, cost, rate)
+
+
+def test_channel_refuses_negative_costs():
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="channel cost has negative"):
+        DiscreteChannel(("0", "1"), ("0", "1"), bsc, np.array([0.0, -1.0]))
 
 
 def test_channel_refuses_costs_above_the_limit():
