@@ -12,7 +12,6 @@ failures (lost brackets, iteration overflow, solver divergence).
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -20,7 +19,9 @@ import sys
 import time
 
 # numpy and the numerics are imported inside each handler, so a command
-# loads only what it runs: emit-plot needs no numpy
+# loads only what it runs: emit-plot needs no numpy. hashlib loads in
+# _sha256, when the manifest is written and the numerics have freed their
+# tables
 from . import BracketError, MaxIterError, SinkhornDivergence, __version__
 from .tables import CURVE_COLUMNS, GAUSSIAN_COLUMNS
 
@@ -81,6 +82,16 @@ def _floats(count: int = None):
     return floats
 
 
+def _out_path(text: str) -> str:
+    """argparse type for an output path: its directory must exist, so a
+    command cannot do all its work and then fail to write."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no directory {folder!r} to write "
+                                         f"{os.path.basename(text)!r} in")
+    return text
+
+
 class _InputFile(str):
     """argparse type of a flag that names an input file: config_hash covers
     the file's SHA-256, not its path."""
@@ -100,9 +111,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _sha256(data: bytes) -> str:
+    # hashlib maps OpenSSL's libcrypto, about 3.4 MiB resident, so it is
+    # imported here and not under a command's numerics
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
 def _file_sha256(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _sha256(fh.read())
 
 
 def _load_json(path: str):
@@ -119,8 +137,7 @@ def _config_hash(args) -> str:
     inputs = {name: _file_sha256(value) if isinstance(value, _InputFile)
               else value
               for name, value in vars(args).items() if name not in _UNHASHED}
-    return hashlib.sha256(
-        json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
+    return _sha256(json.dumps(inputs, sort_keys=True).encode("utf-8"))
 
 
 def _write_manifest(anchor: str, argv, args, outputs, t0):
@@ -396,7 +413,8 @@ def _cmd_emit_plot(args, argv, t0):
 # --------------------------------------------------------------- parser
 
 def _add_out_json(p, out_required=False):
-    p.add_argument("--out", required=out_required, help="output file path")
+    p.add_argument("--out", type=_out_path, required=out_required,
+                   help="output file path")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
 
@@ -524,7 +542,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", type=_InputFile, required=True)
     p.add_argument("--figure", required=True,
                    help="layout id, fig1 through fig6")
-    p.add_argument("--out", help="script path (default: CSV stem + .gp)")
+    p.add_argument("--out", type=_out_path,
+                   help="script path (default: CSV stem + .gp)")
     p.set_defaults(handler=_cmd_emit_plot)
 
     return parser

@@ -8,7 +8,7 @@ transport sweep, which shares no code with the closed-form route.
 import numpy as np
 import pytest
 
-from cot_lab import binary_case
+from cot_lab import binary_case, numkit
 from cot_lab.binary_case import (
     BinaryConfig,
     GridTooCoarse,
@@ -240,6 +240,19 @@ def test_d_hybrid_batch_equals_per_theta_calls(rho):
     for theta, val, arg in zip(thetas.tolist(), vals.tolist(),
                                args.tolist()):
         assert d_hybrid(rho, theta) == (val, arg)
+
+
+def test_d_hybrid_does_not_depend_on_the_objective_batch(monkeypatch):
+    # the objective is elementwise, so how many values one call sees moves
+    # no minimum and no argmin
+    thetas = np.linspace(0.0, 0.5, 300)
+    results = []
+    for cap in (512, 2 ** 13, 2 ** 14):
+        monkeypatch.setattr(numkit, "_MAX_VALUES", cap)
+        results.append(d_hybrid(0.25, thetas))
+    for vals, args in results[1:]:
+        assert np.array_equal(vals, results[0][0])
+        assert np.array_equal(args, results[0][1])
 
 
 @pytest.mark.parametrize("rho", [0.25, 0.35])

@@ -489,6 +489,31 @@ def test_config_hash_reads_input_files_by_content(capsys, workdir):
     assert hashes[0] == hashes[1] != hashes[2]
 
 
+def test_config_hash_is_pinned(capsys, workdir):
+    # a rerun must reproduce the hash an older manifest recorded
+    assert config_hash(capsys, "binary-curves", "--rho", "0.25", "--points",
+                       "512") == ("4d138b5c151828e73b5d214f65bbb631"
+                                  "3454551a5130f079261c4185b6ef1e9c")
+
+
+@pytest.mark.parametrize("argv", [
+    ["binary-curves", "--rho", "0.25", "--points", "16384"],
+    ["simulate", "uncoded-gaussian", "--lambdas", "1.5,0.5", "--gamma", "2.0",
+     "--seed", "1", "--samples", "10000000", "--workers", "2"],
+    ["emit-plot", "--csv", "c.csv", "--figure", "fig1"],
+])
+def test_out_in_a_missing_directory_is_refused_before_any_work(
+        capsys, workdir, monkeypatch, argv):
+    called = []
+    for name in ("_cmd_binary_curves", "_cmd_simulate", "_cmd_emit_plot"):
+        monkeypatch.setattr(cli, name, lambda *a: called.append(a) or 0)
+    code, out, err = run(capsys, *argv, "--out", "missing/x.out")
+    assert code == 1 and out == ""
+    assert "argument --out" in err and "'missing'" in err
+    assert called == []
+    assert os.listdir(workdir) == []
+
+
 def test_csv_is_locale_independent(capsys, workdir):
     run(capsys, "binary-curves", "--rho", "0.25", "--points", "8",
         "--out", "c.csv")
@@ -983,6 +1008,18 @@ print(sorted(m for m in sys.modules if m in ("cot_lab.infokit",
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "['cot_lab.binary_case']"
+
+
+def test_cli_import_leaves_openssl_unloaded(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.4 MiB resident); it loads
+    # when a manifest is written, not under a command's numerics
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cot_lab.cli; print('_hashlib' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_error_classes_are_shared_with_the_solvers():
