@@ -19,9 +19,8 @@ import sys
 import time
 
 # numpy and the numerics are imported inside each handler, so a command
-# loads only what it runs: emit-plot needs no numpy. hashlib loads in
-# _sha256, when the manifest is written and the numerics have freed their
-# tables
+# loads only what it runs: emit-plot needs no numpy. Manifests are hashed
+# without hashlib (see _sha256)
 from . import BracketError, MaxIterError, SinkhornDivergence, __version__
 from .tables import CURVE_COLUMNS, GAUSSIAN_COLUMNS
 
@@ -43,7 +42,8 @@ MAX_BLOCK_N = 12
 
 
 class _UsageError(Exception):
-    """A refused command line; its text is the usage and the error."""
+    """A refused command line; its text is the error, after the usage
+    when argparse refused it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +83,11 @@ def _floats(count: int = None):
 
 
 def _out_path(text: str) -> str:
-    """argparse type for an output path: its directory must exist, so a
-    command cannot do all its work and then fail to write."""
+    """argparse type for an output path: a file in an existing directory,
+    so a command cannot do all its work and then fail to write."""
+    if os.path.isdir(text) or text.endswith(("/", os.sep)):
+        raise argparse.ArgumentTypeError(f"{text!r} names a directory, "
+                                         "not a file")
     folder = os.path.dirname(text) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"no directory {folder!r} to write "
@@ -93,8 +96,23 @@ def _out_path(text: str) -> str:
 
 
 class _InputFile(str):
-    """argparse type of a flag that names an input file: config_hash covers
-    the file's SHA-256, not its path."""
+    """argparse type of a flag that names an input file. _read_inputs reads
+    the file once, right after parsing: handlers parse its `data`, and
+    config_hash covers their SHA-256, not the path."""
+
+
+def _read_inputs(args):
+    """Read every input file of a parsed command line, so a missing one is
+    refused before any work and a file changed later cannot reach the
+    results or the manifest."""
+    for name, value in vars(args).items():
+        if isinstance(value, _InputFile):
+            try:
+                with open(value, "rb") as fh:
+                    value.data = fh.read()
+            except OSError as exc:
+                raise _UsageError(f"error: argument --{name}: cannot read "
+                                  f"{value!r}: {exc.strerror}\n") from None
 
 
 # flags that say where and how results go, not what is computed
@@ -112,29 +130,30 @@ def _dump_json(obj) -> str:
 
 
 def _sha256(data: bytes) -> str:
-    # hashlib maps OpenSSL's libcrypto, about 3.4 MiB resident, so it is
-    # imported here and not under a command's numerics
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
-
-
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256(fh.read())
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    # CPython's own SHA-256, taken as random.py takes its sha512: hashlib
+    # maps OpenSSL's libcrypto, about 3.3 MiB resident, and process RSS
+    # keeps it on top of a command's peak even after the numerics are done
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
         try:
-            return json.load(fh)
-        except RecursionError:  # nested past the parser's stack
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _load_json(source: _InputFile):
+    try:
+        return json.loads(source.data.decode("utf-8"))
+    except RecursionError:  # nested past the parser's stack
+        raise ValueError(f"{source}: JSON nested too deeply") from None
 
 
 def _config_hash(args) -> str:
     """SHA-256 over every parsed input (command and scheme names included),
     input files by content; order-free, and blind to _UNHASHED."""
-    inputs = {name: _file_sha256(value) if isinstance(value, _InputFile)
+    inputs = {name: _sha256(value.data) if isinstance(value, _InputFile)
               else value
               for name, value in vars(args).items() if name not in _UNHASHED}
     return _sha256(json.dumps(inputs, sort_keys=True).encode("utf-8"))
@@ -363,13 +382,21 @@ def emit_plot_script(curve_csv: str, figure_id: str,
     least one data row must be present. The script references the CSV
     relative to script_dir (default: the CSV's own directory).
     """
+    with open(curve_csv, "rb") as fh:
+        return _plot_script(fh.read(), curve_csv, figure_id, script_dir)
+
+
+def _plot_script(data: bytes, curve_csv: str, figure_id: str,
+                 script_dir: str) -> str:
+    """emit_plot_script on the bytes of curve_csv."""
     if figure_id not in _FIGS:
         raise ValueError(
             f"unknown figure id {figure_id!r}; expected one of "
             f"{', '.join(sorted(_FIGS))}")
     family, xscale, series, xlabel, ylabel = _FIGS[figure_id]
-    with open(curve_csv, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+    # universal newlines, as a file opened in text mode reads them
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     expected = ",".join(_SCHEMAS[family])
     if not lines:
         raise ValueError(f"curve file {curve_csv!r} is empty")
@@ -403,8 +430,8 @@ def emit_plot_script(curve_csv: str, figure_id: str,
 
 def _cmd_emit_plot(args, argv, t0):
     out = args.out or (os.path.splitext(args.csv)[0] + ".gp")
-    text = emit_plot_script(args.csv, args.figure,
-                            script_dir=os.path.dirname(out) or ".")
+    text = _plot_script(args.csv.data, args.csv, args.figure,
+                        script_dir=os.path.dirname(out) or ".")
     _write_text(out, text)
     _write_manifest(out, argv, args, [out], t0)
     return 0
@@ -554,6 +581,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _read_inputs(args)
     except _UsageError as exc:
         sys.stderr.write(str(exc))
         return 1

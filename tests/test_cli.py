@@ -3,6 +3,7 @@ contents, rerun determinism, JSON side files, and the plot-script layouts."""
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -489,6 +490,55 @@ def test_config_hash_reads_input_files_by_content(capsys, workdir):
     assert hashes[0] == hashes[1] != hashes[2]
 
 
+@pytest.mark.parametrize("change", ["rewrite", "delete"])
+def test_input_file_is_read_once_at_parse_time(capsys, workdir, monkeypatch,
+                                                change):
+    # a file changed while the command runs reaches neither the result nor
+    # the manifest: both come from the bytes read when parsing
+    write_bsc("ch.json", 0.1)
+    argv = ["capacity", "--channel", "ch.json", "--json"]
+    code, before, _ = run(capsys, *argv, "--out", "a.json")
+    assert code == 0
+    real = infokit.blahut_arimoto
+
+    def change_then_solve(ch, gamma=None):
+        if change == "rewrite":
+            write_bsc("ch.json", 0.4)
+        else:
+            os.remove("ch.json")
+        return real(ch, gamma)
+
+    monkeypatch.setattr(infokit, "blahut_arimoto", change_then_solve)
+    code, after, err = run(capsys, *argv, "--out", "b.json")
+    assert code == 0, err
+    assert after == before
+    hashes = [json.load(open(name, encoding="utf-8"))["config_hash"]
+              for name in ("a.json.manifest.json", "b.json.manifest.json")]
+    assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["capacity", "--channel", "absent.json"], "--channel"),
+    (["ot", "--source", "p.json", "--target", "absent.json", "--cost",
+      "p.json"], "--target"),
+    (["rl-ot", "--source", "p.json", "--target", "p.json", "--cost",
+      "absent.json", "--rate", "0.1"], "--cost"),
+    (["hybrid-eval", "--spec", "absent.json"], "--spec"),
+    (["emit-plot", "--csv", "absent.json", "--figure", "fig1"], "--csv"),
+])
+def test_missing_input_is_refused_before_any_work(capsys, workdir,
+                                                  monkeypatch, argv, flag):
+    called = []
+    for name in ("_cmd_capacity", "_cmd_ot", "_cmd_rl_ot",
+                 "_cmd_hybrid_eval", "_cmd_emit_plot"):
+        monkeypatch.setattr(cli, name, lambda *a: called.append(a) or 0)
+    write_marginal("p.json", [0.5, 0.5])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"argument {flag}" in err and "'absent.json'" in err
+    assert called == []
+
+
 def test_config_hash_is_pinned(capsys, workdir):
     # a rerun must reproduce the hash an older manifest recorded
     assert config_hash(capsys, "binary-curves", "--rho", "0.25", "--points",
@@ -512,6 +562,26 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(
     assert "argument --out" in err and "'missing'" in err
     assert called == []
     assert os.listdir(workdir) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["binary-curves", "--rho", "0.25", "--points", "4096"],
+    ["simulate", "uncoded-gaussian", "--lambdas", "1.5,0.5", "--gamma", "2.0",
+     "--seed", "1", "--samples", "10000000", "--workers", "2"],
+    ["emit-plot", "--csv", "c.csv", "--figure", "fig1"],
+])
+@pytest.mark.parametrize("out", ["d", "d/", "new.csv/", "."])
+def test_out_naming_a_directory_is_refused_before_any_work(
+        capsys, workdir, monkeypatch, argv, out):
+    called = []
+    for name in ("_cmd_binary_curves", "_cmd_simulate", "_cmd_emit_plot"):
+        monkeypatch.setattr(cli, name, lambda *a: called.append(a) or 0)
+    os.mkdir("d")
+    code, out_text, err = run(capsys, *argv, "--out", out)
+    assert code == 1 and out_text == ""
+    assert "argument --out" in err and "names a directory" in err
+    assert called == []
+    assert os.listdir(workdir) == ["d"]
 
 
 def test_csv_is_locale_independent(capsys, workdir):
@@ -1011,15 +1081,32 @@ print(sorted(m for m in sys.modules if m in ("cot_lab.infokit",
 
 
 def test_cli_import_leaves_openssl_unloaded(tmp_path):
-    # hashlib maps OpenSSL's libcrypto (about 3.4 MiB resident); it loads
-    # when a manifest is written, not under a command's numerics
+    # hashlib maps OpenSSL's libcrypto (about 3.3 MiB resident), which
+    # would stay in a command's peak RSS; manifests hash without it
+    script = """
+import sys
+from cot_lab import cli
+assert cli.main(["binary-thresholds", "--rho", "0.35", "--points", "256",
+                 "--out", "t.json"]) == 0
+print(sorted(m for m in ("_hashlib", "hashlib", "_blake2")
+             if m in sys.modules))
+"""
     src = os.path.dirname(os.path.dirname(cot_lab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cot_lab.cli; print('_hashlib' in sys.modules)"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert os.path.exists(tmp_path / "t.json.manifest.json")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_sha256_equals_hashlib_on_every_branch(monkeypatch, blocked):
+    # a None entry in sys.modules makes that import raise ImportError, so
+    # _sha256 falls through to the next module
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    for data in (b"", b"abc", bytes(range(256)) * 4096):
+        assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_error_classes_are_shared_with_the_solvers():
@@ -1093,6 +1180,21 @@ def test_emit_plot_doubles_quotes_in_the_csv_path(capsys, workdir):
     script = open("it's.gp", encoding="utf-8").read()
     assert "plot 'it''s.csv' using 1:2 skip 1 with lines" in script
     assert script.count("'it''s.csv'") == script.count("using 1:")
+
+
+def test_emit_plot_reads_crlf_lines_as_text_mode_does(capsys, workdir):
+    make_curve_csv(capsys)
+    with open("fig1.csv", "rb") as fh:
+        data = fh.read()
+    with open("crlf.csv", "wb") as fh:
+        fh.write(data.replace(b"\n", b"\r\n"))
+    for name in ("fig1", "crlf"):
+        assert run(capsys, "emit-plot", "--csv", name + ".csv", "--figure",
+                   "fig1", "--out", name + ".gp")[0] == 0
+    script = open("crlf.gp", encoding="utf-8").read()
+    assert script == open("fig1.gp", encoding="utf-8").read().replace(
+        "'fig1.csv'", "'crlf.csv'")
+    assert script == emit_plot_script("crlf.csv", "fig1")
 
 
 def test_emit_plot_rejects_header_only_csv(capsys, workdir):
