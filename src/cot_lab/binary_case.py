@@ -27,7 +27,7 @@ from .numkit import (
     float_or_array,
     minimize_1d,
 )
-from .tables import CURVE_COLUMNS, CurveTable, table_from_rows
+from .tables import CURVE_COLUMNS, CurveTable
 
 # classifier tolerances: the argmin plateaus at 0 and rho are exact up to
 # optimizer noise, while the simplified-curve match compares two root-find
@@ -339,5 +339,4 @@ def binary_curves(config: BinaryConfig) -> CurveTable:
     d1p = delta1_prime(rho, th)
     cols = (th, d_lower(rho, th), d_sep(rho, th), d_uncoded(rho, th)[0],
             dhs, _simple_distortion(th, d1p), args, d1p)
-    return table_from_rows(CURVE_COLUMNS,
-                           list(zip(*(c.tolist() for c in cols))))
+    return CurveTable(CURVE_COLUMNS, zip(*(c.tolist() for c in cols)))

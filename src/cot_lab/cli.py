@@ -84,8 +84,9 @@ def _floats(count: int = None):
 
 def _out_path(text: str) -> str:
     """argparse type for an output path: a file in an existing directory,
-    so a command cannot do all its work and then fail to write."""
-    if os.path.isdir(text) or text.endswith(("/", os.sep)):
+    so a command cannot do all its work and then fail to write. The empty
+    path names the working directory, as pathlib reads it."""
+    if os.path.isdir(text or ".") or text.endswith(("/", os.sep)):
         raise argparse.ArgumentTypeError(f"{text!r} names a directory, "
                                          "not a file")
     folder = os.path.dirname(text) or "."

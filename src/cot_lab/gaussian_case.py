@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .numkit import BracketError, find_root, float_or_array, minimize_1d
-from .tables import GAUSSIAN_COLUMNS, CurveTable, table_from_rows
+from .tables import GAUSSIAN_COLUMNS, CurveTable
 
 # slack for the curve ordering; the curves come out of independent
 # solvers, so exact float equality at coinciding points cannot be expected
@@ -287,8 +287,7 @@ def gaussian_curves(config: GaussianConfig) -> CurveTable:
         if bad.any():
             raise ValueError(f"gamma {float(gs[bad][0])!r} violates {rule}")
     cols = (gs, lower, sep, unc, dhs, alphas)
-    return table_from_rows(GAUSSIAN_COLUMNS,
-                           list(zip(*(c.tolist() for c in cols))))
+    return CurveTable(GAUSSIAN_COLUMNS, zip(*(c.tolist() for c in cols)))
 
 
 # ------------------------------------------------- scalar mismatched case

@@ -8,7 +8,7 @@ inputs reproduces the output stream byte for byte.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 CURVE_COLUMNS = ("theta", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
                  "d_hybrid_simple", "delta1_opt", "delta1_prime")
@@ -38,7 +38,3 @@ class CurveTable:
         return {"columns": list(self.columns),
                 "rows": [list(r) for r in self.rows]}
 
-
-def table_from_rows(columns: Sequence[str], rows: List[Sequence[float]]
-                    ) -> CurveTable:
-    return CurveTable(tuple(columns), tuple(tuple(r) for r in rows))

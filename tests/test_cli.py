@@ -570,7 +570,7 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(
      "--seed", "1", "--samples", "10000000", "--workers", "2"],
     ["emit-plot", "--csv", "c.csv", "--figure", "fig1"],
 ])
-@pytest.mark.parametrize("out", ["d", "d/", "new.csv/", "."])
+@pytest.mark.parametrize("out", ["d", "d/", "new.csv/", ".", ""])
 def test_out_naming_a_directory_is_refused_before_any_work(
         capsys, workdir, monkeypatch, argv, out):
     called = []

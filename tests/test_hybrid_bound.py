@@ -2,11 +2,12 @@
 
 The load-bearing oracle is a plain five-way Python loop that re-derives the
 joint law and every reported quantity without numpy contractions, so the
-einsum route and the loop route fail independently.
+evaluator's contractions and the loop route fail independently.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from cot_lab.hybrid_bound import (
     evaluate,
     hybrid_spec_from_json,
     hybrid_spec_to_json,
-    induced_joint,
     report_to_json,
 )
 from cot_lab.infokit import DiscreteChannel, DiscreteDistribution
@@ -152,10 +152,11 @@ def test_default_target_requires_matching_alphabets():
                    np.zeros((2, 3)), 1.0)
 
 
-# ---------------------------------------------------------- induced joint
+# -------------------------------------------------------------- evaluate
 
-def test_identity_chain_is_point_mass_per_symbol():
-    # every factor a deterministic identity: mass p_x(x) on (x,x,x,x,x)
+def test_identity_chain_reports_a_lossless_pass_through():
+    # every factor a deterministic identity: Z = U = V = Y = X, so each
+    # information is H(X), nothing is lost and the source law comes out
     px = bern(0.3)
     enc = np.zeros((2, 2, 2))
     enc[[0, 1], [0, 1], [0, 1]] = 1.0
@@ -163,42 +164,38 @@ def test_identity_chain_is_point_mass_per_symbol():
     dec[[0, 1], :, [0, 1]] = 1.0  # y = z regardless of v
     spec = HybridSpec(px, ("0", "1"), enc, bsc(0.0), dec, ("0", "1"),
                       HAMMING, 1.0)
-    joint = induced_joint(spec)
-    want = np.zeros_like(joint)
-    want[0, 0, 0, 0, 0] = 0.7
-    want[1, 1, 1, 1, 1] = 0.3
-    np.testing.assert_allclose(joint, want, atol=1e-15)
+    rep = evaluate(spec)
+    h = binary_entropy(0.3)
+    assert rep.e_dist == 0.0 and rep.e_cost == 0.0
+    for info in (rep.i_xz, rep.i_yz, rep.i_zv):
+        assert info == pytest.approx(h, abs=1e-15)
+    np.testing.assert_allclose(rep.induced_y.probs, px.probs, atol=1e-15)
+    assert rep.feasible
 
 
 def test_constant_z_passthrough_gives_crossover_distortion():
     # Z constant, U = X, channel BSC(theta), Y = V: P{X != Y} = theta
     theta = 0.15
     spec = make_uncoded(bern(0.25), bsc(theta), np.eye(2), HAMMING, 1.0)
-    joint = induced_joint(spec)
-    p_xy = joint.sum(axis=(1, 2, 3))
-    assert float(p_xy[0, 1] + p_xy[1, 0]) == pytest.approx(theta, abs=1e-12)
     assert evaluate(spec).e_dist == pytest.approx(theta, abs=1e-12)
 
 
-def test_joint_marginalizes_back_to_source():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        spec = random_spec(rng, nx=3, nz=2, nu=2, nv=3, ny=2)
-        joint = induced_joint(spec)
-        assert joint.sum() == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(joint.sum(axis=(1, 2, 3, 4)),
-                                   spec.p_x.probs, atol=1e-9)
+def test_evaluate_holds_no_five_way_joint():
+    # |X| = |U| = |V| = |Y| = 12 and the largest |Z| the cardinality bound
+    # admits, 38: the X x Z x U x V x Y joint alone would be 6.0 MiB, the
+    # largest table evaluate forms, p(x, z, u), 43 KiB
+    k, nz = 12, 38
+    spec = random_spec(np.random.default_rng(29), nx=k, nz=nz, nu=k, nv=k,
+                       ny=k)
+    tracemalloc.start()
+    try:
+        rep = evaluate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert rep.e_dist > 0.0
 
-
-def test_joint_matches_loop_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(4):
-        spec = random_spec(rng, nx=2, nz=3, nu=2, nv=2, ny=3)
-        np.testing.assert_allclose(induced_joint(spec), loop_joint(spec),
-                                   atol=1e-14)
-
-
-# -------------------------------------------------------------- evaluate
 
 def test_report_matches_loop_oracle_everywhere():
     rng = np.random.default_rng(17)
@@ -313,7 +310,7 @@ def test_data_processing_on_random_specs():
     for _ in range(6):
         spec = random_spec(rng, nv=3)
         rep = evaluate(spec)
-        joint = induced_joint(spec)
+        joint = loop_joint(spec)
         i_uv = loop_mi(joint.sum(axis=(0, 1, 4)))
         assert rep.i_zv <= i_uv + 1e-9
         assert i_uv <= math.log2(3) + 1e-12

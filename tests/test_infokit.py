@@ -1030,6 +1030,48 @@ def test_rate_limited_halves_a_step_whose_solve_fails(monkeypatch):
     assert pt.distortion == pytest.approx(d_hat(0.25, 1e-9), abs=1e-9)
 
 
+def near_tie_problem(trial):
+    """Problem `trial` of a seeded sweep of near-tied transport problems:
+    2-5 atoms a side, Dirichlet(1) marginals, integer costs 0-2 plus
+    U(0, eps) with eps cycling through 1e-9, 1e-6 and 1e-3, and the rate a
+    fraction of I(LP) cycling through 0.5 to 1 - 1e-11."""
+    rng = np.random.default_rng(3)
+    for t in range(trial + 1):
+        n, m = (int(k) for k in rng.integers(2, 6, 2))
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        cost = rng.integers(0, 3, (n, m)) + rng.uniform(
+            0.0, (1e-9, 1e-6, 1e-3)[t % 3], (n, m))
+    row = DiscreteDistribution([str(i) for i in range(n)], p)
+    col = DiscreteDistribution([str(j) for j in range(m)], q)
+    frac = (0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-11)[trial % 7]
+    return row, col, cost, frac * mutual_information(
+        ot_min_cost(row, col, cost)[1].table)
+
+
+def test_rate_limited_halved_step_solves_a_near_tied_problem(monkeypatch):
+    # a 3 x 3 problem whose Newton step lands two solves that fail from
+    # their warm starts; halving the step reaches the root at 1.8e-5 times
+    # the cost range. There c/lam is about 1e5, so the float plan's
+    # exponents carry some 1e5 eps of rounding against the 40-digit oracle
+    row, col, cost, rate = near_tie_problem(17)
+    assert (len(row), len(col), rate) == (3, 3, 0.7889176111582094)
+    solve, failed = infokit.entropic_plan, []
+
+    def spy(row, col, cost, lam, warm=None):
+        try:
+            return solve(row, col, cost, lam, warm)
+        except SinkhornDivergence:
+            failed.append(lam)
+            raise
+
+    monkeypatch.setattr(infokit, "entropic_plan", spy)
+    pt = rate_limited_ot(row, col, cost, rate)
+    assert failed
+    assert pt.multiplier == pytest.approx(1.7636526743726225e-05, rel=1e-6)
+    want = mp_frontier_value(row, col, cost, pt.multiplier, rate)
+    assert abs(pt.distortion - want) <= 1e-11 * want, (pt, want)
+
+
 def test_rate_limited_rejects_negative_rate():
     with pytest.raises(ValueError):
         rate_limited_ot(bern(0.5), bern(0.5), 1.0 - np.eye(2), -0.2)
