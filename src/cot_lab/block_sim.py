@@ -53,9 +53,11 @@ _LAW_VECTORS = 12
 # messages of about this many float64 bytes; no messages x blocks table is
 # ever held whole
 _SLAB_BYTES = 2 ** 19
-# largest eigenvalue or budget of the Gaussian simulator: its fourth-moment
-# sums square lambda and u^2 scales with gamma, so larger ones overflow to inf
+# bounds of the Gaussian simulator: its fourth-moment sums square lambda
+# and u^2 scales with gamma, so a larger eigenvalue or budget overflows to
+# inf, and a largest eigenvalue below the floor underflows to 0
 _MAX_GAUSSIAN_SCALE = 1e100
+_MIN_GAUSSIAN_SCALE = 1e-150
 
 
 class BudgetExceeded(ValueError):
@@ -202,14 +204,12 @@ def _table_draw(rng_values: np.ndarray, table: np.ndarray,
                 index: tuple) -> np.ndarray:
     """_row_draw(rng_values, table[index]): a draw per indexed row of a
     small per-symbol table, for any alphabet, without gathering k-wide
-    rows. The table's own cumulative sums are read at the indices one
-    letter at a time, so the count x n symbol codes, the scaled uniforms
-    and one gathered letter are all that is held; rng_values is
-    overwritten."""
+    rows, each of positive total. The table's own cumulative sums are read
+    at the indices one letter at a time, so the count x n symbol codes, the
+    scaled uniforms and one gathered letter are all that is held;
+    rng_values is overwritten."""
     k = table.shape[-1]
     cum = np.cumsum(table, axis=-1)
-    # zero-total rows read as the uniform law, as in _row_draw
-    cum[cum[..., -1] <= 0.0] = np.arange(1, k + 1, dtype=float)
     target = np.multiply(rng_values, cum[..., -1][index], out=rng_values)
     # cum rows are nondecreasing and end at total >= target, so the count
     # of the first k - 1 entries below the target is _row_draw's symbol
@@ -275,6 +275,9 @@ def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
     for name, value in (("eigenvalues", lams[0]), ("gamma", gamma)):
         if value > _MAX_GAUSSIAN_SCALE:
             raise ValueError(f"{name} must be at most {_MAX_GAUSSIAN_SCALE:g}")
+    if lams[0] < _MIN_GAUSSIAN_SCALE:
+        raise ValueError(f"largest eigenvalue must be at least "
+                         f"{_MIN_GAUSSIAN_SCALE:g}")
     dim = len(lams)
     scale = np.sqrt(lams)
     gain = math.sqrt(gamma / lams[0])

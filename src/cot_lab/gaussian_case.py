@@ -133,7 +133,7 @@ def kappa_gammas(lambdas: Sequence[float], rate):
             break
         hi = np.where(short, hi * 4.0, hi)
     else:
-        raise BracketError(f"rate {r[short][0]!r} not reachable at "
+        raise BracketError(f"rate {float(r[short][0])!r} not reachable at "
                            f"kappa {hi[short][0]:.3e}")
     lo = np.full(r.shape, 1e-9)
     for _ in range(200):

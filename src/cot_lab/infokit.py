@@ -381,10 +381,11 @@ def blahut_arimoto(ch: DiscreteChannel, gamma: Optional[float] = None
 _SIZE_LIMIT = 10 ** 6
 # largest cost entry the transport solvers and channels take. A simplex
 # potential is an alternating sum of at most |A| + |B| <= 1e6 + 1 entries,
-# rate_limited_ot's lambda is 1e-8 to 1e8 times the cost range (at least an
-# ulp of the largest entry, so c / lambda < 1e25) and <plan, cost> is at
-# most the largest entry, so below 1e100 none of them comes near overflow
-# (1.8e308); a channel's spend E[c] stays finite the same way
+# <plan, cost> is at most the largest entry, and rate_limited_ot's reduced
+# costs (below 3e6 times the largest entry) over the cost range (at least
+# an ulp of it) at lambda >= 1e-10 ranges keep exponents below 1e33, so
+# below 1e100 none comes near overflow (1.8e308); a channel's spend E[c]
+# stays finite the same way
 _MAX_COST = 1e100
 # the entropic solve's stop: once both marginals are met to _MARGINAL_ERR, a
 # full Newton step that no longer halves the error marks the rounding floor.
@@ -405,10 +406,9 @@ _DAMPING = 0.01
 # smallest positive rate rate_limited_ot resolves: below it the root solve
 # works on the rounding noise of I(lam) near the product plan
 _MIN_RATE = 1e-12
-# rate_limited_ot's Newton solve on log lam: steps of two decades at most,
-# lam/(cost range) in _LAM_RANGE (which holds every root from _MIN_RATE up)
-_RL_STEP_CAP = 2.0 * math.log(10.0)
-_LAM_RANGE = (1e-8, 1e8)
+# rate_limited_ot's Newton solve on log lam keeps lam/(cost range) in
+# _LAM_RANGE, which holds every root from _MIN_RATE up
+_LAM_RANGE = (1e-10, 1e8)
 _RL_MAX_STEPS = 100
 
 
@@ -437,7 +437,7 @@ def ot_min_cost(row: DiscreteDistribution, col: DiscreteDistribution,
     """
     from .transport import transport_simplex
     c = _transport_cost(row, col, cost)
-    plan = Coupling(row, col, transport_simplex(row.probs, col.probs, c), c)
+    plan = Coupling(row, col, transport_simplex(row.probs, col.probs, c)[0], c)
     return plan.expected_cost(), plan
 
 
@@ -483,8 +483,7 @@ def _newton_direction(plan, diag, b, eta, mu):
 
 
 def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
-                  cost: np.ndarray, lam: float,
-                  warm: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+                  cost: np.ndarray, lam: float):
     """Solution of min <cost, pi> + lam * KL(pi || row x col).
 
     The plan is pi_ij = p_i q_j exp(f_i + g_j - c_ij / lam) on the rows and
@@ -493,23 +492,21 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
     conjugate gradients (_newton_direction), maximize the dual
     <p, f> + <q, g> - sum(pi). A step is halved until the dual rises
     (Armijo) or the worst marginal error halves; a non-finite trial point
-    does neither. The solve starts with one Sinkhorn sweep (Cuturi 2013) of
-    shifted log-sum-exp half-steps (_logsumexp), and takes another in place
-    of a Newton step when no halving is accepted or a row or column sum of
-    the plan has underflowed. Converged once both marginals are met to
-    within 1e-9 and a full Newton step no longer halves the error (the
-    rounding floor); SinkhornDivergence after 500 Newton steps and sweeps
-    together. Working memory is a few copies of the cost matrix. Returns
-    (plan, f, g) with the dual potentials for warm starts; f and g keep
-    their given values on atoms of zero mass. Far below the cost range a
-    cold solve can run out of steps: on a 3 x 20 problem with costs in
-    [0, 2], lam = 1e-5 converges and lam = 6e-6 or 1e-6 does not. Warm
-    starts from a nearby larger lam, as rate_limited_ot's solves are, reach
-    further, though not without limit.
+    does neither. The solve starts from f = g = 0 with one Sinkhorn sweep
+    (Cuturi 2013) of shifted log-sum-exp half-steps (_logsumexp), and takes
+    another in place of a Newton step when no halving is accepted or a row
+    or column sum of the plan has underflowed. Converged once both
+    marginals are met to within 1e-9 and a full Newton step no longer
+    halves the error (the rounding floor); SinkhornDivergence after 500
+    Newton steps and sweeps together. Working memory is a few copies of the
+    cost matrix. Returns (plan, f, g), with f and g 0 on atoms of zero mass.
+    Far below the cost range the solve can run out of steps when the costs
+    hold near-ties: on a 3 x 20 problem with costs in [0, 2], lam = 1e-5
+    converges and lam = 6e-6 or 1e-6 does not. On the LP's reduced costs,
+    which rate_limited_ot passes, the optimal cells cost 0 and the rest at
+    least 0, so the exponents stay small far below the cost range.
     """
     c = np.asarray(cost, dtype=float)
-    f = np.zeros(len(row)) if warm is None else warm[0].copy()
-    g = np.zeros(len(col)) if warm is None else warm[1].copy()
     i, j = np.flatnonzero(row.probs > 0.0), np.flatnonzero(col.probs > 0.0)
     p, q = row.probs[i], col.probs[j]
     logp, logq = np.log(p), np.log(q)
@@ -527,9 +524,9 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
         b = np.concatenate([p - rows, q - cols])
         return plan, rows, cols, b, float(np.abs(b).max()), float(rows.sum())
 
-    fs, gs = f[i], g[j]
-    # the first sweep brings the plan's mass to 1 from any start, which
-    # Newton steps in the potentials would take many steps to do
+    gs = np.zeros(len(q))
+    # the first sweep brings the plan's mass to 1, which Newton steps in the
+    # potentials would take many steps to do
     sweep = True
     # a trial step may overflow exp, and a plan sum that underflowed to 0
     # takes 1 / 0 in CG and log 0 in a sweep; no such point is accepted
@@ -556,6 +553,7 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
                 trial = None  # freed before the full plan is built
                 full = np.zeros_like(c)
                 full[i[:, None], j] = plan
+                f, g = np.zeros(len(row)), np.zeros(len(col))
                 f[i], g[j] = fs, gs
                 return full, f, g
             for k in range(_HALVINGS if trial else 0):
@@ -579,20 +577,21 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
 
     The Lagrangian at multiplier lam is exactly entropic OT against the
     product of the prescribed marginals, so every entropic_plan solve lands
-    one point (I, D) on the frontier, and I falls as lam grows. Safeguarded
-    Newton steps on log I - log rate over u = log lam solve I = rate from
-    lam = the cost range: each warm-started solve also gives dI/du, a step
-    goes at most two decades, and one that leaves the bracket found so far
-    bisects it. They stop at a step or bracket within 1e-12 + 1e-10 |u|.
-    The distortion is D at the root moved onto the rate along the
-    frontier's slope dD/dI = -lam ln 2, clamped at the exact optimum d*, and
-    multiplier is lam at the root. When the LP plan meets the rate or a
-    solve reaches d*, the answer is d* with multiplier 0. A root outside
-    1e-8 to 1e8 times the cost range raises SinkhornDivergence, as does a
-    solve that fails once its step is cut to a decade; 100 solves without
-    a root raise MaxIterError. Rate 0 is
-    answered in closed form; a positive rate below 1e-12 raises ValueError,
-    since I(lam) there is solved on rounding noise.
+    one point (I, D) on the frontier, and I falls as lam grows. The solves
+    start cold on the LP's reduced cost max(c - u - v, 0) over the cost
+    range r, (u, v) the simplex's potentials, at lam / r: f and g absorb u
+    and v, so the plans are those of c, and D is taken on c. Safeguarded
+    Newton steps on log I - log rate over x = log(lam / r) solve I = rate
+    from lam = r: each solve also gives dI/dx, and a step that leaves the
+    bracket found so far bisects it. They stop at a step or bracket within
+    1e-12 + 1e-10 |x|. The distortion is D at the root moved onto the rate
+    along the frontier's slope dD/dI = -lam ln 2, clamped at the exact
+    optimum d*, and multiplier is lam at the root. When the LP plan meets
+    the rate or a solve reaches d*, the answer is d* with multiplier 0. A
+    root outside 1e-10 r to 1e8 r, or a failed solve (its lambda in units
+    of r), raises SinkhornDivergence; 100 solves without a root raise
+    MaxIterError. Rate 0 is answered in closed form; a positive rate below
+    1e-12 raises ValueError, since I(lam) there is solved on rounding noise.
     """
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
@@ -606,7 +605,9 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     if rate == 0.0:
         return RDPoint(0.0, e_indep, float("inf"))
 
-    d_star, lp = ot_min_cost(row, col, c)
+    from .transport import transport_simplex
+    lp, u_lp, v_lp = transport_simplex(row.probs, col.probs, c)
+    d_star = float(np.sum(lp * c))
     scale = float(np.max(c) - np.min(c))
     if scale == 0.0:
         # every coupling costs the constant
@@ -615,66 +616,55 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     # point the constraint is inactive and the plain OT optimum is the
     # answer; so it is whenever the LP plan itself meets the rate
     if rate >= min(entropy(row), entropy(col)) - 1e-12 \
-            or mutual_information(lp.table) <= rate:
+            or mutual_information(lp) <= rate:
         return RDPoint(rate, d_star, 0.0)
+    reduced = np.maximum(c - np.add.outer(u_lp, v_lp), 0.0) / scale
 
-    warm = None
-
-    def frontier(u):
-        """(I, D, dI/du) at lam = e^u, warm-started from the previous solve;
-        dI/du = -sum(pi (c - df - dg)^2) / (lam^2 ln 2), where the Newton
-        system H (df, dg) = ((pi c) 1, (pi c)^T 1) gives d(f, g)/d(1/lam)
-        (c is centred on D, which only moves df by a constant)."""
-        nonlocal warm
-        lam = math.exp(u)
-        plan, *warm = entropic_plan(row, col, c, lam, warm)
-        d = float(np.sum(plan * c))
+    def frontier(x):
+        """(I, D, dI/dx) at lam = e^x r: dI/dx = -sum(pi (s - df - dg)^2) /
+        (e^2x ln 2) on the reduced cost s, where the Newton system
+        H (df, dg) = ((pi s) 1, (pi s)^T 1) gives d(f, g)/d(e^-x) (s is
+        centred on its mean, which only moves df by a constant)."""
+        lam = math.exp(x)
+        plan = entropic_plan(row, col, reduced, lam)[0]
         i, j = np.ix_(plan.sum(axis=1) > 0.0, plan.sum(axis=0) > 0.0)
-        sub, dev = plan[i, j], c[i, j] - d
+        sub, dev = plan[i, j], reduced[i, j]
+        dev = dev - float(np.sum(sub * dev))
         w = sub * dev
         df, dg = _newton_direction(
             sub, np.concatenate([sub.sum(axis=1), sub.sum(axis=0)]),
             np.concatenate([w.sum(axis=1), w.sum(axis=0)]), 1e-10, 0.0)
         dev -= np.add.outer(df, dg)
-        return (mutual_information(plan), d,
+        return (mutual_information(plan), float(np.sum(plan * c)),
                 -float(np.sum(sub * dev * dev)) / (lam * lam * math.log(2.0)))
 
-    # safeguarded Newton on log I(u) - log rate: lo keeps I > rate, hi keeps
+    # safeguarded Newton on log I(x) - log rate: lo keeps I > rate, hi keeps
     # I <= rate, a step that leaves them bisects, and their width also stops
     # it, as near _MIN_RATE the rounding noise of I keeps the step from 0
-    u_min, u_max = (math.log(x * scale) for x in _LAM_RANGE)
+    x_min, x_max = (math.log(t) for t in _LAM_RANGE)
     lo, hi = -math.inf, math.inf
-    u = last = math.log(scale)
+    x = 0.0
     for _ in range(_RL_MAX_STEPS):
-        try:
-            mi, d, slope = frontier(u)
-        except SinkhornDivergence:
-            # too far from its warm start: halve a step of over a decade
-            if abs(u - last) <= 0.5 * _RL_STEP_CAP:
-                raise
-            u = 0.5 * (u + last)
-            continue
-        last = u
+        mi, d, slope = frontier(x)
         if mi <= rate and d <= d_star + 1e-10 * scale:
             # a plan at the optimum meets the rate (tied costs whose
             # optimal plans are not the LP vertex)
             return RDPoint(rate, d_star, 0.0)
-        lo, hi = (u, hi) if mi > rate else (lo, u)
+        lo, hi = (x, hi) if mi > rate else (lo, x)
         step = (-math.log(mi / rate) * mi / slope if mi > 0.0 and slope < 0.0
                 else math.inf if mi > rate else -math.inf)
-        step = min(max(step, -_RL_STEP_CAP), _RL_STEP_CAP)
-        if min(abs(step), hi - lo) <= 1e-12 + 1e-10 * abs(u):
+        if min(abs(step), hi - lo) <= 1e-12 + 1e-10 * abs(x):
             break
-        t = u + step if lo < u + step < hi else 0.5 * (lo + hi)
-        if t > u_max == u or t < u_min == u:
+        t = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        if t > x_max == x or t < x_min == x:
+            lam = math.exp(x) * scale
             raise SinkhornDivergence(
-                f"rate {rate!r} below I at lambda={math.exp(u):.3g}"
-                if mi > rate else f"rate {rate!r} not reached by lambda "
-                f"down to {math.exp(u):.3g}")
-        u = min(max(t, u_min), u_max)
+                f"rate {rate!r} below I at lambda={lam:.3g}" if mi > rate
+                else f"rate {rate!r} not reached by lambda down to {lam:.3g}")
+        x = min(max(t, x_min), x_max)
     else:
         raise MaxIterError(f"rate {rate!r} unsolved in {_RL_MAX_STEPS} steps")
-    # the step along the frontier from I at u to the rate itself leaves an
+    # the step along the frontier from I at x to the rate itself leaves an
     # error second order in the stop
-    lam = math.exp(u)
+    lam = math.exp(x) * scale
     return RDPoint(rate, max(d + lam * math.log(2) * (mi - rate), d_star), lam)

@@ -101,7 +101,7 @@ def _residual(f, x):
     fx = np.asarray(f(x), dtype=float)
     nan = np.isnan(fx)
     if nan.any():
-        raise ValueError(f"residual is NaN at x={x[nan][0]!r}")
+        raise ValueError(f"residual is NaN at x={float(x[nan][0])!r}")
     return fx
 
 

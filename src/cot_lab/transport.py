@@ -127,16 +127,17 @@ def transport_simplex(a, b, c):
     keeps the tree strongly feasible and so rules out cycling (Cunningham
     1976). Optimal when no cell prices below -(n + m) eps max(c) against
     potentials recomputed from the tree; MaxIterError after _MAX_PIVOTS
-    pivots."""
+    pivots. Returns (plan, u, v), u and v those potentials (0 on atoms of
+    zero mass)."""
     rows, cols = a > 0.0, b > 0.0
     if not (rows.all() and cols.all()):
         # zero-mass atoms carry no flow; without them every cell by which
         # the north-west corner reaches a column carries flow, which makes
         # its tree strongly feasible
-        plan = np.zeros(c.shape)
-        plan[np.ix_(rows, cols)] = transport_simplex(
+        plan, u, v = np.zeros(c.shape), np.zeros(len(a)), np.zeros(len(b))
+        plan[np.ix_(rows, cols)], u[rows], v[cols] = transport_simplex(
             a[rows], b[cols], c[np.ix_(rows, cols)])
-        return plan
+        return plan, u, v
     n, m = c.shape
     plan, tree = _northwest_corner(a, b)
     pi = tree.potentials(c)
@@ -164,7 +165,7 @@ def transport_simplex(a, b, c):
             reduced -= pi[n:]
             cell = int(reduced.argmin())
             if reduced.flat[cell] >= -tol:
-                return plan.reshape(n, m)
+                return plan.reshape(n, m), pi[:n], pi[n:]
             rc = float(reduced.flat[cell])
         if pivots == _MAX_PIVOTS:
             raise MaxIterError(f"transport simplex not optimal after "

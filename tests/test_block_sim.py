@@ -222,6 +222,29 @@ def test_uncoded_gaussian_validation():
             sim_uncoded_gaussian(lams, gamma, sim)
 
 
+def test_uncoded_gaussian_refuses_a_tiny_largest_eigenvalue(monkeypatch):
+    # the fourth-moment sums square lambda^2: at 1.5e-160 std_error read
+    # 0.0, and at 1e-320 the report held a NaN
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(block_sim, "_run_chunks", no_draws)
+    for lams in ([1.5e-160, 0.5e-160], [1e-320]):
+        with pytest.raises(ValueError, match="largest eigenvalue must be at "
+                                             "least 1e-150"):
+            sim_uncoded_gaussian(lams, 2.0, SimConfig(0, 64))
+
+
+def test_uncoded_gaussian_at_the_smallest_scale_scales_the_unit_answers():
+    sim = SimConfig(3, 4096)
+    unit = sim_uncoded_gaussian([1.5, 0.5], 2.0, sim)
+    tiny = sim_uncoded_gaussian([1.5e-150, 0.5e-150], 2.0, sim)
+    assert tiny.std_error / 1e-150 == pytest.approx(unit.std_error,
+                                                    rel=1e-14)
+    assert tiny.mean_distortion / 1e-150 == pytest.approx(
+        unit.mean_distortion, rel=1e-14)
+
+
 def test_uncoded_gaussian_worker_invariance():
     one = sim_uncoded_gaussian([2.0, 1.0, 0.5], 2.0, SimConfig(9, 200001, 1))
     four = sim_uncoded_gaussian([2.0, 1.0, 0.5], 2.0, SimConfig(9, 200001, 4))
@@ -712,20 +735,19 @@ def test_row_draw_matches_cumulative_reference(k):
 @pytest.mark.parametrize("shape", [(5,), (3, 4)])
 def test_table_draw_equals_row_draw_of_the_gathered_rows(k, shape):
     # the draw reads the per-symbol table's cumulative sums at the indices
-    # one letter at a time; every index, zero total, total near underflow
-    # and edge uniform must map to the symbol the gathered rows give
+    # one letter at a time; every index, total near underflow and edge
+    # uniform must map to the symbol the gathered rows give (the callers'
+    # rows sum to 1, so none has a zero total)
     rng = np.random.default_rng(10 * k + len(shape))
     table = rng.random(shape + (k,)) ** 4
     small = rng.random(shape) < 0.4
     table[small] = table[small] * 1e-300      # totals near underflow
-    table[0] = 0.0                            # zero-total rows
     table[1, ..., 0] = 0.0                    # a zero first weight
     table[-1, ..., 1:] = 0.0                  # all weight on the first
     index = tuple(rng.integers(0, size, (600, 7)) for size in shape)
     u = rng.random((600, 7))
     u[:50] = 0.0
     u[50:100] = np.nextafter(1.0, 0.0)
-    u[100:150] = 0.5                          # uniform fallback boundary
     want = block_sim._row_draw(u, table[index])
     got = block_sim._table_draw(u, table, index)
     assert got.dtype == want.dtype

@@ -564,17 +564,35 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(
     assert os.listdir(workdir) == []
 
 
+SIM_ARGS = ["--seed", "1", "--samples", "64"]
+
+
 @pytest.mark.parametrize("argv", [
     ["binary-curves", "--rho", "0.25", "--points", "4096"],
     ["simulate", "uncoded-gaussian", "--lambdas", "1.5,0.5", "--gamma", "2.0",
      "--seed", "1", "--samples", "10000000", "--workers", "2"],
     ["emit-plot", "--csv", "c.csv", "--figure", "fig1"],
+    ["binary-thresholds", "--rho", "0.25"],
+    ["gaussian-curves", "--lambdas", "1.5,0.5"],
+    ["gamma-star", "--lambdas", "1.5,0.5"],
+    # input files that do not exist: only the handlers would read them
+    ["capacity", "--channel", "ch.json"],
+    ["rl-ot", "--source", "p.json", "--target", "q.json", "--cost", "c.json",
+     "--rate", "0.5"],
+    ["ot", "--source", "p.json", "--target", "q.json", "--cost", "c.json"],
+    ["hybrid-eval", "--spec", "spec.json"],
+    ["simulate", "uncoded-binary", "--rho", "0.25", "--theta", "0.1",
+     *SIM_ARGS],
+    ["simulate", "genie-hybrid", "--rho", "0.25", "--theta", "0.1",
+     "--delta1", "0.05", *SIM_ARGS],
+    ["simulate", "block-hybrid", "--rho", "0.25", "--delta", "0.2",
+     "--theta", "0.005", "--rate", "0.6", "--n", "8", *SIM_ARGS],
 ])
 @pytest.mark.parametrize("out", ["d", "d/", "new.csv/", ".", ""])
 def test_out_naming_a_directory_is_refused_before_any_work(
         capsys, workdir, monkeypatch, argv, out):
     called = []
-    for name in ("_cmd_binary_curves", "_cmd_simulate", "_cmd_emit_plot"):
+    for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
         monkeypatch.setattr(cli, name, lambda *a: called.append(a) or 0)
     os.mkdir("d")
     code, out_text, err = run(capsys, *argv, "--out", out)

@@ -174,6 +174,14 @@ def test_kappa_gammas_unreachable_rate():
         kappa_gammas(LAMS, 1e9)
 
 
+def test_kappa_gammas_names_an_unreachable_rate_as_a_plain_float():
+    # numpy 2 scalars repr as np.float64(...); at lambda = 1e-300 the
+    # doubling bracket tops out before the rate is spent
+    with pytest.raises(BracketError, match=r"^rate 0\.0071 not reachable "
+                                           r"at kappa 2\.582e\+120$"):
+        kappa_gammas([1e-300], 0.0071)
+
+
 def test_d_lower_matches_direct_split_optimization():
     for gamma in (0.4, 1.0, 3.0, 8.0):
         rate = 0.5 * math.log2(gamma + 1.0)

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -710,11 +711,9 @@ def test_entropic_frontier_is_monotone_in_lam():
     col = rand_dist(rng, 4)
     cost = rng.uniform(0.0, 2.0, (3, 4))
     lams = np.logspace(1.5, -1.5, 12)
-    warm = None
     mis, costs = [], []
     for lam in lams:
-        plan, f, g = entropic_plan(row, col, cost, lam, warm)
-        warm = (f, g)
+        plan, _, _ = entropic_plan(row, col, cost, lam)
         mis.append(mutual_information(plan))
         costs.append(float(np.sum(plan * cost)))
     # decreasing lam tightens the plan: information rises, cost falls
@@ -1012,64 +1011,88 @@ def test_rate_limited_raises_when_i_never_falls_to_the_rate(monkeypatch):
         rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), 0.3)
 
 
-def test_rate_limited_halves_a_step_whose_solve_fails(monkeypatch):
-    # a solve two decades from its warm start that fails is retried one
-    # decade away; from lam = 1 the root at rate 1e-9 is four decades up
-    solve, lams = infokit.entropic_plan, []
-
-    def near_only(row, col, cost, lam, warm=None):
-        lams.append(lam)
-        if len(lams) > 1 and abs(math.log10(lam / lams[-2])) > 1.5:
-            raise SinkhornDivergence("too far")
-        return solve(row, col, cost, lam, warm)
-
-    monkeypatch.setattr(infokit, "entropic_plan", near_only)
-    pt = rate_limited_ot(bern(0.25), bern(0.25), 1.0 - np.eye(2), 1e-9)
-    assert lams[1] == pytest.approx(100.0 * lams[0])
-    assert lams[2] == pytest.approx(10.0 * lams[0])
-    assert pt.distortion == pytest.approx(d_hat(0.25, 1e-9), abs=1e-9)
-
-
-def near_tie_problem(trial):
-    """Problem `trial` of a seeded sweep of near-tied transport problems:
-    2-5 atoms a side, Dirichlet(1) marginals, integer costs 0-2 plus
-    U(0, eps) with eps cycling through 1e-9, 1e-6 and 1e-3, and the rate a
-    fraction of I(LP) cycling through 0.5 to 1 - 1e-11."""
+def near_tie_problems(count):
+    """The first `count` problems of a seeded sweep of near-tied transport
+    problems, as (row, col, cost, rate): 2-5 atoms a side, Dirichlet(1)
+    marginals, integer costs 0-2 plus U(0, eps) with eps cycling through
+    1e-9, 1e-6 and 1e-3, and the rate a fraction of I(LP) cycling through
+    0.5 to 1 - 1e-11."""
     rng = np.random.default_rng(3)
-    for t in range(trial + 1):
+    for t in range(count):
         n, m = (int(k) for k in rng.integers(2, 6, 2))
         p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
         cost = rng.integers(0, 3, (n, m)) + rng.uniform(
             0.0, (1e-9, 1e-6, 1e-3)[t % 3], (n, m))
-    row = DiscreteDistribution([str(i) for i in range(n)], p)
-    col = DiscreteDistribution([str(j) for j in range(m)], q)
-    frac = (0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-11)[trial % 7]
-    return row, col, cost, frac * mutual_information(
-        ot_min_cost(row, col, cost)[1].table)
+        row = DiscreteDistribution([str(i) for i in range(n)], p)
+        col = DiscreteDistribution([str(j) for j in range(m)], q)
+        frac = (0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-11)[t % 7]
+        yield row, col, cost, frac * mutual_information(
+            ot_min_cost(row, col, cost)[1].table)
 
 
-def test_rate_limited_halved_step_solves_a_near_tied_problem(monkeypatch):
-    # a 3 x 3 problem whose Newton step lands two solves that fail from
-    # their warm starts; halving the step reaches the root at 1.8e-5 times
-    # the cost range. There c/lam is about 1e5, so the float plan's
-    # exponents carry some 1e5 eps of rounding against the 40-digit oracle
+def near_tie_problem(trial):
+    """Problem `trial` of near_tie_problems."""
+    *_, problem = near_tie_problems(trial + 1)
+    return problem
+
+
+def test_rate_limited_solves_every_near_tied_problem_of_the_sweep():
+    # the solves run on the LP's reduced costs, whose optimal cells cost 0,
+    # so their exponents stay small at roots far below the cost range,
+    # where solves on the raw costs stall; 1.8-2.3 s on a 2-core machine
+    problems = list(near_tie_problems(300))
+    t0 = time.monotonic()
+    for row, col, cost, rate in problems:
+        pt = rate_limited_ot(row, col, cost, rate)
+        d_star = ot_min_cost(row, col, cost)[0]
+        assert d_star <= pt.distortion <= float(row.probs @ cost @ col.probs)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 6.0, f"near-tie sweep took {elapsed:.1f} s"
+
+
+def test_rate_limited_meets_the_optimum_on_a_tied_problem_at_the_floor():
+    # I stays above the rate down to lam = 1e-8 times the cost range; a
+    # plan at the optimum meets the rate further down
+    row, col, cost, rate = near_tie_problem(4)
+    assert (len(row), len(col)) == (3, 2)
+    pt = rate_limited_ot(row, col, cost, rate)
+    assert pt.distortion == ot_min_cost(row, col, cost)[0]
+    assert pt.multiplier == 0.0
+
+
+def test_rate_limited_solves_a_near_tied_problem_far_below_the_range():
+    # a 3 x 3 problem whose root lies at 1.8e-5 times the cost range, where
+    # c/lam is about 1e5; on the reduced costs the float plan's exponents
+    # stay small, so it meets the 40-digit oracle to rounding
     row, col, cost, rate = near_tie_problem(17)
     assert (len(row), len(col), rate) == (3, 3, 0.7889176111582094)
-    solve, failed = infokit.entropic_plan, []
-
-    def spy(row, col, cost, lam, warm=None):
-        try:
-            return solve(row, col, cost, lam, warm)
-        except SinkhornDivergence:
-            failed.append(lam)
-            raise
-
-    monkeypatch.setattr(infokit, "entropic_plan", spy)
     pt = rate_limited_ot(row, col, cost, rate)
-    assert failed
     assert pt.multiplier == pytest.approx(1.7636526743726225e-05, rel=1e-6)
     want = mp_frontier_value(row, col, cost, pt.multiplier, rate)
-    assert abs(pt.distortion - want) <= 1e-11 * want, (pt, want)
+    assert abs(pt.distortion - want) <= 1e-12 * want, (pt, want)
+
+
+@pytest.mark.parametrize("trial", [16, 169, 274])
+def test_rate_limited_meets_the_oracle_on_near_tied_problems(trial):
+    # trial 16 raised SinkhornDivergence on the raw costs; 169 and 274 sit
+    # at 1.6e-7 and 1.8e-7 times the cost range, where the raw-cost solves
+    # were 1.3e-10 and 2.7e-10 off
+    row, col, cost, rate = near_tie_problem(trial)
+    pt = rate_limited_ot(row, col, cost, rate)
+    assert pt.multiplier > 0.0
+    want = mp_frontier_value(row, col, cost, pt.multiplier, rate)
+    assert abs(pt.distortion - want) <= 1e-12 * want, (pt, want)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e100])
+def test_rate_limited_scales_with_the_cost(scale):
+    # lam is solved in units of the cost range, so no lam^2 underflows at
+    # tiny costs (1e-200 once raised "float division by zero")
+    ham = 1.0 - np.eye(2)
+    unit = rate_limited_ot(bern(0.25), bern(0.25), ham, 0.3)
+    pt = rate_limited_ot(bern(0.25), bern(0.25), scale * ham, 0.3)
+    assert pt.distortion / scale == pytest.approx(unit.distortion, rel=1e-14)
+    assert pt.multiplier / scale == pytest.approx(unit.multiplier, rel=1e-12)
 
 
 def test_rate_limited_rejects_negative_rate():
@@ -1107,18 +1130,24 @@ def sweep_problem(trial):
 
 def mp_frontier_value(row, col, cost, lam, rate):
     """D + lam ln 2 (I - rate) of the entropic plan at lam, in 40-digit
-    arithmetic: Newton steps on the dual potentials from the float solve's,
-    with p and q renormalized, the last g held at 0."""
+    arithmetic: Newton steps on the dual potentials from those of a float
+    solve on the LP's reduced cost, (c - u - v) / range at lam / range,
+    shifted back by (u, v) / lam, with p and q renormalized and the last g
+    held at 0. The Newton steps and D are on c itself."""
     import mpmath
-    _, f, g = entropic_plan(row, col, cost, lam)
+    _, u, v = transport.transport_simplex(row.probs, col.probs, cost)
+    scale = float(np.max(cost) - np.min(cost))
+    reduced = np.maximum(cost - np.add.outer(u, v), 0.0) / scale
+    _, f, g = entropic_plan(row, col, reduced, lam / scale)
     with mpmath.workdps(40):
         p = mpmath.matrix(list(row.probs))
         q = mpmath.matrix(list(col.probs))
         p, q = p / sum(p), q / sum(q)
         n, m = len(p), len(q)
         lam = mpmath.mpf(lam)
-        f = [mpmath.mpf(x + g[-1]) for x in f]
-        g = [mpmath.mpf(x - g[-1]) for x in g]
+        f = [mpmath.mpf(x) + mpmath.mpf(y) / lam for x, y in zip(f, u)]
+        g = [mpmath.mpf(x) + mpmath.mpf(y) / lam for x, y in zip(g, v)]
+        f, g = [x + g[-1] for x in f], [x - g[-1] for x in g]
 
         def plan():
             return mpmath.matrix([[p[i] * q[j] * mpmath.exp(

@@ -297,6 +297,12 @@ def test_find_root_rejects_nan_residual():
         find_root(lambda x: x * np.nan, 0.0, 1.0)
 
 
+def test_find_root_names_a_nan_residual_as_a_plain_float():
+    # numpy 2 scalars repr as np.float64(...)
+    with pytest.raises(ValueError, match=r"^residual is NaN at x=0\.0$"):
+        find_root(lambda x: x * np.nan, 0.0, 1.0)
+
+
 FAMILIES = {
     "cubic": (lambda c, x: x ** 3 - c, (0.01, 8.0), (0.0, 2.5)),
     "tanh": (lambda c, x: np.tanh(c * (x - 0.3)), (0.1, 1e4), (0.0, 1.0)),
