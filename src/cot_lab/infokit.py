@@ -591,7 +591,8 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     root outside 1e-10 r to 1e8 r, or a failed solve (its lambda in units
     of r), raises SinkhornDivergence; 100 solves without a root raise
     MaxIterError. Rate 0 is answered in closed form; a positive rate below
-    1e-12 raises ValueError, since I(lam) there is solved on rounding noise.
+    1e-12 raises ValueError, since I(lam) there is solved on rounding noise,
+    and so does a positive cost range below 1e-300, before the LP runs.
     """
     if not math.isfinite(rate):
         raise ValueError(f"rate must be finite, got {rate!r}")
@@ -605,10 +606,15 @@ def rate_limited_ot(row: DiscreteDistribution, col: DiscreteDistribution,
     if rate == 0.0:
         return RDPoint(0.0, e_indep, float("inf"))
 
+    scale = float(np.max(c) - np.min(c))
+    if 0.0 < scale < 1e-300:
+        # the reduced costs over a subnormal range lose their precision: at
+        # 5e-324 x Hamming the solve answered D = 0 with multiplier 0
+        raise ValueError(f"cost range {scale!r} is below 1e-300; rescale "
+                         "the costs")
     from .transport import transport_simplex
     lp, u_lp, v_lp = transport_simplex(row.probs, col.probs, c)
     d_star = float(np.sum(lp * c))
-    scale = float(np.max(c) - np.min(c))
     if scale == 0.0:
         # every coupling costs the constant
         return RDPoint(rate, float(c.flat[0]), 0.0)

@@ -175,24 +175,46 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo: ArrayLike,
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # most values one objective call may see; bounds the temporaries of a batch
-# at 64 KiB each. Against 2^14, binary-thresholds peaks at 33.9 MiB RSS,
-# not 34.7; 2^12 saves 0.5 MiB more there, but a 512-point d_hybrid takes
-# about 51 ms at 2^12, 48 ms at 2^13 and 43 ms at 2^14 (2-core Xeon, best
-# of 25)
+# at 64 KiB each. Against 2^14, binary-thresholds and binary-curves peak at
+# 30.4 and 30.2 MiB RSS, not 31.5 and 31.7; 2^12 saves nothing more, and a
+# 512-point d_hybrid takes about 50 ms at each of 2^12, 2^13 and 2^14
+# (2-core Xeon, Python 3.11, numpy 2.4; medians of 5 runs, best of 25)
 _MAX_VALUES = 2 ** 13
 # points of the coarse scan in front of the golden-section polish
 _SCAN = 512
 
 
-def _evaluate(f, p, x):
-    """f(p, x) as a (len(p), width) array in calls of at most _MAX_VALUES
-    values; x is one (width,) row shared by all p or one row per p."""
-    rows = max(1, _MAX_VALUES // x.shape[-1])
-    out = np.empty((len(p), x.shape[-1]))
+def _batches(f, p, x):
+    """f(p, x) in calls of at most _MAX_VALUES values: yields each call's
+    slice of p and its values as a (rows, width) float array; x is one
+    (width,) row shared by all p or one row per p."""
+    width = x.shape[-1]
+    rows = max(1, _MAX_VALUES // width)
     for s in range(0, len(p), rows):
         part = slice(s, s + rows)
-        out[part] = f(p[part], x if x.ndim == 1 else x[part])
+        fx = f(p[part], x if x.ndim == 1 else x[part])
+        yield part, np.broadcast_to(np.asarray(fx, dtype=float),
+                                    (len(p[part]), width))
+
+
+def _evaluate(f, p, x):
+    """f(p, x) as a (len(p), width) array, filled batch by batch."""
+    out = np.empty((len(p), x.shape[-1]))
+    for part, fx in _batches(f, p, x):
+        out[part] = fx
     return out
+
+
+def _within(fmin):
+    """The tie bound: values at most this far above fmin tie with it."""
+    return fmin + 64.0 * np.finfo(float).eps * (1.0 + np.abs(fmin))
+
+
+def _first_at_or_below(fs, bound, xs):
+    """Per row of fs, the first xs whose value is at most the row's bound,
+    or inf where none is."""
+    near = fs <= bound[:, None]
+    return np.where(near.any(axis=1), xs[np.argmax(near, axis=1)], np.inf)
 
 
 def _golden(f, p, a, b):
@@ -234,24 +256,41 @@ def minimize_1d(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     plateaus that end exactly at the interval edges). The result is never
     worse than the best scanned point. Ties within a few ulps go to the
     smallest argument, which pins plateau argmins to the exact endpoint.
+
+    Working memory is one batch of at most _MAX_VALUES objective values
+    plus a few dozen floats per problem: each batch of the scan is reduced
+    as soon as it is evaluated, so no params x _SCAN table is held.
     """
     if not lo < hi:
         raise ValueError("minimize_1d needs lo < hi")
     p = np.asarray(params, dtype=float).reshape(-1, 1)
 
+    # each batch of the scan shrinks at once to its minimum, first argmin
+    # and first point within that minimum's tie bound
     xs = np.linspace(lo, hi, _SCAN)
-    fs = _evaluate(f, p, xs)
-    best = np.argmin(fs, axis=1)[:, None]
+    smin, first = np.empty(len(p)), np.empty(len(p))
+    best = np.empty((len(p), 1), dtype=np.intp)
+    for part, fs in _batches(f, p, xs):
+        smin[part] = fs.min(axis=1)
+        best[part, 0] = np.argmin(fs, axis=1)
+        first[part] = _first_at_or_below(fs, _within(smin[part]), xs)
     # cells [xs[i], xs[j]]: around the best grid point, then the two edges
     i = np.maximum(best - 1, 0) * [1, 0, 0] + [0, 0, _SCAN - 2]
     j = np.minimum(best + 1, _SCAN - 1) * [1, 0, 0] + [0, 1, _SCAN - 1]
     gx, gf = _golden(f, p, xs[i], xs[j])
 
-    fmin = np.minimum(fs.min(axis=1), gf.min(axis=1))
-    fuzz = 64.0 * np.finfo(float).eps * (1.0 + np.abs(fmin))
-    within = (fmin + fuzz)[:, None]
-    near = fs <= within
-    # xs ascends, so the first scanned point within the fuzz is the smallest
-    scanned = np.where(near.any(axis=1), xs[np.argmax(near, axis=1)], np.inf)
-    polished = np.where(gf <= within, gx, np.inf).min(axis=1)
+    fmin = np.minimum(smin, gf.min(axis=1))
+    within = _within(fmin)
+    # xs ascends, so the first scanned point within the fuzz is the
+    # smallest. A polish at or above the scan minimum keeps the scan's own
+    # bound, one more than its fuzz below it leaves no scanned point, and
+    # one in between scans its problem again against the lower bound.
+    scanned = np.where(fmin == smin, first, np.inf)
+    again = (fmin < smin) & (within >= smin)
+    if again.any():
+        w = within[again]
+        scanned[again] = np.concatenate([
+            _first_at_or_below(fs, w[part], xs)
+            for part, fs in _batches(f, p[again], xs)])
+    polished = np.where(gf <= within[:, None], gx, np.inf).min(axis=1)
     return np.minimum(scanned, polished), fmin

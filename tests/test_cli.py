@@ -727,6 +727,24 @@ def test_rate_capped_transport_refuses_rates_below_the_floor(capsys,
     assert "floor" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale,code", [(1e-300, 0), (1e-200, 0),
+                                        (1e-310, 1), (5e-324, 1)])
+def test_rate_capped_transport_refuses_a_subnormal_cost_range(
+        capsys, workdir, scale, code):
+    write_marginal("s.json", [0.75, 0.25])
+    write_cost("c.json", [[0.0, scale], [scale, 0.0]])
+    got, out, err = run(capsys, "rl-ot", "--source", "s.json", "--target",
+                        "s.json", "--cost", "c.json", "--rate", "0.3",
+                        "--json")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.strip() == (f"cost range {scale!r} is below 1e-300; "
+                               "rescale the costs")
+    else:
+        assert json.loads(out)["distortion"] > 0.0
+
+
 @pytest.mark.parametrize("argv", [["ot"], ["rl-ot", "--rate", "0.1"],
                                   ["rl-ot", "--rate", "0"]])
 def test_transport_costs_above_the_limit_exit_1(capsys, workdir, argv):

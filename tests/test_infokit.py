@@ -1095,6 +1095,15 @@ def test_rate_limited_scales_with_the_cost(scale):
     assert pt.multiplier / scale == pytest.approx(unit.multiplier, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 5e-324])
+def test_rate_limited_refuses_a_subnormal_cost_range(scale):
+    # at 5e-324 the solve once answered D = 0 with multiplier 0, and at
+    # 1e-310 it was 1.9e-13 off the unit problem
+    with pytest.raises(ValueError, match=f"cost range {scale!r} is below"):
+        rate_limited_ot(bern(0.25), bern(0.25), scale * (1.0 - np.eye(2)),
+                        0.3)
+
+
 def test_rate_limited_rejects_negative_rate():
     with pytest.raises(ValueError):
         rate_limited_ot(bern(0.5), bern(0.5), 1.0 - np.eye(2), -0.2)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,7 +388,7 @@ def test_minimize_never_worse_than_grid():
 
 
 def test_minimize_batch_equals_single_solves():
-    # 40 problems on the 512-point scan span two chunks of 2**14 values
+    # 40 problems on the 512-point scan span three batches of 2**13 values
     shifts = np.linspace(-0.3, 1.4, 40)
 
     def f(p, t):
@@ -403,3 +404,95 @@ def test_minimize_batch_equals_single_solves():
 def test_minimize_validation():
     with pytest.raises(ValueError):
         minimize_1d(lambda _, t: t, 1.0, 0.0, [0.0])
+
+
+def full_table_minimize(f, lo, hi, params):
+    """minimize_1d's tie rule applied to the whole params x _SCAN table of
+    scanned values, as it was computed before the scan was reduced batch by
+    batch."""
+    p = np.asarray(params, dtype=float).reshape(-1, 1)
+    xs = np.linspace(lo, hi, numkit._SCAN)
+    fs = numkit._evaluate(f, p, xs)
+    best = np.argmin(fs, axis=1)[:, None]
+    i = np.maximum(best - 1, 0) * [1, 0, 0] + [0, 0, numkit._SCAN - 2]
+    j = (np.minimum(best + 1, numkit._SCAN - 1) * [1, 0, 0]
+         + [0, 1, numkit._SCAN - 1])
+    gx, gf = numkit._golden(f, p, xs[i], xs[j])
+    fmin = np.minimum(fs.min(axis=1), gf.min(axis=1))
+    fuzz = 64.0 * np.finfo(float).eps * (1.0 + np.abs(fmin))
+    within = (fmin + fuzz)[:, None]
+    near = fs <= within
+    scanned = np.where(near.any(axis=1), xs[np.argmax(near, axis=1)], np.inf)
+    polished = np.where(gf <= within, gx, np.inf).min(axis=1)
+    return np.minimum(scanned, polished), fmin
+
+
+def seeded_objective(family, k):
+    """k problems of one family: f(p, t) reads problem p's coefficients."""
+    rng = np.random.default_rng(sorted(TIE_FAMILIES).index(family))
+    c = rng.uniform(-0.2, 1.2, k)
+    a = rng.uniform(0.1, 10.0, k)
+    b = rng.choice([0.0, 1.0, -3.0], k) * rng.uniform(0.5, 2.0, k)
+    w = rng.uniform(0.0, 0.3, k)
+    scale = 10.0 ** rng.uniform(-16.0, -8.0, k)
+    shape = TIE_FAMILIES[family]
+
+    def f(p, t):
+        n = p.astype(int)
+        return shape(t, c[n], a[n], b[n], w[n], scale[n])
+
+    return f
+
+
+TIE_FAMILIES = {
+    "quadratic": lambda t, c, a, b, w, s: a * (t - c) ** 2 + b,
+    "kink": lambda t, c, a, b, w, s: a * np.abs(t - c) + b,
+    "plateau": lambda t, c, a, b, w, s: (
+        a * np.maximum(np.abs(t - c) - w, 0.0) ** 2 + b),
+    # so flat that the polish lands within the tie fuzz of the scan
+    "near-flat": lambda t, c, a, b, w, s: (
+        s * ((t - c) ** 2 + 0.1 * a * np.sin(7.0 * t)) + b),
+}
+
+
+@pytest.mark.parametrize("cap", [512, 2 ** 13])
+@pytest.mark.parametrize("family", sorted(TIE_FAMILIES))
+def test_minimize_keeps_the_full_table_tie_rule(monkeypatch, family, cap):
+    # one problem per batch, then the default batch of 16 problems
+    monkeypatch.setattr(numkit, "_MAX_VALUES", cap)
+    f = seeded_objective(family, 300)
+    params = np.arange(300)
+    want = full_table_minimize(f, 0.0, 1.0, params)
+    # count the scans: every call of the objective on the 1-D grid
+    scans = []
+    batches = numkit._batches
+
+    def counted(f, p, x):
+        if x.ndim == 1:
+            scans.append(len(p))
+        return batches(f, p, x)
+
+    monkeypatch.setattr(numkit, "_batches", counted)
+    got = minimize_1d(f, 0.0, 1.0, params)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    # the first scan covers all problems; a second one only those whose
+    # polish landed inside the fuzz below the scan minimum
+    assert scans[0] == 300 and len(scans) <= 2
+    if family == "near-flat":
+        assert len(scans) == 2 and 0 < scans[1] < 300
+
+
+def test_minimize_holds_no_problems_x_scan_table():
+    # 2^14 problems: the old problems x 512 scan table alone was 64 MiB.
+    # The scan now holds one batch; the golden-section cells, about 5.6 MiB
+    # here, set the peak
+    ps = np.linspace(-0.2, 1.2, 2 ** 14)
+    tracemalloc.start()
+    try:
+        xs, fs = minimize_1d(lambda p, t: (t - p) ** 2, 0.0, 1.0, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+    assert np.all(np.abs(xs - np.clip(ps, 0.0, 1.0)) <= 1e-8)
