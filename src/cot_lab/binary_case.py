@@ -6,8 +6,8 @@ Everything here is driven by two scalars: the source bias rho in (0, 1/2)
 and the channel crossover theta in [0, 1/2]. The module provides the
 converse curve, the separation and uncoded achievability curves, the
 dither-based hybrid scheme with its one-dimensional parameter optimization,
-the simplified hybrid curve, and a mode classifier that locates the theta
-thresholds where the optimized hybrid switches strategy.
+the simplified hybrid curve, and a threshold scan that locates the theta
+values where the optimized hybrid switches strategy.
 
 The curve functions take theta as a float or as an array (one batched solve
 per sweep). They accept rho = 1/2 as a degenerate boundary check; the grid
@@ -156,7 +156,9 @@ def d_uncoded(rho: float, theta):
 # -------------------------------------------------------- hybrid scheme
 
 def _hybrid_mix(rho, theta, delta1):
-    """Total effective quantization crossover m = delta1 conv delta2.
+    """Total effective quantization crossover m = delta1 conv delta2, the
+    digital crossover delta2 = (m - delta1) / (1 - 2 delta1) and the analog
+    mix delta1 conv theta, as (m, delta2, mix).
 
     The digital stage absorbs whatever information the dithered analog stage
     cannot carry; when the analog stage alone satisfies the information
@@ -169,7 +171,8 @@ def _hybrid_mix(rho, theta, delta1):
     need = h_rho - binary_entropy(delta1)
     # clip keeps the discarded where-branch inside the inverse's domain
     forced = binary_entropy_inv(np.clip(h_rho - avail, 0.0, 1.0))
-    return np.where(need > avail, forced, delta1), mix
+    m = np.where(need > avail, forced, delta1)
+    return m, (m - delta1) / (1.0 - 2.0 * delta1), mix
 
 
 def hybrid_params(rho: float, theta: float, delta1: float
@@ -181,8 +184,7 @@ def hybrid_params(rho: float, theta: float, delta1: float
         raise ValueError("theta = 0 is degenerate here; the optimum is the "
                          "noiseless passthrough with all parameters 0")
     delta1 = _check_delta1(rho, delta1)
-    m, mix = _hybrid_mix(rho, theta, delta1)
-    delta2 = (m - delta1) / (1.0 - 2.0 * delta1)
+    m, delta2, mix = _hybrid_mix(rho, theta, delta1)
     tau = (rho - m) / (1.0 - 2.0 * m)
     beta = m / mix
     return float(np.clip(delta2, 0.0, 1.0)), float(np.clip(tau, 0.0, 1.0)), \
@@ -199,8 +201,7 @@ def hybrid_distortion(rho: float, theta, delta1):
     rho = _check_rho(rho)
     theta = _check_theta(theta)
     d1 = _check_delta1(rho, delta1)
-    m, mix = _hybrid_mix(rho, theta, d1)
-    d2 = (m - d1) / (1.0 - 2.0 * d1)
+    m, d2, mix = _hybrid_mix(rho, theta, d1)
     return 2.0 * m * ((1.0 - d1 - d2) * theta + d1 * d2) / mix
 
 

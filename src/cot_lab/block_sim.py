@@ -149,12 +149,13 @@ def _pool_map(fn, jobs, threads: int) -> list:
     return [fn(job) for job in jobs]
 
 
-def _run_chunks(fn, sim: SimConfig, stream: int) -> List[tuple]:
-    """Evaluate fn(rng, count) for every chunk; results come back in chunk
-    order regardless of the worker count."""
+def _run_chunks(fn, sim: SimConfig) -> List[tuple]:
+    """Evaluate fn(rng, count) for every chunk, each on its own chunk of
+    stream 0; results come back in chunk order regardless of the worker
+    count."""
     def work(job):
         idx, count = job
-        return fn(_rng(sim.seed, stream, idx), count)
+        return fn(_rng(sim.seed, 0, idx), count)
 
     return _pool_map(work, list(_chunks(sim.samples)), sim.workers)
 
@@ -257,7 +258,7 @@ def sim_uncoded_binary(rho: float, theta: float,
         wrong = float(np.count_nonzero(x != y))
         return count, wrong, wrong, int(np.count_nonzero(y))
 
-    return _binary_report(_run_chunks(chunk, sim, stream=0), rho)
+    return _binary_report(_run_chunks(chunk, sim), rho)
 
 
 def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
@@ -319,7 +320,7 @@ def sim_uncoded_gaussian(lambdas: Sequence[float], gamma: float,
         ysum2 = np.array([column_sum(np.square(c, out=c)) for c in y])
         return count, err, err2, ysum, ysum2, power
 
-    parts = _run_chunks(chunk, sim, stream=0)
+    parts = _run_chunks(chunk, sim)
     mean, se, n = _pooled_moments(parts)
     ysum = np.sum([p[3] for p in parts], axis=0)
     ysum2 = np.sum([p[4] for p in parts], axis=0)
@@ -357,7 +358,7 @@ def sim_genie_hybrid_binary(rho: float, theta: float, delta1: float,
         wrong = float(np.count_nonzero(x != y))
         return count, wrong, wrong, int(np.count_nonzero(y))
 
-    return _binary_report(_run_chunks(chunk, sim, stream=0), rho,
+    return _binary_report(_run_chunks(chunk, sim), rho,
                           notes=("digital part delivered noiselessly",))
 
 
@@ -462,15 +463,11 @@ def _leading_products(x_given_z: np.ndarray, code: np.ndarray,
     """prod_{t < h} p(x_t | z_t(m)) for every message (row) and every
     pattern of the leading h source symbols (column, in enumeration order),
     multiplied from ones in position order: each position appends a block
-    axis one symbol at a time."""
-    nx = x_given_z.shape[1]
+    axis by one broadcast product."""
     part = np.ones((code.shape[0], 1))
     for t in range(h):
-        factor = x_given_z[code[:, t]]
-        wider = np.empty(part.shape + (nx,))
-        for j in range(nx):
-            np.multiply(part, factor[:, j:j + 1], out=wider[:, :, j])
-        part = wider.reshape(part.shape[0], -1)
+        part = (part[:, :, None] * x_given_z[code[:, t]][:, None, :]
+                ).reshape(part.shape[0], -1)
     return part
 
 
@@ -622,6 +619,18 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
     return decode, typ_fail
 
 
+def _push(part: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Each row's law over blocks pushed through its own per-position
+    kernels (rows x n x k x l) to a law over l-ary blocks. Each step maps
+    the leading k-ary axis of every row's tensor to a trailing l-ary axis,
+    as tensordot over axis 0 would."""
+    rows, n, k = kernels.shape[:3]
+    for t in range(n):
+        part = np.matmul(part.reshape(rows, k, -1).transpose(0, 2, 1),
+                         kernels[:, t])
+    return part.reshape(rows, -1)
+
+
 def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     """Exact decode map, block laws, total variation, and error probability
     for one codebook, contracting one block axis at a time over slabs of
@@ -656,22 +665,15 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     wtot[uncovered] = 1.0
     spread = px_n[uncovered] / msgs
 
-    # each step maps the leading source axis of every message's tensor to
-    # a trailing output axis, as tensordot over axis 0 would
     qv_by_z = np.swapaxes(qv, 0, 1)
     p_v = None
     msg_error = 0.0
     for s in slabs:
-        kernels = qv_by_z[code[s]]
         part = _leading_products(cfg.x_given_z, code[s], n)
         part *= px_n
         part /= wtot
         part[:, uncovered] = spread
-        for t in range(n):
-            part = np.matmul(
-                part.reshape(part.shape[0], nx, -1).transpose(0, 2, 1),
-                kernels[:, t])
-        part = part.reshape(part.shape[0], -1)
+        part = _push(part, qv_by_z[code[s]])
         for m in range(s.start, s.stop):
             # the fallback defines the decoder output, so only a wrong
             # final message counts as an error
@@ -681,13 +683,8 @@ def _codebook_laws(cfg: BlockCodeConfig, code: np.ndarray) -> CodebookLaws:
     mhats = np.flatnonzero(np.bincount(decode, minlength=msgs))
     p_yhat = None
     for s in _slabs(len(mhats), max(max(nv, ny) ** n, n * nv * ny)):
-        kernels = cfg.dec_cond[code[mhats[s]]]
         part = np.where(decode == mhats[s, None], p_v, 0.0)
-        for t in range(n):
-            part = np.matmul(
-                part.reshape(part.shape[0], nv, -1).transpose(0, 2, 1),
-                kernels[:, t])
-        p_yhat = _add_rows(p_yhat, part.reshape(part.shape[0], -1))
+        p_yhat = _add_rows(p_yhat, _push(part, cfg.dec_cond[code[mhats[s]]]))
 
     p_target = _block_law(cfg.target.probs, n)
 
@@ -748,11 +745,10 @@ def _coupler(cfg: BlockCodeConfig, laws: CodebookLaws):
     n = cfg.n
     ny = len(cfg.target)
     ypow = ny ** np.arange(n - 1, -1, -1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        keep = np.where(laws.p_yhat > 0.0,
-                        np.minimum(laws.p_yhat, laws.p_target)
-                        / np.where(laws.p_yhat > 0.0, laws.p_yhat, 1.0),
-                        1.0)
+    keep = np.where(laws.p_yhat > 0.0,
+                    np.minimum(laws.p_yhat, laws.p_target)
+                    / np.where(laws.p_yhat > 0.0, laws.p_yhat, 1.0),
+                    1.0)
     resid = laws.p_target - np.minimum(laws.p_yhat, laws.p_target)
     rmass = float(resid.sum())
     resid_cdf = np.cumsum(resid / rmass) if rmass > 0.0 else None
@@ -892,17 +888,12 @@ def binary_separation_block_config(rho: float, delta: float, theta: float,
 
     z_alphabet = ("w0s0", "w0s1", "w1s0", "w1s1")
     p_z = np.array([(1.0 - w0) / 2.0, (1.0 - w0) / 2.0, w0 / 2.0, w0 / 2.0])
-    x_given_z = np.empty((4, 2))
-    u_given_xz = np.zeros((2, 4, 2))
-    dec = np.empty((4, 2, 2))
-    for zi in range(4):
-        wbit, sbit = zi // 2, zi % 2
-        x_given_z[zi] = [1.0 - delta, delta] if wbit == 0 else \
-            [delta, 1.0 - delta]
-        u_given_xz[:, zi, sbit] = 1.0
-        for v in range(2):
-            dec[zi, v] = [1.0 - delta, delta] if wbit == 0 else \
-                [delta, 1.0 - delta]
+    # Z = (W, S): X and, whatever V is, Y are W through a BSC(delta); the
+    # channel input U is the dither bit S, whatever X is
+    wbit, sbit = np.divmod(np.arange(4), 2)
+    x_given_z = np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])[wbit]
+    u_given_xz = np.tile(np.eye(2)[sbit], (2, 1, 1))
+    dec = np.repeat(x_given_z[:, None], 2, axis=1)
 
     def bern(p):
         return DiscreteDistribution(("0", "1"), np.array([1.0 - p, p]))

@@ -25,7 +25,7 @@ from . import BracketError, MaxIterError, SinkhornDivergence, __version__
 from .tables import CURVE_COLUMNS, GAUSSIAN_COLUMNS
 
 _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
-                     ArithmeticError, FloatingPointError)
+                     ArithmeticError)
 
 # most points of a curve grid: the optimizer holds about 45 floats per point
 # (5.6 MiB traced at 2^14), and binary-curves there peaks at 46 MiB RSS

@@ -48,7 +48,7 @@ def verify_linear_bound(lambdas: Sequence[float],
         return (count, int(np.count_nonzero(margin < -1e-9)),
                 float(margin.min()))
 
-    parts = _run_chunks(chunk, sim, stream=0)
+    parts = _run_chunks(chunk, sim)
     return LinearBoundReport(
         trials=sim.samples,
         violations=sum(p[1] for p in parts),

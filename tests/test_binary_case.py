@@ -33,6 +33,7 @@ from cot_lab.infokit import (
     rate_limited_ot,
 )
 from cot_lab.numkit import bconv, binary_entropy, binary_entropy_inv
+from cot_lab.tables import CURVE_COLUMNS, CurveTable
 from uncoded_spec import make_uncoded
 
 THETAS = np.linspace(0.0, 0.5, 26)
@@ -316,6 +317,11 @@ def test_mode_classification_samples():
     assert classify_mode(0.35, 0.3) == "SIMPLE"
 
 
+def test_an_argmin_off_every_plateau_is_labelled_none():
+    # away from 0, from delta1_prime and from rho by more than each tolerance
+    assert binary_case._label(0.1, 0.2, 0.25) == "NONE"
+
+
 def test_thresholds_quarter():
     config = BinaryConfig(0.25, tuple(np.linspace(0.0, 0.5, 256)))
     th = thresholds(config)
@@ -440,6 +446,12 @@ def test_curve_boundary_rows():
     theta_half = rows[1]
     for value in theta_half[1:5]:
         assert value == pytest.approx(0.375, abs=1e-9)
+
+
+def test_curve_table_refuses_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError, match="row width does not match column "
+                                         "count"):
+        CurveTable(CURVE_COLUMNS, [(0.0,) * (len(CURVE_COLUMNS) - 1)])
 
 
 def test_curve_csv_regenerates_identically():

@@ -159,7 +159,7 @@ def test_run_chunks_clamps_the_pool(monkeypatch, workers, chunks, cpus,
                                     threads):
     seen = record_pools(monkeypatch, cpus)
     sim = SimConfig(0, chunks * block_sim._CHUNK, workers)
-    counts = block_sim._run_chunks(lambda rng, n: n, sim, stream=0)
+    counts = block_sim._run_chunks(lambda rng, n: n, sim)
     assert counts == [block_sim._CHUNK] * chunks
     assert [size for size, _ in seen] == ([] if threads is None
                                           else [threads])
@@ -270,7 +270,7 @@ def _table_uncoded_gaussian(lambdas, gamma, sim):
         return (count, float(diff.sum()), float((diff * diff).sum()),
                 y.sum(axis=0), (y * y).sum(axis=0), float((u * u).sum()))
 
-    parts = block_sim._run_chunks(chunk, sim, stream=0)
+    parts = block_sim._run_chunks(chunk, sim)
     mean, se, n = block_sim._pooled_moments(parts)
     ymean = np.sum([p[3] for p in parts], axis=0) / n
     yvar = np.sum([p[4] for p in parts], axis=0) / n - ymean * ymean

@@ -970,6 +970,17 @@ def test_simulate_writes_report_and_manifest(capsys, workdir):
     assert man["outputs"] == ["rep.json"]
 
 
+def test_simulate_one_sample_reports_a_zero_std_error(capsys, workdir):
+    # one sample has no spread to estimate
+    code, out, _ = run(capsys, "simulate", "uncoded-binary", "--rho", "0.25",
+                       "--theta", "0.1", "--seed", "7", "--samples", "1",
+                       "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["samples"] == 1
+    assert doc["std_error"] == 0.0
+
+
 def test_simulate_rerun_is_byte_identical(capsys, workdir):
     args = ("simulate", "genie-hybrid", "--rho", "0.25", "--theta", "0.1",
             "--delta1", "0.12", "--seed", "11", "--samples", "30000")
