@@ -101,10 +101,11 @@ def rate_of_distortion(rho: float, d):
 
 
 def d_hat(rho: float, rate):
-    """Minimum coupling cost at information budget `rate` (both B(rho))."""
+    """Minimum coupling cost at information budget `rate` (both B(rho)); 0
+    at an infinite rate, ValueError on a negative or NaN one."""
     rho = _check_rho(rho, closed=True)
     rate = np.asarray(rate, dtype=float)
-    if np.any(rate < 0.0):
+    if not np.all(rate >= 0.0):
         raise ValueError("rate must be nonnegative")
     dmax = 2.0 * (1.0 - rho) * rho
     out = np.where(rate == 0.0, dmax, 0.0)

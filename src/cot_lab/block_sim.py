@@ -11,6 +11,11 @@ output law, its total variation to the target, and the message error
 probability are computed exactly by tensor contraction over every block, so
 codebooks whose laws pass a byte budget are refused.
 
+Block order: a length-n block of k-ary symbols has the index numpy's C order
+gives it in a (k,) * n array, first position most significant, as
+np.ravel_multi_index and np.unravel_index compute it. Every block law, the
+decode map and the coupler use this order.
+
 Reproducibility: every random draw comes from a counter-based generator
 keyed by (seed, stream, chunk). Chunk boundaries are fixed by the sample
 count alone and partial results are combined in chunk order (block-harness
@@ -19,6 +24,7 @@ bit-identical for a given (seed, samples) no matter how many workers run.
 """
 
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +70,15 @@ class BudgetExceeded(ValueError):
     """Requested codebook's exact laws exceed their byte budget."""
 
 
+def _integer(value, name: str) -> int:
+    """value as an int when it is a Python or numpy integer; ValueError
+    naming it otherwise (a float, even a whole one, or NaN)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Seed, sample count, and worker count for one simulation run."""
@@ -73,7 +88,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
+        for name in ("seed", "samples", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
@@ -389,7 +406,9 @@ class BlockCodeConfig:
     codebooks: int = 1
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        self.n = _integer(self.n, "n")
+        self.codebooks = _integer(self.codebooks, "codebooks")
+        if self.n < 1:
             raise ValueError("n must be at least 1")
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
@@ -426,18 +445,6 @@ class BlockCodeConfig:
         return math.ceil(2.0 ** (self.n * self.rate))
 
 
-def _enumerate_blocks(n: int, base: int) -> np.ndarray:
-    """All base-ary length-n blocks as rows, most significant symbol
-    first, row index equal to the block's base-ary value."""
-    total = base ** n
-    out = np.empty((total, n), dtype=np.int64)
-    work = np.arange(total)
-    for t in range(n - 1, -1, -1):
-        out[:, t] = work % base
-        work = work // base
-    return out
-
-
 @dataclass(frozen=True)
 class CodebookLaws:
     """Exact per-codebook quantities for one drawn codebook."""
@@ -461,7 +468,7 @@ def _symbol_kernels(cfg: BlockCodeConfig):
 def _leading_products(x_given_z: np.ndarray, code: np.ndarray,
                       h: int) -> np.ndarray:
     """prod_{t < h} p(x_t | z_t(m)) for every message (row) and every
-    pattern of the leading h source symbols (column, in enumeration order),
+    pattern of the leading h source symbols (column, in block order),
     multiplied from ones in position order: each position appends a block
     axis by one broadcast product."""
     part = np.ones((code.shape[0], 1))
@@ -472,7 +479,7 @@ def _leading_products(x_given_z: np.ndarray, code: np.ndarray,
 
 
 def _block_law(probs: np.ndarray, n: int) -> np.ndarray:
-    """Probability of every length-n block, in enumeration order, under the
+    """Probability of every length-n block, in block order, under the
     i.i.d. law probs: the leading products of one all-zero codeword."""
     return _leading_products(probs[None, :], np.zeros((1, n), np.intp), n)[0]
 
@@ -531,22 +538,26 @@ def _typical_slab(code: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     [lo, hi] of that pair; lo and hi have the counts' dtype.
 
     A block's count is the count of its leading half plus that of its
-    trailing half, broadcast over the two halves of its index; the counts
-    are exact small integers, so no BLAS product is needed."""
+    trailing half, broadcast over the two halves of its index. Each half's
+    counts (pairs x messages x half-blocks, in the counts' dtype) append one
+    position's block axis at a time by one broadcast, as _leading_products
+    appends its factors; the counts are exact small integers, so no BLAS
+    product is needed."""
     rows, n = code.shape
     npairs = len(lo)
+    pairs = np.arange(npairs)[:, None, None]
     halves = []
-    for cut in (slice(0, n // 2), slice(n // 2, n)):
-        blocks = _enumerate_blocks(cut.stop - cut.start, nv)
-        pair = code[:, None, cut] * nv + blocks
-        cell = np.arange(rows * blocks.shape[0]).reshape(rows, -1, 1)
-        counts = np.bincount((cell * npairs + pair).ravel(),
-                             minlength=cell.size * npairs)
-        halves.append(counts.reshape(rows, -1, npairs).astype(lo.dtype))
+    for cut in (range(n // 2), range(n // 2, n)):
+        counts = np.zeros((npairs, rows, 1), dtype=lo.dtype)
+        for t in cut:
+            hit = pairs == code[:, t, None] * nv + np.arange(nv)
+            counts = (counts[:, :, :, None] + hit[:, :, None, :]
+                      ).reshape(npairs, rows, -1)
+        halves.append(counts)
     lead, trail = halves
-    typical = np.ones((rows, lead.shape[1], trail.shape[1]), dtype=bool)
+    typical = np.ones((rows, lead.shape[2], trail.shape[2]), dtype=bool)
     for p in range(npairs):
-        count = lead[:, :, None, p] + trail[:, None, :, p]
+        count = lead[p, :, :, None] + trail[p, :, None, :]
         typical &= count >= lo[p]
         typical &= count <= hi[p]
     typical = typical.reshape(rows, -1)
@@ -556,10 +567,11 @@ def _typical_slab(code: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
                    pvz: np.ndarray):
     """Typicality decoder with maximum-likelihood fallback: the typicality
-    test on 1-byte counts and the likelihoods, both over slabs of messages.
+    test on 1-byte counts and the likelihoods, in one pass over slabs of
+    messages.
 
-    Returns the decoded message of every output block in enumeration order
-    and whether typicality failed to single out one message for it."""
+    Returns the decoded message of every output block in block order and
+    whether typicality failed to single out one message for it."""
     n = cfg.n
     msgs = code.shape[0]
     nv = pvz.shape[1]
@@ -574,27 +586,25 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
     passing = dev <= cfg.typ_delta
     lo = np.where(passing.any(axis=1), passing.argmax(axis=1), n + 1)
     hi = n - passing[:, ::-1].argmax(axis=1)
-    # the test runs over slabs of messages, carrying each block's count of
-    # typical messages and the first of them. A slab is sized by its widest
-    # table: the 1-byte test tables, a few alive at once, counted at 8 bytes
-    # per message and block, or the int64 pair counts and symbol pairs of
-    # the longer half-block
     ctype = np.min_scalar_type(n + 1)
     lo, hi = lo.astype(ctype), hi.astype(ctype)
+    with np.errstate(divide="ignore"):
+        logpvz = np.log(pvz)
+    # each slab of messages carries every block's count of typical messages
+    # and the first of them, and its best likelihood and the first message
+    # that reaches it. A slab is sized by its widest tables: the float64
+    # likelihoods and the 1-byte test tables, a few alive at once, or the
+    # 1-byte pair counts of the longer half-block
     matches = np.zeros(nblocks, dtype=np.intp)
     first = np.zeros(nblocks, dtype=np.intp)
-    half = n - n // 2
-    for s in _slabs(msgs, max(nblocks, nv ** half * max(len(lo), half))):
+    best = np.full(nblocks, -np.inf)
+    fallback = np.zeros(nblocks, dtype=np.intp)
+    for s in _slabs(msgs, max(nblocks, len(lo) * nv ** (n - n // 2) // 8)):
         found, top = _typical_slab(code[s], lo, hi, nv)
         fresh = (matches == 0) & (found > 0)
         first[fresh] = top[fresh] + s.start
         matches += found
 
-    with np.errstate(divide="ignore"):
-        logpvz = np.log(pvz)
-    best = np.full(nblocks, -np.inf)
-    fallback = np.zeros(nblocks, dtype=np.intp)
-    for s in _slabs(msgs, nblocks):
         rows = s.stop - s.start
         # log-likelihood summed over positions in the order a row sum adds
         # them. Each position's term broadcasts over its own block axis;
@@ -612,7 +622,7 @@ def _decode_tables(cfg: BlockCodeConfig, code: np.ndarray,
         better = peak > best
         best[better] = peak[better]
         fallback[better] = top[better] + s.start
-    # back to enumeration order, first position most significant
+    # back to block order, first position most significant
     fallback = fallback.reshape((nv,) * n).T.ravel()
     typ_fail = matches != 1
     decode = np.where(typ_fail, fallback, first)
@@ -699,14 +709,13 @@ def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
     """Run count sampled source blocks through encoder, channel, decoder and
     reconstruction; returns the (x, yhat) blocks as rows.
 
-    decode_map is the decoder tabulated over every output block in
-    enumeration order. Symbols are held as codes of the smallest unsigned
+    decode_map is the decoder tabulated over every output block in block
+    order. Symbols are held as codes of the smallest unsigned
     dtype of their alphabet, and each table is dropped once it is used."""
     n = cfg.n
     msgs = code.shape[0]
     nx = len(cfg.source)
     nv = len(cfg.channel.output_alphabet)
-    vpow = nv ** np.arange(n - 1, -1, -1)
     x = _cdf_draw(rng.random((count, n)), np.cumsum(cfg.source.probs)
                   ).astype(np.min_scalar_type(nx - 1))
     pick = rng.random(count)
@@ -732,7 +741,7 @@ def _sample_chunk(cfg: BlockCodeConfig, code: np.ndarray,
     u = _table_draw(rng.random((count, n)), cfg.u_given_xz, (x, zcode[m]))
     v = _table_draw(rng.random((count, n)), cfg.channel.matrix, (u,))
     del u
-    mhat = decode_map[(v * vpow).sum(axis=1)]
+    mhat = decode_map[np.ravel_multi_index(v.T, (nv,) * n)]
     yhat = _table_draw(rng.random((count, n)), cfg.dec_cond,
                        (zcode[mhat], v))
     return x, yhat
@@ -742,9 +751,7 @@ def _coupler(cfg: BlockCodeConfig, laws: CodebookLaws):
     """Maximal coupling against the exact product target, as a function
     couple(rng, y) that overwrites one chunk's reconstructions y with their
     coupled blocks and returns them."""
-    n = cfg.n
-    ny = len(cfg.target)
-    ypow = ny ** np.arange(n - 1, -1, -1)
+    blocks = (len(cfg.target),) * cfg.n
     keep = np.where(laws.p_yhat > 0.0,
                     np.minimum(laws.p_yhat, laws.p_target)
                     / np.where(laws.p_yhat > 0.0, laws.p_yhat, 1.0),
@@ -754,12 +761,12 @@ def _coupler(cfg: BlockCodeConfig, laws: CodebookLaws):
     resid_cdf = np.cumsum(resid / rmass) if rmass > 0.0 else None
 
     def couple(rng, y):
-        reject = rng.random(y.shape[0]) >= keep[(y * ypow).sum(axis=1)]
+        reject = rng.random(y.shape[0]) >= keep[
+            np.ravel_multi_index(y.T, blocks)]
         nrej = int(np.count_nonzero(reject))
         if nrej and resid_cdf is not None:
             fresh = _cdf_draw(rng.random(nrej), resid_cdf)
-            for t in range(n):
-                y[reject, t] = (fresh // ypow[t]) % ny
+            y[reject] = np.stack(np.unravel_index(fresh, blocks), axis=1)
         return y
 
     return couple

@@ -116,11 +116,12 @@ def kappa_gammas(lambdas: Sequence[float], rate):
     gamma_l = (-1 + sqrt(1 + 4 kappa^2 lam_l^2)) / (2 kappa) spend exactly
     `rate` bits in total, and returns (kappa, [gamma_1, ..., gamma_L]).
     rate = 0 returns kappa = 0 with the all-zero vector. An array of rates
-    gives arrays, the gammas on one more axis.
+    gives arrays, the gammas on one more axis. A negative or NaN rate
+    raises ValueError.
     """
     lams = _check_lambdas(lambdas)
     rate = np.asarray(rate, dtype=float)
-    if np.any(rate < 0.0):
+    if not np.all(rate >= 0.0):
         raise ValueError("rate must be nonnegative")
     kappa = np.zeros(rate.shape)
     pos = rate > 0.0
@@ -260,11 +261,14 @@ def gamma_star(lambdas: Sequence[float]) -> float:
 
 def linear_bound(lambdas: Sequence[float], g) -> float:
     """Least squared cost any linear scheme with channel-combining gains g
-    can reach: the uncoded curve evaluated at the induced receive power."""
+    can reach: the uncoded curve evaluated at the induced receive power.
+    Gains must be finite."""
     lams = _check_lambdas(lambdas)
     gains = np.asarray(g, dtype=float)
     if gains.shape != (len(lams),):
         raise ValueError("gain vector length must match eigenvalue count")
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("gains must be finite")
     return _uncoded(lams, float(np.dot(gains * gains, np.asarray(lams))))
 
 
@@ -292,19 +296,22 @@ def gaussian_curves(config: GaussianConfig) -> CurveTable:
 
 # ------------------------------------------------- scalar mismatched case
 
-def _check_toy(gamma, sigma_x, sigma_y):
+def _check_toy(gamma, mu_x, sigma_x, mu_y, sigma_y):
+    """(gamma, mu_x - mu_y, sigma_x, sigma_y); ValueError unless the means
+    are finite and the standard deviations finite and nonnegative."""
     g = _check_gamma(gamma)
-    sx, sy = float(sigma_x), float(sigma_y)
-    if not (sx >= 0.0 and sy >= 0.0):
-        raise ValueError("standard deviations must be nonnegative")
-    return g, sx, sy
+    mx, sx, my, sy = (float(v) for v in (mu_x, sigma_x, mu_y, sigma_y))
+    if not (math.isfinite(mx) and math.isfinite(my)):
+        raise ValueError("means must be finite")
+    if not (0.0 <= sx < math.inf and 0.0 <= sy < math.inf):
+        raise ValueError("standard deviations must be nonnegative and finite")
+    return g, mx - my, sx, sy
 
 
 def toy_gaussian_lower(gamma: float, mu_x: float = 0.0, sigma_x: float = 1.0,
                        mu_y: float = 0.0, sigma_y: float = 1.0) -> float:
     """Scalar Gaussian-to-Gaussian floor with unlimited common randomness."""
-    g, sx, sy = _check_toy(gamma, sigma_x, sigma_y)
-    dm = float(mu_x) - float(mu_y)
+    g, dm, sx, sy = _check_toy(gamma, mu_x, sigma_x, mu_y, sigma_y)
     return dm * dm + sx * sx + sy * sy - 2.0 * math.sqrt(g / (g + 1.0)) * sx * sy
 
 
@@ -312,8 +319,7 @@ def toy_gaussian_sep(gamma: float, mu_x: float = 0.0, sigma_x: float = 1.0,
                      mu_y: float = 0.0, sigma_y: float = 1.0) -> float:
     """Scalar separation cost without common randomness; the cross term
     carries the budget factor itself rather than its square root."""
-    g, sx, sy = _check_toy(gamma, sigma_x, sigma_y)
-    dm = float(mu_x) - float(mu_y)
+    g, dm, sx, sy = _check_toy(gamma, mu_x, sigma_x, mu_y, sigma_y)
     return dm * dm + sx * sx + sy * sy - 2.0 * g / (g + 1.0) * sx * sy
 
 

@@ -41,13 +41,20 @@ def finite_array(values, what) -> np.ndarray:
     return arr
 
 
-def nonnegative_array(values, shape, what) -> np.ndarray:
-    """values as a finite float array of `shape` with no negative entry,
-    such as a cost or distortion table. Raises ValueError naming `what`
+def shaped_array(values, shape, what) -> np.ndarray:
+    """values as a finite float array of `shape`; ValueError naming `what`
     otherwise."""
     arr = finite_array(values, what)
     if arr.shape != shape:
         raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
+    return arr
+
+
+def nonnegative_array(values, shape, what) -> np.ndarray:
+    """values as a finite float array of `shape` with no negative entry,
+    such as a cost or distortion table. Raises ValueError naming `what`
+    otherwise."""
+    arr = shaped_array(values, shape, what)
     if np.any(arr < 0.0):
         raise ValueError(f"{what} has negative entries")
     return arr
@@ -57,9 +64,7 @@ def stochastic_array(values, shape, what, axis=-1) -> np.ndarray:
     """values as a finite float array of `shape` whose sums over `axis` are
     1 within 1e-9; entries down to -1e-12 are clipped to 0. Raises
     ValueError naming `what` otherwise."""
-    arr = finite_array(values, what)
-    if arr.shape != shape:
-        raise ValueError(f"{what}: expected shape {shape}, got {arr.shape}")
+    arr = shaped_array(values, shape, what)
     if np.any(arr < -1e-12):
         raise ValueError(f"{what} has negative entries")
     arr = np.clip(arr, 0.0, None)
@@ -505,8 +510,12 @@ def entropic_plan(row: DiscreteDistribution, col: DiscreteDistribution,
     converges and lam = 6e-6 or 1e-6 does not. On the LP's reduced costs,
     which rate_limited_ot passes, the optimal cells cost 0 and the rest at
     least 0, so the exponents stay small far below the cost range.
+    ValueError before any solve unless cost is a finite |row| x |col| table
+    (negative entries allowed) and lam is positive and finite.
     """
-    c = np.asarray(cost, dtype=float)
+    c = shaped_array(cost, (len(row), len(col)), "cost")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {float(lam)!r}")
     i, j = np.flatnonzero(row.probs > 0.0), np.flatnonzero(col.probs > 0.0)
     p, q = row.probs[i], col.probs[j]
     logp, logq = np.log(p), np.log(q)

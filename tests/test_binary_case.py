@@ -92,6 +92,17 @@ def test_d_hat_rejects_negative_rate():
         d_hat(0.25, -0.5)
 
 
+@pytest.mark.parametrize("rate", [np.nan, [0.3, np.nan]])
+def test_d_hat_rejects_rates_with_no_answer(rate):
+    # NaN once fell through every branch and read as zero distortion
+    with pytest.raises(ValueError, match="rate must be nonnegative"):
+        d_hat(0.25, rate)
+
+
+def test_d_hat_keeps_its_limit_at_an_infinite_rate():
+    assert d_hat(0.25, np.inf) == 0.0
+
+
 def test_d_lower_branches():
     assert d_lower(0.25, 0.0) == 0.0
     assert d_lower(0.25, 0.5) == pytest.approx(0.375, abs=1e-12)

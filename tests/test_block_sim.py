@@ -25,7 +25,6 @@ from cot_lab.block_sim import (
     SimReport,
     _block_law,
     _codebook_laws,
-    _enumerate_blocks,
     _pairwise_sum,
     _sample_chunk,
     _symbol_kernels,
@@ -40,6 +39,10 @@ from cot_lab.gaussian_case import d_uncoded as gauss_uncoded
 from cot_lab.gaussian_case import linear_bound
 from cot_lab.infokit import DiscreteChannel, DiscreteDistribution
 from linear_bound_spec import uncoded_equality_gap, verify_linear_bound
+
+
+def _enumerate_blocks(n, base):
+    return np.stack(np.unravel_index(np.arange(base ** n), (base,) * n), 1)
 
 
 def reports_equal(a: SimReport, b: SimReport) -> bool:
@@ -79,6 +82,25 @@ def test_sim_config_validation():
         SimConfig(seed=0, samples=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, samples=10, workers=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(seed=1.5, samples=10), "seed"),
+    (dict(seed=1.9, samples=10), "seed"),
+    (dict(seed=0, samples=math.nan), "samples"),
+    (dict(seed=0, samples=1e5), "samples"),
+    (dict(seed=0, samples=10, workers=2.0), "workers"),
+])
+def test_sim_config_refuses_counts_that_are_not_integers(kwargs, name):
+    # a float seed was once truncated, so 1.5 and 1.9 both ran seed 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SimConfig(**kwargs)
+
+
+def test_sim_config_takes_numpy_integers_as_ints():
+    sim = SimConfig(np.uint64(7), np.int64(10), np.int32(2))
+    assert (sim.seed, sim.samples, sim.workers) == (7, 10, 2)
+    assert {type(sim.seed), type(sim.samples), type(sim.workers)} == {int}
 
 
 def test_report_rejects_negative_std_error():
@@ -477,6 +499,21 @@ def test_block_config_refuses_no_codebooks_and_bad_distortions():
         dataclasses.replace(cfg, dist=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="dist has negative entries"):
         dataclasses.replace(cfg, dist=np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("field, bad", [("n", 2.5), ("n", 4.0),
+                                        ("codebooks", math.nan),
+                                        ("codebooks", 2.0)])
+def test_block_config_refuses_counts_that_are_not_integers(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        dataclasses.replace(candidate(4), **{field: bad})
+
+
+def test_block_config_takes_numpy_integer_counts():
+    cfg = dataclasses.replace(candidate(4), n=np.int64(4),
+                              codebooks=np.uint8(2))
+    assert (cfg.n, cfg.codebooks) == (4, 2)
+    assert {type(cfg.n), type(cfg.codebooks)} == {int}
 
 
 def test_codebook_size_is_exact_ceiling():

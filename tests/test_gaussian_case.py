@@ -554,6 +554,22 @@ def test_toy_rejects_bad_inputs():
         toy_gaussian_sep(1.0, sigma_x=-2.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: kappa_gammas(LAMS, np.nan), "rate must be nonnegative"),
+    (lambda: kappa_gammas(LAMS, [0.5, np.nan]), "rate must be nonnegative"),
+    (lambda: linear_bound(LAMS, [np.nan, 0.0]), "gains must be finite"),
+    (lambda: linear_bound(LAMS, [np.inf, 0.0]), "gains must be finite"),
+    (lambda: toy_gaussian_lower(1.0, mu_x=np.nan), "means must be finite"),
+    (lambda: toy_gaussian_lower(1.0, mu_y=-np.inf), "means must be finite"),
+    (lambda: toy_gaussian_lower(1.0, sigma_x=np.inf), "standard deviations"),
+    (lambda: toy_gaussian_sep(1.0, sigma_y=np.inf), "standard deviations"),
+])
+def test_curves_refuse_non_finite_inputs_with_no_answer(call, match):
+    # each once answered NaN, or kappa = 0 for a NaN rate
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -------------------------------------------------------- matrix ingestion
 
 def test_covariance_ingestion_diagonal():

@@ -730,6 +730,36 @@ def test_entropic_plan_converges_where_sweeps_stall():
     assert np.max(np.abs(plan.sum(axis=0) - b.probs)) <= 1e-12
 
 
+@pytest.mark.parametrize("cost, lam, match", [
+    (1.0 - np.eye(3), 0.3, r"cost: expected shape \(2, 2\)"),
+    ([[0.0, np.nan], [1.0, 0.0]], 0.3, "cost has non-finite entries"),
+    ([[0.0, 1.0], [np.inf, 0.0]], 0.3, "cost has non-finite entries"),
+    (1.0 - np.eye(2), -1.0, "lam must be positive and finite"),
+    (1.0 - np.eye(2), 0.0, "lam must be positive and finite"),
+    (1.0 - np.eye(2), np.nan, "lam must be positive and finite"),
+    (1.0 - np.eye(2), np.inf, "lam must be positive and finite"),
+])
+def test_entropic_plan_refuses_bad_arguments_before_any_solve(
+        monkeypatch, cost, lam, match):
+    # a 3 x 3 cost was once cut to its top-left block, lam = -1 solved the
+    # cost-maximizing problem and NaN read as a solver failure
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr(infokit, "_logsumexp", no_solve)
+    b = bern(0.5)
+    with pytest.raises(ValueError, match=match):
+        entropic_plan(b, b, cost, lam)
+
+
+def test_entropic_plan_admits_negative_costs():
+    # a shift by a constant leaves the plan as it is
+    b = bern(0.25)
+    ham = 1.0 - np.eye(2)
+    np.testing.assert_allclose(entropic_plan(b, b, ham - 3.0, 0.3)[0],
+                               entropic_plan(b, b, ham, 0.3)[0], atol=1e-12)
+
+
 def test_entropic_working_memory_is_a_few_cost_matrices():
     # a dense Newton system would hold (n + m)^2 cells, four cost matrices
     # here; conjugate gradients need only products with the plan
