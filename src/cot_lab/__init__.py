@@ -13,6 +13,13 @@ Submodules:
 
 __version__ = "0.1.0"
 
+# the curve schemas, which the CLI reads without loading numpy or the
+# dataclass machinery of tables.CurveTable
+CURVE_COLUMNS = ("theta", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
+                 "d_hybrid_simple", "delta1_opt", "delta1_prime")
+GAUSSIAN_COLUMNS = ("gamma", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
+                    "alpha_opt")
+
 
 # the numerical failures the CLI maps to exit 2, importable without numpy
 

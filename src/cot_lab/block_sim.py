@@ -158,12 +158,40 @@ def _chunks(total: int):
 
 def _pool_map(fn, jobs, threads: int) -> list:
     """fn over jobs on up to threads threads (past the job or core count
-    they would only wait); results come back in job order."""
+    they would only wait), the caller one of them; results come back in job
+    order.
+
+    Every thread takes the next job from one shared iterator, whose next()
+    is atomic under the GIL. Once a job raises, or the caller is
+    interrupted, no thread takes another job: the first exception is raised
+    on the caller when the pool threads have finished the jobs they hold."""
     threads = min(threads, len(jobs), os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+    if threads <= 1:
+        return [fn(job) for job in jobs]
+    results = [None] * len(jobs)
+    errors = []
+    order = enumerate(jobs)
+
+    def work():
+        try:
+            for i, job in order:
+                if errors:
+                    break
+                results[i] = fn(job)
+        except BaseException as exc:
+            errors.append(exc)
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        try:
+            for _ in range(threads - 1):
+                pool.submit(work)
+            work()
+        except BaseException as exc:
+            # an interrupt that lands while the pool threads start
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _run_chunks(fn, sim: SimConfig) -> List[tuple]:

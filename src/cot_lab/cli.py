@@ -21,8 +21,8 @@ import time
 # numpy and the numerics are imported inside each handler, so a command
 # loads only what it runs: emit-plot needs no numpy. Manifests are hashed
 # without hashlib (see _sha256)
-from . import BracketError, MaxIterError, SinkhornDivergence, __version__
-from .tables import CURVE_COLUMNS, GAUSSIAN_COLUMNS
+from . import (CURVE_COLUMNS, GAUSSIAN_COLUMNS, BracketError, MaxIterError,
+               SinkhornDivergence, __version__)
 
 _NUMERICAL_ERRORS = (BracketError, MaxIterError, SinkhornDivergence,
                      ArithmeticError)

@@ -7,6 +7,15 @@ acts on U alone, and the decoder sees (Z, V). The evaluator computes the
 end-to-end expected distortion plus the three mutual informations that govern
 achievability, and reports per-condition feasibility flags instead of
 throwing, so search loops can sweep infeasible candidates freely.
+
+The information condition asks for a codebook rate R with
+    R > I(X;Z)   so that a likelihood encoder finds a codeword,
+    R > I(Y;Z)   so that soft covering makes the reconstructions follow
+                 the target law,
+    R < I(Z;V)   so that the decoder recovers the codeword,
+that is max(I(X;Z), I(Y;Z)) <= I(Z;V). These are the usual random-coding
+conditions, not tied to a theorem of the source paper, so a spec that
+passes is feasible under these conditions and no more is claimed for it.
 """
 
 from dataclasses import dataclass

@@ -1,5 +1,5 @@
-"""Sampled-curve container and the curve schemas, shared by the curve
-modules and the CLI (which reads the schemas without loading numpy).
+"""Sampled-curve container, and the curve schemas it is built with (kept in
+the package's __init__, where the CLI reads them without this module).
 
 A CurveTable is a rectangular block of floats: one named column per curve or
 argmin parameter, one row per abscissa sample. Serialization uses Python's
@@ -10,10 +10,7 @@ inputs reproduces the output stream byte for byte.
 from dataclasses import dataclass
 from typing import Tuple
 
-CURVE_COLUMNS = ("theta", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
-                 "d_hybrid_simple", "delta1_opt", "delta1_prime")
-GAUSSIAN_COLUMNS = ("gamma", "d_lower", "d_sep", "d_uncoded", "d_hybrid",
-                    "alpha_opt")
+from . import CURVE_COLUMNS, GAUSSIAN_COLUMNS
 
 
 @dataclass(frozen=True)

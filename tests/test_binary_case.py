@@ -30,6 +30,7 @@ from cot_lab.hybrid_bound import HybridSpec, evaluate
 from cot_lab.infokit import (
     DiscreteChannel,
     DiscreteDistribution,
+    ot_min_cost,
     rate_limited_ot,
 )
 from cot_lab.numkit import bconv, binary_entropy, binary_entropy_inv
@@ -574,3 +575,45 @@ def test_hybrid_candidate_noiseless():
     rep = evaluate(hybrid_candidate(0.25, 0.0))
     assert rep.feasible
     assert rep.e_dist == pytest.approx(0.0, abs=1e-12)
+
+
+def lp_decoder_candidate(rho, theta, delta1):
+    """hybrid_candidate's encoder with its decoder re-solved as one exact
+    transport LP: the plan coupling p_ZV with the target at cost
+    E[d(X, y) | z, v], normalised per (z, v). Returns (LP value, spec)."""
+    spec = hybrid_candidate(rho, theta, delta1)
+    p_xzv = spec.p_x.probs[:, None, None] * spec.enc @ spec.ch.matrix
+    p_zv = p_xzv.sum(axis=0)
+    cost = np.einsum("xzv,xy->zvy", p_xzv, spec.dist) / p_zv[..., None]
+    pairs = DiscreteDistribution(
+        tuple(f"{z},{v}" for z in spec.z_alphabet
+              for v in spec.ch.output_alphabet), p_zv.ravel())
+    ny = len(spec.y_alphabet)
+    d_star, plan = ot_min_cost(pairs, spec.target_y, cost.reshape(-1, ny))
+    table = plan.table.reshape(p_zv.shape + (ny,))
+    dec = table / table.sum(axis=2, keepdims=True)
+    return d_star, HybridSpec(spec.p_x, spec.z_alphabet, spec.enc, spec.ch,
+                              dec, spec.y_alphabet, spec.dist, spec.gamma)
+
+
+def test_lp_decoder_spec_is_feasible_under_evaluates_conditions():
+    # at (rho, theta) = (0.35, 0.1) the closed form's encoder at
+    # delta1 = 0.26, with the decoder re-solved as a transport LP, passes
+    # evaluate's three conditions below the binary-curves row, where
+    # d_hybrid only ties d_uncoded; whether the paper's theorem admits the
+    # spec is open, so this pins the numbers and claims no more
+    d_star, spec = lp_decoder_candidate(0.35, 0.1, 0.26)
+    assert d_star == pytest.approx(0.11558441558441558, abs=1e-15)
+    rep = evaluate(spec)
+    assert (rep.cost_ok, rep.info_ok, rep.marginal_ok, rep.feasible) == (
+        True, True, True, True)
+    assert rep.e_dist == pytest.approx(0.1155844155844156, abs=1e-15)
+    assert rep.i_xz == pytest.approx(0.107322, abs=5e-7)
+    assert rep.i_yz == pytest.approx(0.086145, abs=5e-7)
+    assert rep.i_zv == pytest.approx(0.109149, abs=5e-7)
+    assert rep.i_zv - max(rep.i_xz, rep.i_yz) == pytest.approx(1.83e-3,
+                                                               abs=5e-6)
+    row = dict(zip(CURVE_COLUMNS, binary_curves(
+        BinaryConfig(0.35, (0.1,))).rows[0]))
+    assert row["d_hybrid"] == row["d_uncoded"] == 0.11973684210526317
+    assert rep.e_dist < row["d_hybrid"]

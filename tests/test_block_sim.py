@@ -10,7 +10,12 @@ also checked for bit-identical output across worker counts.
 import dataclasses
 import itertools
 import math
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -151,13 +156,23 @@ def test_uncoded_binary_validation():
 
 
 def record_pools(monkeypatch, cpus):
-    """Stand in a serial recorder for the thread pool on a machine of cpus
-    cores; returns the (max_workers, jobs) of every pool started."""
+    """Stand in a serial recorder for the pool threads on a machine of cpus
+    cores; returns, for every pool started, the threads at work on its jobs
+    (its max_workers pool threads and the caller) and the jobs."""
     seen = []
+    calls = []
+    pool_map = block_sim._pool_map
+
+    def recorded_map(fn, jobs, threads):
+        calls.append(list(jobs))
+        try:
+            return pool_map(fn, jobs, threads)
+        finally:
+            calls.pop()
 
     class Recorder:
         def __init__(self, max_workers):
-            self.max_workers = max_workers
+            seen.append((max_workers + 1, calls[-1]))
 
         def __enter__(self):
             return self
@@ -165,10 +180,11 @@ def record_pools(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            seen.append((self.max_workers, list(jobs)))
-            return map(fn, jobs)
+        def submit(self, fn):
+            # the pool thread's share runs at once, on the caller's thread
+            fn()
 
+    monkeypatch.setattr(block_sim, "_pool_map", recorded_map)
     monkeypatch.setattr(block_sim, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(block_sim.os, "cpu_count", lambda: cpus)
     return seen
@@ -185,6 +201,114 @@ def test_run_chunks_clamps_the_pool(monkeypatch, workers, chunks, cpus,
     assert counts == [block_sim._CHUNK] * chunks
     assert [size for size, _ in seen] == ([] if threads is None
                                           else [threads])
+
+
+@pytest.mark.parametrize("workers, jobs, cpus", [
+    (2, 10, 2), (3, 10, 4), (8, 2, 4), (8, 10, 3), (1, 10, 4)])
+def test_pool_puts_the_caller_to_work(monkeypatch, workers, jobs, cpus):
+    # each of the first `threads` jobs waits until that many are running,
+    # so they run on distinct threads, the caller among them; one thread
+    # too few breaks the barrier, one too many takes a later job
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: cpus)
+    threads = min(workers, jobs, cpus)
+    before = threading.active_count()
+    # counted once all of them wait, before any can finish and leave
+    alive = []
+    barrier = threading.Barrier(
+        threads, lambda: alive.append(threading.active_count()), 30.0)
+    idents = set()
+
+    def job(j):
+        idents.add(threading.get_ident())
+        if j < threads:
+            barrier.wait()
+        return j
+
+    assert block_sim._pool_map(job, range(jobs), workers) == list(
+        range(jobs))
+    # the caller and threads - 1 pool threads
+    assert alive == [before + threads - 1]
+    assert len(idents) == threads
+    assert threading.get_ident() in idents
+    assert threading.active_count() == before
+
+
+def test_pool_returns_results_in_job_order(monkeypatch):
+    # job 0 waits until job 1 has finished, on the other thread, so the
+    # results are computed out of job order
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    done = threading.Event()
+
+    def job(j):
+        if j == 0:
+            assert done.wait(30.0)
+        elif j == 1:
+            done.set()
+        return -j
+
+    assert block_sim._pool_map(job, range(100), 2) == [-j for j in range(100)]
+
+
+def test_pool_runs_every_job_once_under_contention(monkeypatch):
+    # eight threads switching every microsecond: a job taken twice or
+    # never shows in the jobs run
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 8)
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = block_sim._pool_map(lambda j: taken.append(j) or -j,
+                                  range(20000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [-j for j in range(20000)]
+    assert sorted(taken) == list(range(20000))
+
+
+def test_pool_stops_at_the_first_failing_job(monkeypatch):
+    # the first job raises at once: the other thread finishes the job it
+    # holds and takes no more, where draining the 10^5 trivial jobs would
+    # run every one of them
+    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    ran = []
+
+    def job(j):
+        if j == 0:
+            raise ArithmeticError("job 0")
+        ran.append(j)
+
+    with pytest.raises(ArithmeticError, match="^job 0$"):
+        block_sim._pool_map(job, range(10 ** 5), 2)
+    assert len(ran) < 10 ** 4
+    assert threading.active_count() == before
+
+
+def test_interrupted_simulation_stops_within_two_seconds(tmp_path):
+    # 3 x 10^8 samples take about 10 s on two workers; after SIGINT each
+    # thread finishes the 32768-sample chunk it holds and takes no more
+    src = os.path.dirname(os.path.dirname(block_sim.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cot_lab.cli", "simulate", "uncoded-binary",
+         "--rho", "0.25", "--theta", "0.1", "--seed", "1", "--samples",
+         "300000000", "--workers", "2", "--out", "r.json"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        time.sleep(1.5)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        t0 = time.perf_counter()
+        _, err = proc.communicate(timeout=30.0)
+        stopped = time.perf_counter() - t0
+    finally:
+        proc.kill()
+        proc.wait()
+    # the interrupt landed in a sampling chunk, not in the start-up
+    assert b"KeyboardInterrupt" in err and b"block_sim" in err
+    assert proc.returncode != 0
+    assert stopped < 2.0
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_uncoded_binary_worker_invariance():
