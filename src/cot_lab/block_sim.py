@@ -27,8 +27,8 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,16 +156,25 @@ def _chunks(total: int):
         start += _CHUNK
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a process pinned by taskset sees its own CPUs), else
+    the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(fn, jobs, threads: int) -> list:
-    """fn over jobs on up to threads threads (past the job or core count
-    they would only wait), the caller one of them; results come back in job
-    order.
+    """fn over jobs on up to threads threads (past the job count or the
+    CPUs the process may run on they would only wait), the caller one of
+    them; results come back in job order.
 
     Every thread takes the next job from one shared iterator, whose next()
     is atomic under the GIL. Once a job raises, or the caller is
     interrupted, no thread takes another job: the first exception is raised
     on the caller when the pool threads have finished the jobs they hold."""
-    threads = min(threads, len(jobs), os.cpu_count() or 1)
+    threads = min(threads, len(jobs), _cpus())
     if threads <= 1:
         return [fn(job) for job in jobs]
     results = [None] * len(jobs)
@@ -181,14 +190,19 @@ def _pool_map(fn, jobs, threads: int) -> list:
         except BaseException as exc:
             errors.append(exc)
 
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        try:
-            for _ in range(threads - 1):
-                pool.submit(work)
-            work()
-        except BaseException as exc:
-            # an interrupt that lands while the pool threads start
-            errors.append(exc)
+    started = []
+    try:
+        for _ in range(threads - 1):
+            thread = Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()
+    except BaseException as exc:
+        # an interrupt that lands while the pool threads start
+        errors.append(exc)
+    finally:
+        for thread in started:
+            thread.join()
     if errors:
         raise errors[0]
     return results
@@ -849,7 +863,7 @@ def sim_block_hybrid(cfg: BlockCodeConfig, sim: SimConfig) -> SimReport:
     # codebooks in flight as far as what each holds (its block-long vectors
     # and two slabs) fits the budget together; the workers left over run
     # each codebook's chunks
-    workers = min(sim.workers, os.cpu_count() or 1)
+    workers = min(sim.workers, _cpus())
     threads = min(workers, max(1, _ENUM_BYTES // (
         8 * _LAW_VECTORS * blocks + 2 * _SLAB_BYTES)))
     chunk_threads = max(1, workers // min(threads, cfg.codebooks))

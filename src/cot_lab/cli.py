@@ -34,7 +34,9 @@ MAX_POINTS = 2 ** 14
 # 30,000 chunks of 2^15
 MAX_SAMPLES = 10 ** 9
 # most codebooks of one block-hybrid run: each is one exact-law enumeration,
-# about 0.08 s at n = 12, so a run's laws take under about 1.5 min there
+# 1.1 to 1.4 s at the largest config admitted (n = 12, 4093 messages at
+# --theta 1e-6 --rate 0.9999), so a run's laws take 19 to 25 min there on
+# one worker (0.04 to 0.06 s each at n = 12 and rate 0.6, 148 messages)
 MAX_CODEBOOKS = 2 ** 10
 # longest block-hybrid blocklength: the binary candidate's rate under 1
 # allows up to 2^n messages over 2^n blocks, and block_sim's byte gate
@@ -329,6 +331,17 @@ def _report_to_json(rep) -> dict:
 
 
 def _cmd_simulate(args, argv, t0):
+    # numpy.random imports secrets, whose hmac and hashlib would map
+    # OpenSSL's libcrypto, which stays in the peak (see _sha256). A None
+    # entry in sys.modules makes `import _hashlib` raise ImportError, so
+    # both take the built-in fallbacks of a CPython built without OpenSSL:
+    # every digest is the same, and manifests hash with _sha2 or _sha256
+    # anyway. secrets.randbits still reads os.urandom, and every simulator
+    # draws from --seed, which the parser requires. setdefault leaves a
+    # process that has already loaded OpenSSL (a test runner, a traced
+    # benchmark, a library caller) as it is, and `import
+    # cot_lab.block_sim` outside this handler blocks nothing
+    sys.modules.setdefault("_hashlib", None)
     from . import block_sim
     sim = block_sim.SimConfig(args.seed, args.samples, args.workers)
     if args.scheme == "uncoded-binary":

@@ -158,35 +158,36 @@ def test_uncoded_binary_validation():
 def record_pools(monkeypatch, cpus):
     """Stand in a serial recorder for the pool threads on a machine of cpus
     cores; returns, for every pool started, the threads at work on its jobs
-    (its max_workers pool threads and the caller) and the jobs."""
+    (its pool threads and the caller) and the jobs."""
     seen = []
     calls = []
     pool_map = block_sim._pool_map
 
     def recorded_map(fn, jobs, threads):
-        calls.append(list(jobs))
+        # [jobs, pool threads started, where the pool sits in seen]
+        calls.append([list(jobs), 0, len(seen)])
         try:
             return pool_map(fn, jobs, threads)
         finally:
-            calls.pop()
+            jobs, started, at = calls.pop()
+            if started:
+                seen.insert(at, (started + 1, jobs))
 
     class Recorder:
-        def __init__(self, max_workers):
-            seen.append((max_workers + 1, calls[-1]))
+        def __init__(self, target):
+            self.target = target
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn):
+        def start(self):
             # the pool thread's share runs at once, on the caller's thread
-            fn()
+            calls[-1][1] += 1
+            self.target()
+
+        def join(self):
+            pass
 
     monkeypatch.setattr(block_sim, "_pool_map", recorded_map)
-    monkeypatch.setattr(block_sim, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(block_sim, "Thread", Recorder)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: cpus)
     return seen
 
 
@@ -209,7 +210,7 @@ def test_pool_puts_the_caller_to_work(monkeypatch, workers, jobs, cpus):
     # each of the first `threads` jobs waits until that many are running,
     # so they run on distinct threads, the caller among them; one thread
     # too few breaks the barrier, one too many takes a later job
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: cpus)
     threads = min(workers, jobs, cpus)
     before = threading.active_count()
     # counted once all of them wait, before any can finish and leave
@@ -236,7 +237,7 @@ def test_pool_puts_the_caller_to_work(monkeypatch, workers, jobs, cpus):
 def test_pool_returns_results_in_job_order(monkeypatch):
     # job 0 waits until job 1 has finished, on the other thread, so the
     # results are computed out of job order
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: 2)
     done = threading.Event()
 
     def job(j):
@@ -252,7 +253,7 @@ def test_pool_returns_results_in_job_order(monkeypatch):
 def test_pool_runs_every_job_once_under_contention(monkeypatch):
     # eight threads switching every microsecond: a job taken twice or
     # never shows in the jobs run
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: 8)
     taken = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -269,7 +270,7 @@ def test_pool_stops_at_the_first_failing_job(monkeypatch):
     # the first job raises at once: the other thread finishes the job it
     # holds and takes no more, where draining the 10^5 trivial jobs would
     # run every one of them
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: 2)
     before = threading.active_count()
     ran = []
 
@@ -309,6 +310,26 @@ def test_interrupted_simulation_stops_within_two_seconds(tmp_path):
     assert proc.returncode != 0
     assert stopped < 2.0
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no CPU affinity mask")
+def test_pool_counts_only_the_cpus_the_process_may_run_on():
+    # a process pinned to one CPU (as under taskset -c 0) starts no pool
+    # thread, however many CPUs the machine has: every job runs on the
+    # caller. Pinned in a child, so this process keeps its CPUs
+    script = """
+import os, threading
+from cot_lab import block_sim
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+idents = block_sim._pool_map(lambda j: threading.get_ident(), range(8), 2)
+print(block_sim._cpus(), idents == [threading.get_ident()] * 8)
+"""
+    src = os.path.dirname(os.path.dirname(block_sim.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["1", "True"]
 
 
 def test_uncoded_binary_worker_invariance():
@@ -1231,7 +1252,7 @@ def test_block_report_does_not_depend_on_concurrent_codebooks(
     monkeypatch.setattr(block_sim, "_CHUNK", 1024)
     cfg = make(codebooks)
     one = sim_block_hybrid(cfg, SimConfig(3, 4096, 1))
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -1252,12 +1273,12 @@ def test_block_runs_fewer_codebooks_at_once_to_fit_the_byte_budget(
     held = 8 * 12 * 2 ** 8 + 2 * block_sim._SLAB_BYTES
     assert 8 * (cfg.codebook_size + 12) * 2 ** 8 <= held
     monkeypatch.setattr(block_sim, "_ENUM_BYTES", held)
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: 2)
 
-    def no_pool(max_workers):
-        raise AssertionError(f"pool of {max_workers} started")
+    def no_pool(target):
+        raise AssertionError("a pool thread started")
 
-    monkeypatch.setattr(block_sim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(block_sim, "Thread", no_pool)
     assert reports_equal(one, sim_block_hybrid(cfg, SimConfig(4, 200, 2)))
 
 
@@ -1265,7 +1286,7 @@ def test_block_working_set_is_a_few_tables(monkeypatch):
     # two n = 12 codebooks in flight: each works on slabs of its messages
     # and block-long vectors, and holds no messages x blocks table; the two
     # together peak below one such table (0.72-0.73 of it measured)
-    monkeypatch.setattr(block_sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(block_sim, "_cpus", lambda: 2)
     cfg = candidate(12, codebooks=8)
     table = 8 * cfg.codebook_size * 2 ** 12
     tracemalloc.start()

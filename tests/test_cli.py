@@ -1153,6 +1153,52 @@ print(sorted(m for m in ("_hashlib", "hashlib", "_blake2")
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+_SIMULATE_IMPORTS = """
+import json, sys
+if sys.argv[1] == "hashlib-first":
+    import hashlib
+from cot_lab import cli
+assert cli.main(json.loads(sys.argv[2])) == 0
+# sys.modules["_hashlib"] may hold the None that blocks the import
+print(json.dumps([m for m in ("_hashlib", "concurrent.futures", "logging")
+                  if sys.modules.get(m) is not None]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["uncoded-binary", "--rho", "0.25", "--theta", "0.1"],
+    ["uncoded-gaussian", "--lambdas", "1.5,0.5", "--gamma", "2.0"],
+    ["genie-hybrid", "--rho", "0.25", "--theta", "0.1", "--delta1", "0.05"],
+    ["block-hybrid", "--rho", "0.25", "--delta", "0.2", "--theta", "0.005",
+     "--rate", "0.6", "--n", "4", "--codebooks", "3"]],
+    ids=lambda argv: argv[0])
+def test_simulate_maps_no_openssl_and_starts_no_executor(tmp_path, argv):
+    # numpy.random would map OpenSSL's libcrypto through secrets and hmac,
+    # and an executor would load logging: a fresh simulate process loads
+    # neither, and reports and hashes as a process that loaded OpenSSL
+    # first (whose _hashlib the command leaves in place)
+    src = os.path.dirname(os.path.dirname(cot_lab.__file__))
+    outputs = []
+    for first in ("none", "hashlib-first"):
+        run_dir = tmp_path / first
+        run_dir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIMULATE_IMPORTS, first, json.dumps(
+                ["simulate"] + argv + ["--seed", "5", "--samples", "3000",
+                                       "--workers", "2", "--out", "s.json"])],
+            cwd=run_dir, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True)
+        outputs.append((json.loads(proc.stdout.splitlines()[-1]),
+                        (run_dir / "s.json").read_bytes(),
+                        json.loads((run_dir / "s.json.manifest.json")
+                                   .read_bytes())["config_hash"]))
+    (fresh, report, digest), (loaded, report_first, digest_first) = outputs
+    assert fresh == []
+    assert loaded == ["_hashlib"]
+    assert report == report_first
+    assert digest == digest_first
+
+
 @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
 def test_sha256_equals_hashlib_on_every_branch(monkeypatch, blocked):
     # a None entry in sys.modules makes that import raise ImportError, so
